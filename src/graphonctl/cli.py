@@ -364,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--qT", type=float, default=4.0, help="terminal state weight")
     ep.add_argument("--horizon", type=float, default=1.0)
     ep.add_argument("--step", type=float, default=None, help="simulation step")
-    ep.add_argument("--riccati-steps", type=int, default=10_000)
+    ep.add_argument("--riccati-steps", type=int, default=10_000,
+                    help="uniform time steps of riccati.csv (one row more)")
     ep.add_argument("--p0", default=None, help="file of initial infected fractions")
     ep.add_argument("--nonlinear", action="store_true",
                     help="also run the nonlinear model under the linear feedback")

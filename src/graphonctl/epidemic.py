@@ -5,7 +5,9 @@ finite-horizon regulator splits, thanks to the cost being polynomial in the
 contact operator, into one scalar Riccati equation per adjacency
 eigendirection plus a single auxiliary equation on the orthogonal complement.
 The auxiliary equation is the member of the same scalar family at eigenvalue
-zero, so everything is integrated as one vectorized backward sweep.
+zero.  Every member is a constant-coefficient scalar Riccati equation with a
+nonnegative quadratic coefficient and nonnegative weights, so the whole family
+is evaluated in closed form, vectorized over directions and times.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from .graphons import Graphon, StepGraphon
 from .integrate import rk4
 from .spectral import SpectralDecomposition, decompose
 from .control import Trajectory
-
-_trapz = getattr(np, "trapezoid", np.trapz)
 
 
 @dataclass(frozen=True)
@@ -44,15 +44,10 @@ class RegulatorParams:
     def __post_init__(self):
         if self.terminal_weight < 0.0:
             raise ValueError("terminal_weight must be nonnegative")
-        if not callable(self.state_weight) and self.state_weight < 0.0:
+        if self.state_weight < 0.0:
             raise ValueError("state_weight must be nonnegative")
         if self.horizon <= 0.0:
             raise ValueError("horizon must be positive")
-
-    def state_weight_at(self, t: float) -> float:
-        if callable(self.state_weight):
-            return self.state_weight(t)
-        return self.state_weight
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,6 +58,8 @@ class EpidemicModel:
     times node count) must be given; the other is derived.  `alpha` is the
     recovery rate of the nonlinear model and doubles as the linear drift
     coefficient, where negative values describe supercritical spread.
+    The columns of `eigenvector_matrix` are unit Euclidean eigenvectors for the
+    nonzero eigenvalues.
     """
 
     contact: StepGraphon
@@ -74,6 +71,7 @@ class EpidemicModel:
     terminal_weight: float = 4.0
     horizon: float = 1.0
     modes: SpectralDecomposition = field(init=False, repr=False)
+    eigenvector_matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.contact.coeffs.min() < 0.0:
@@ -88,7 +86,12 @@ class EpidemicModel:
         elif abs(self.eta_total - self.eta * n) > 1e-12 * max(1.0, abs(self.eta_total)):
             raise ValueError(f"eta_total={self.eta_total} inconsistent with "
                              f"eta*N={self.eta * n}")
-        object.__setattr__(self, "modes", decompose(self.contact))
+        modes = decompose(self.contact)
+        basis = (np.stack([f.values for f in modes.eigenfunctions], axis=1)
+                 / np.sqrt(n) if modes.rank else np.zeros((n, 0)))
+        basis.setflags(write=False)
+        object.__setattr__(self, "modes", modes)
+        object.__setattr__(self, "eigenvector_matrix", basis)
 
     @property
     def num_nodes(self) -> int:
@@ -98,15 +101,6 @@ class EpidemicModel:
     def adjacency(self) -> np.ndarray:
         """Unscaled contact matrix."""
         return self.contact.coeffs
-
-    @property
-    def eigenvector_matrix(self) -> np.ndarray:
-        """Columns are unit Euclidean eigenvectors for the nonzero eigenvalues."""
-        n = self.num_nodes
-        if not self.modes.rank:
-            return np.zeros((n, 0))
-        return np.stack([f.values for f in self.modes.eigenfunctions],
-                        axis=1) / np.sqrt(n)
 
     def regulator_params(self) -> RegulatorParams:
         return RegulatorParams(self.alpha, self.beta0, self.eta_total,
@@ -124,24 +118,60 @@ def stability_threshold(model: EpidemicModel) -> tuple[float, bool]:
     return lambda_max, bool(model.alpha >= model.eta * lambda_max)
 
 
+def _riccati_values(params: RegulatorParams, lams: np.ndarray, t) -> np.ndarray:
+    """pi(t) of pi' = 2h pi + b pi^2 - q, pi(horizon) = q_T, one column per lams entry.
+
+    Here h = alpha0 - eta_total*lam and b = beta0^2 / ((lam-1)^2 + 1).  With
+    c = sqrt(h^2 + b q), tau = horizon - t and e = exp(-2c tau) the solution is
+    [q_T (c-h) + e q_T (c+h) + q (1-e)] / [(c+h) + e (c-h) + b q_T (1-e)].
+    Of c+h and c-h, whose product is b q, the one that would cancel is formed
+    as a quotient, so every term is nonnegative.  The numerator is homogeneous
+    in the weights, so it takes them as fractions of the larger one and tiny
+    weights do not underflow; accuracy holds while b q and b q_T are zero or
+    normal floats.  c = 0 leaves the rational limit
+    (q_T + q tau) / (1 + b q_T tau).  `t` is a scalar or a 1-D array of times
+    (one row each).
+    """
+    q, q_terminal = params.state_weight, params.terminal_weight
+    scale = max(q, q_terminal)
+    tau = params.horizon - np.asarray(t, dtype=float)[..., None]
+    if scale == 0.0:
+        return np.zeros(np.broadcast_shapes(tau.shape, lams.shape))
+    h = params.alpha0 - params.eta_total * lams
+    b = params.beta0 ** 2 / (lams ** 2 - 2.0 * lams + 2.0)
+    c = np.sqrt(h * h + b * q)
+    w, w_terminal = q / scale, q_terminal / scale
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c_plus = np.where(h < 0.0, b * q / (c - h), c + h)
+        c_minus = np.where(h > 0.0, b * q / (c + h), c - h)
+        rate = -2.0 * c * tau
+        e = np.exp(rate)
+        e_bar = -np.expm1(rate)
+        pi = scale * ((w_terminal * c_minus + e * (w_terminal * c_plus) + w * e_bar)
+                      / (c_plus + e * c_minus + (b * q_terminal) * e_bar))
+        critical = (q_terminal + q * tau) / (1.0 + (b * q_terminal) * tau)
+    return np.where(c == 0.0, critical, pi)
+
+
 @dataclass(frozen=True, eq=False)
 class RiccatiSolution:
-    """Backward Riccati sweep: auxiliary scalar plus one column per eigendirection.
+    """Riccati family tabulated in closed form: auxiliary plus one column per eigendirection.
 
     times ascend from 0 to the horizon; modes[k, l] is the l-th eigendirection
     value at times[k] and eigenvalues[l] the matching normalized eigenvalue.
+    `value_at` evaluates the closed form at any time, off the table's grid too.
     """
 
     times: np.ndarray
     auxiliary: np.ndarray
     modes: np.ndarray
     eigenvalues: np.ndarray
+    params: RegulatorParams
 
     def value_at(self, t: float) -> tuple[float, np.ndarray]:
-        aux = float(np.interp(t, self.times, self.auxiliary))
-        vals = np.array([np.interp(t, self.times, self.modes[:, j])
-                         for j in range(self.modes.shape[1])])
-        return aux, vals
+        values = _riccati_values(self.params,
+                                 np.concatenate(([0.0], self.eigenvalues)), t)
+        return float(values[0]), values[1:]
 
     @property
     def quadratic_denominators(self) -> np.ndarray:
@@ -149,62 +179,32 @@ class RiccatiSolution:
         return self.eigenvalues ** 2 - 2.0 * self.eigenvalues + 2.0
 
 
-def _riccati_field(params: RegulatorParams, lams: np.ndarray):
-    linear = 2.0 * (params.alpha0 - params.eta_total * lams)
-    denom = lams ** 2 - 2.0 * lams + 2.0
-    gain = params.beta0 ** 2
-
-    def field(t, pi):
-        return linear * pi + gain * pi * pi / denom - params.state_weight_at(t)
-
-    return field
-
-
 def _solve_family(params: RegulatorParams, eigenvalues: np.ndarray,
                   num_steps: int) -> RiccatiSolution:
-    """Backward sweep of the scalar Riccati family; index 0 is the auxiliary.
+    """Riccati family on num_steps + 1 uniform times; index 0 is the auxiliary.
 
-    A second sweep at half the step size guards against integrator error;
-    disagreement beyond 1e-7 at t=0 (where backward error is largest) aborts.
+    Only a direction whose true solution exceeds the float range (zero control
+    gain on a supercritical direction) leaves a non-finite column; it aborts.
     """
+    if num_steps < 1:
+        raise ValueError("num_steps must be >= 1")
     lams = np.concatenate(([0.0], eigenvalues))
-    terminal = np.full(lams.size, params.terminal_weight, dtype=float)
-    fn = _riccati_field(params, lams)
-    try:
-        times, values = rk4(fn, params.horizon, 0.0, terminal, num_steps)
-        _, refined = rk4(fn, params.horizon, 0.0, terminal, 2 * num_steps,
-                         record=False)
-    except NumericsError:
-        _name_blowup(params, lams, num_steps)
-        raise
-    drift = float(np.abs(values[-1] - refined).max())
-    if drift > 1e-7:
-        raise NumericsError(
-            f"Riccati integration not converged: step-halving drift {drift:.3e}")
-    times = times[::-1]
-    values = values[::-1]
-    return RiccatiSolution(np.ascontiguousarray(times),
-                           np.ascontiguousarray(values[:, 0]),
-                           np.ascontiguousarray(values[:, 1:]),
-                           np.array(eigenvalues, dtype=float))
-
-
-def _name_blowup(params: RegulatorParams, lams: np.ndarray, num_steps: int):
-    """Re-run each direction alone to report which one escaped."""
-    for idx, lam in enumerate(lams):
-        fn = _riccati_field(params, np.array([lam]))
-        try:
-            rk4(fn, params.horizon, 0.0, np.array([params.terminal_weight]),
-                num_steps, record=False)
-        except NumericsError as exc:
-            which = "auxiliary direction" if idx == 0 else \
-                f"eigendirection with eigenvalue {lam:.6g}"
-            raise NumericsError(f"Riccati blow-up in the {which}") from exc
+    times = np.linspace(0.0, params.horizon, num_steps + 1)
+    table = _riccati_values(params, lams, times)
+    finite = np.isfinite(table).all(axis=0)
+    if not finite.all():
+        idx = int(np.argmin(finite))
+        which = "auxiliary direction" if idx == 0 else \
+            f"eigendirection with eigenvalue {lams[idx]:.6g}"
+        raise NumericsError(f"Riccati blow-up in the {which}")
+    return RiccatiSolution(times, np.ascontiguousarray(table[:, 0]),
+                           np.ascontiguousarray(table[:, 1:]),
+                           np.array(eigenvalues, dtype=float), params)
 
 
 def solve_riccati_finite(model: EpidemicModel,
                          num_steps: int = 10_000) -> RiccatiSolution:
-    """Riccati sweep for the finite network, one equation per nonzero eigenvalue.
+    """Riccati family for the finite network, one equation per nonzero eigenvalue.
 
     Eigenvalues enter normalized by the node count, exactly as the pixel
     graphon of the adjacency produces them, so this shares every float with
@@ -216,7 +216,7 @@ def solve_riccati_finite(model: EpidemicModel,
 
 def solve_riccati_graphon(kernel: Graphon, params: RegulatorParams,
                           num_steps: int = 10_000) -> RiccatiSolution:
-    """Riccati sweep for a graphon limit, one equation per nonzero eigenvalue."""
+    """Riccati family for a graphon limit, one equation per nonzero eigenvalue."""
     return _solve_family(params, decompose(kernel).eigenvalues, num_steps)
 
 
@@ -326,16 +326,13 @@ def closed_loop_cost(model: EpidemicModel, trajectory: Trajectory,
         controls = trajectory.controls
     if controls is None:
         controls = np.zeros_like(trajectory.states)
-    params = model.regulator_params()
-    times = trajectory.times
     states = trajectory.states
     averaging = np.eye(model.num_nodes) - model.adjacency / model.num_nodes
-    weights = np.array([params.state_weight_at(t) for t in times])
-    running = (weights * np.sum(states ** 2, axis=1)
+    running = (model.state_weight * np.sum(states ** 2, axis=1)
                + np.sum(controls ** 2, axis=1)
                + np.sum((controls @ averaging.T) ** 2, axis=1))
-    terminal = params.terminal_weight * float(np.sum(states[-1] ** 2))
-    return float(_trapz(running, times) + terminal)
+    terminal = model.terminal_weight * float(np.sum(states[-1] ** 2))
+    return float(np.trapezoid(running, trajectory.times) + terminal)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,22 +7,19 @@ import numpy as np
 from .errors import NumericsError
 
 
-def rk4(field, t0: float, t1: float, y0: np.ndarray, num_steps: int,
-        record: bool = True):
+def rk4(field, t0: float, t1: float, y0: np.ndarray, num_steps: int):
     """Classical fourth-order Runge-Kutta from t0 to t1 (t1 < t0 integrates backward).
 
-    Returns (times, states) with states[k] the state at times[k] when `record`
-    is set, otherwise (t1, final state).  Non-finite states abort with
-    NumericsError rather than propagating NaNs.
+    Returns (times, states) with states[k] the state at times[k].  Non-finite
+    states abort with NumericsError rather than propagating NaNs.
     """
     if num_steps < 1:
         raise ValueError("num_steps must be >= 1")
     h = (t1 - t0) / num_steps
     y = np.array(y0, dtype=float)
     times = np.linspace(t0, t1, num_steps + 1)
-    if record:
-        states = np.empty((num_steps + 1,) + y.shape)
-        states[0] = y
+    states = np.empty((num_steps + 1,) + y.shape)
+    states[0] = y
     for k in range(num_steps):
         t = times[k]
         k1 = field(t, y)
@@ -32,8 +29,5 @@ def rk4(field, t0: float, t1: float, y0: np.ndarray, num_steps: int,
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(y)):
             raise NumericsError(f"state became non-finite at t={times[k + 1]:.6g}")
-        if record:
-            states[k + 1] = y
-    if record:
-        return times, states
-    return t1, y
+        states[k + 1] = y
+    return times, states

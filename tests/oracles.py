@@ -201,3 +201,22 @@ def scalar_riccati_closed_form(linear: float, quadratic: float, q: float,
         return (r_plus - r_minus * decay) / (1.0 - decay)
 
     return solution
+
+
+def scalar_riccati_ode(linear: float, quadratic: float, q: float,
+                       terminal: float, horizon: float, times) -> np.ndarray:
+    """pi(times) for pi' = linear*pi + quadratic*pi^2 - q, pi(horizon) = terminal.
+
+    Implicit Radau integration backward from the horizon at rtol 1e-12, with
+    the exact Jacobian, so stiff and long-horizon cases need no closed form.
+    The absolute tolerance is 1e-14 times the larger weight.
+    """
+    grid, inverse = np.unique(np.asarray(times, dtype=float), return_inverse=True)
+    result = scipy.integrate.solve_ivp(
+        lambda t, y: linear * y + quadratic * y * y - q,
+        (horizon, float(grid[0])), [terminal], method="Radau",
+        t_eval=grid[::-1], rtol=1e-12, atol=1e-14 * max(q, terminal, 1e-300),
+        jac=lambda t, y: [[linear + 2.0 * quadratic * y[0]]])
+    if not result.success:
+        raise RuntimeError(result.message)
+    return result.y[0][::-1][inverse]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-import scipy.integrate
+from hypothesis import given, settings, strategies as st
 
 from graphonctl.epidemic import (
     EpidemicModel,
@@ -42,11 +42,6 @@ class TestRegulatorParams:
             RegulatorParams(0.0, 1.0, 1.0, state_weight=-2.0)
         with pytest.raises(ValueError):
             RegulatorParams(0.0, 1.0, 1.0, horizon=0.0)
-
-    def test_callable_state_weight(self):
-        params = RegulatorParams(0.0, 1.0, 1.0, state_weight=lambda t: 2.0 + t)
-        assert params.state_weight_at(0.5) == pytest.approx(2.5)
-        assert RegulatorParams(0.0, 1.0, 1.0).state_weight_at(0.5) == 2.0
 
 
 class TestEpidemicModel:
@@ -113,19 +108,6 @@ class TestRiccati:
                 assert column[idx] == pytest.approx(exact(sol.times[idx]),
                                                     rel=1e-9)
 
-    def test_time_varying_weight_against_generic_integrator(self):
-        contact = StepGraphon([[0.6]])
-        model = EpidemicModel(contact, alpha=0.5, eta=1.0,
-                              state_weight=lambda t: 2.0 + t, horizon=1.0)
-        sol = solve_riccati_finite(model, num_steps=4000)
-        lam = 0.6
-        linear = 2.0 * (model.alpha - model.eta_total * lam)
-        quadratic = model.beta0 ** 2 / (lam ** 2 - 2.0 * lam + 2.0)
-        result = scipy.integrate.solve_ivp(
-            lambda t, y: linear * y + quadratic * y * y - (2.0 + t),
-            (1.0, 0.0), [4.0], rtol=1e-11, atol=1e-12)
-        assert sol.modes[0, 0] == pytest.approx(result.y[0, -1], rel=1e-8)
-
     def test_finite_and_graphon_solvers_share_floats(self, rng):
         model = random_model(rng)
         finite = solve_riccati_finite(model, num_steps=2000)
@@ -143,21 +125,98 @@ class TestRiccati:
         np.testing.assert_allclose(sol.quadratic_denominators,
                                    sol.eigenvalues**2 - 2 * sol.eigenvalues + 2)
 
-    def test_negative_running_weight_blows_up_with_named_direction(self):
-        contact = StepGraphon(np.full((2, 2), 0.5))
-        model = EpidemicModel(contact, alpha=0.0, eta=1.0,
-                              state_weight=lambda t: -80.0, horizon=4.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericsError, match="auxiliary direction"):
-                solve_riccati_finite(model, num_steps=2000)
 
-    def test_unconverged_integration_is_detected(self):
-        # smooth solution, but 3 RK4 steps leave a step-halving drift far
-        # above the 1e-7 gate without ever going non-finite
-        contact = StepGraphon(np.full((2, 2), 0.5))
-        model = EpidemicModel(contact, alpha=0.5, eta=1.0, horizon=1.0)
-        with pytest.raises(NumericsError, match="not converged"):
-            solve_riccati_finite(model, num_steps=3)
+def _direction_coefficients(params, lam):
+    linear = 2.0 * (params.alpha0 - params.eta_total * lam)
+    quadratic = params.beta0 ** 2 / (lam ** 2 - 2.0 * lam + 2.0)
+    return linear, quadratic
+
+
+# With tiny weights the reference has to step through hundreds of e-folds of
+# growth; test_tiny_weight_does_not_underflow covers that end instead.
+weights = st.one_of(st.just(0.0), st.floats(1e-12, 100.0))
+
+
+class TestClosedForm:
+    @settings(max_examples=30, deadline=None)
+    @given(alpha0=st.floats(-1e4, 1e4), eta_total=st.floats(0.0, 100.0),
+           lam=st.floats(-1.0, 1.0), beta0=st.floats(0.05, 10.0),
+           q=weights, q_terminal=weights, horizon=st.floats(0.01, 10.0),
+           fraction=st.floats(0.0, 1.0))
+    def test_matches_independent_integration(self, alpha0, eta_total, lam,
+                                             beta0, q, q_terminal, horizon,
+                                             fraction):
+        params = RegulatorParams(alpha0, beta0, eta_total, q, q_terminal, horizon)
+        sol = solve_riccati_graphon(StepGraphon([[lam]]), params, num_steps=8)
+        table = np.column_stack((sol.auxiliary, sol.modes))
+        assert np.all(np.isfinite(table)) and np.all(table >= 0.0)
+        # one direction per example keeps the stiff reference affordable;
+        # lam = 0 leaves only the auxiliary, which is the same family at 0
+        off_grid = fraction * horizon
+        aux, pis = sol.value_at(off_grid)
+        if sol.eigenvalues.size:
+            direction, mine = sol.eigenvalues[0], np.append(sol.modes[:, 0], pis[0])
+        else:
+            direction, mine = 0.0, np.append(sol.auxiliary, aux)
+        times = np.append(sol.times, off_grid)
+        reference = oracles.scalar_riccati_ode(
+            *_direction_coefficients(params, direction), q, q_terminal,
+            horizon, times)
+        assert np.all(np.isfinite(mine)) and np.all(mine >= 0.0)
+        # below 1e-12 of the weights only the reference's own atol is resolved
+        np.testing.assert_allclose(mine, reference, rtol=1e-9,
+                                   atol=1e-12 * max(q, q_terminal))
+
+    @pytest.mark.parametrize("eta_total, expected", [(1.5e4, 30001.0000666),
+                                                     (3e4, 60001.0000333)])
+    def test_stiff_constant_kernel(self, eta_total, expected):
+        model = EpidemicModel(StepGraphon([[1.0]]), eta_total=eta_total,
+                              **dict(BASELINE_REGULATOR, alpha=-0.5))
+        sol = solve_riccati_finite(model)
+        exact = oracles.scalar_riccati_closed_form(
+            *_direction_coefficients(model.regulator_params(), 1.0), 2.0, 4.0, 1.0)
+        assert sol.modes[0, 0] == pytest.approx(exact(0.0), rel=1e-12)
+        assert sol.modes[0, 0] == pytest.approx(expected, rel=1e-11)
+
+    def test_zero_weights_give_exact_zeros(self):
+        params = RegulatorParams(-3.0, 1.0, 2.0, state_weight=0.0,
+                                 terminal_weight=0.0)
+        sol = solve_riccati_graphon(StepGraphon([[0.7]]), params, num_steps=10)
+        assert not sol.auxiliary.any() and not sol.modes.any()
+        aux, pis = sol.value_at(0.3)
+        assert aux == 0.0 and not pis.any()
+
+    def test_tiny_weight_does_not_underflow(self):
+        # h = 0, so c = sqrt(b q) ~ 1e-134 and q (1 - e) would underflow
+        params = RegulatorParams(0.0, 1.0, 0.0, state_weight=1.341390309501434e-267,
+                                 terminal_weight=0.0)
+        sol = solve_riccati_graphon(StepGraphon([[0.5]]), params, num_steps=4)
+        tau = params.horizon - sol.times
+        np.testing.assert_allclose(sol.auxiliary, params.state_weight * tau,
+                                   rtol=1e-12)
+
+    def test_critical_direction_is_rational(self):
+        # h = alpha0 - eta_total * lam vanishes for the auxiliary (alpha0 = 0)
+        # and, with q = 0, so does c = sqrt(h^2 + b q)
+        params = RegulatorParams(0.0, 1.0, 1.0, state_weight=0.0,
+                                 terminal_weight=4.0, horizon=2.0)
+        sol = solve_riccati_graphon(StepGraphon([[0.5]]), params, num_steps=20)
+        tau = params.horizon - sol.times
+        np.testing.assert_allclose(sol.auxiliary, 4.0 / (1.0 + 0.5 * 4.0 * tau),
+                                   rtol=1e-15)
+        critical = RegulatorParams(0.5, 1.0, 1.0, state_weight=0.0,
+                                   terminal_weight=4.0, horizon=2.0)
+        sol = solve_riccati_graphon(StepGraphon([[0.5]]), critical, num_steps=20)
+        b = 1.0 / (0.5 ** 2 - 2.0 * 0.5 + 2.0)
+        np.testing.assert_allclose(sol.modes[:, 0], 4.0 / (1.0 + b * 4.0 * tau),
+                                   rtol=1e-15)
+
+    def test_zero_gain_supercritical_direction_is_named(self):
+        model = EpidemicModel(StepGraphon(np.full((2, 2), 1.0)), alpha=0.5,
+                              beta0=0.0, eta_total=1000.0)
+        with pytest.raises(NumericsError,
+                           match="eigendirection with eigenvalue 1"):
+            solve_riccati_finite(model, num_steps=100)
 
 
 class TestFeedbackAgainstMatrixOracle:
@@ -244,8 +303,7 @@ class TestCostAndProjections:
         integrand = []
         for p, u in zip(trajectory.states, trajectory.controls):
             integrand.append(2.0 * p @ p + u @ u + (averaging @ u) @ (averaging @ u))
-        trapz = getattr(np, "trapezoid", np.trapz)
-        expected = trapz(integrand, trajectory.times)
+        expected = np.trapezoid(integrand, trajectory.times)
         expected += 4.0 * trajectory.states[-1] @ trajectory.states[-1]
         assert cost == pytest.approx(expected, rel=1e-12)
 
