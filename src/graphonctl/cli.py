@@ -20,7 +20,7 @@ from . import __version__
 from .errors import ExactControllabilityError, GraphonError, NumericsError, ParseError
 from .functions import PiecewiseConstantFunction
 from .graphons import SinusoidalGraphon, StepGraphon
-from .spectral import decompose, fourier_truncate, l2_distance, truncate, truncation_error
+from .spectral import decompose, fourier_truncate, l2_distance, to_finite_rank, truncate, truncation_error
 from .control import (
     GraphonSystem,
     exact_controllability_check,
@@ -158,10 +158,11 @@ def cmd_approx(args):
     write_csv(out / "truncation_curve.csv", ["rank", "truncation_error"],
               ((m, truncation_error(decomp, m)) for m in ranks))
     if args.fourier_order is not None:
+        exact = to_finite_rank(decomp)
         rows = []
         for m in ranks:
             approx, bound = fourier_truncate(decomp, m, args.fourier_order)
-            rows.append((m, bound, l2_distance(kernel, approx)))
+            rows.append((m, bound, l2_distance(exact, approx)))
         write_csv(out / "fourier_bounds.csv", ["rank", "bound", "measured"], rows)
     write_manifest(out, "approx", args)
 

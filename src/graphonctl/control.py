@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ExactControllabilityError, IncompatibleOperandsError, NumericsError
-from .functions import Function, PiecewiseConstantFunction, inner_product
-from .graphons import Graphon, StepGraphon
+from .functions import Function, PiecewiseConstantFunction, common_block_count, inner_product
+from .graphons import Graphon, StepGraphon, _refine_matrix
 from .integrate import rk4
 from .spectral import SpectralDecomposition, decompose
 
@@ -95,14 +95,16 @@ class Trajectory:
         return np.linalg.norm(self.states, axis=1) / np.sqrt(self.num_blocks)
 
 
-def _merged_state(kernel: StepGraphon, x0: PiecewiseConstantFunction):
-    """Kernel matrix and initial vector on the common refinement partition."""
-    from .functions import common_block_count
-
-    merged = common_block_count(kernel.num_blocks, x0.num_blocks)
-    coeffs = np.repeat(np.repeat(kernel.coeffs, merged // kernel.num_blocks, axis=0),
-                       merged // kernel.num_blocks, axis=1)
-    return coeffs, np.repeat(x0.values, merged // x0.num_blocks), merged
+def _system_matrices(sys: GraphonSystem, num_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """State and input matrices acting on block values of a partition refining the kernel's."""
+    a_op = _refine_matrix(sys.kernel.coeffs, num_blocks // sys.kernel.num_blocks) / num_blocks
+    state_mat = sys.alpha0 * np.eye(num_blocks) + a_op
+    input_mat = sys.beta0 * np.eye(num_blocks)
+    power = np.eye(num_blocks)
+    for beta in sys.input_poly:
+        power = power @ a_op
+        input_mat = input_mat + beta * power
+    return state_mat, input_mat
 
 
 def simulate(sys: GraphonSystem, x0: PiecewiseConstantFunction,
@@ -117,14 +119,9 @@ def simulate(sys: GraphonSystem, x0: PiecewiseConstantFunction,
         raise IncompatibleOperandsError(
             "simulation requires a step kernel; sinusoidal systems are handled "
             "analytically through their decomposition")
-    coeffs, x_vec, merged = _merged_state(sys.kernel, x0)
-    a_op = coeffs / merged
-    state_mat = sys.alpha0 * np.eye(merged) + a_op
-    input_mat = sys.beta0 * np.eye(merged)
-    power = np.eye(merged)
-    for beta in sys.input_poly:
-        power = power @ a_op
-        input_mat = input_mat + beta * power
+    merged = common_block_count(sys.kernel.num_blocks, x0.num_blocks)
+    x_vec = np.repeat(x0.values, merged // x0.num_blocks)
+    state_mat, input_mat = _system_matrices(sys, merged)
 
     if step is None:
         step = sys.horizon / 1000.0
@@ -296,24 +293,18 @@ def min_energy_control(sys: GraphonSystem, x0: Function):
     t_final = sys.horizon
     lams = sys.modes.eigenvalues
     etas = sys.mode_etas
-    funcs = sys.modes.eigenfunctions
-    coords = np.array([inner_product(x0, f) for f in funcs])
-    residual = x0
-    for coord, func in zip(coords, funcs):
-        residual = residual - coord * func
+    coords = sys.modes.coordinates(x0)
+    residual = x0 - sys.modes.combine(coords)
 
     energy = (math.exp(2.0 * sys.alpha0 * t_final) * residual.l2_norm() ** 2 / w.scalar
               + float(np.sum(np.exp(2.0 * (sys.alpha0 + lams) * t_final)
                              * coords ** 2 / direction)))
 
     def u(t: float) -> Function:
-        out = (-sys.beta0 * math.exp(sys.alpha0 * (2.0 * t_final - t))
-               / w.scalar) * residual
         gains = (-etas * np.exp((sys.alpha0 + lams) * (2.0 * t_final - t))
                  / direction * coords)
-        for gain, func in zip(gains, funcs):
-            out = out + gain * func
-        return out
+        return ((-sys.beta0 * math.exp(sys.alpha0 * (2.0 * t_final - t)) / w.scalar)
+                * residual + sys.modes.combine(gains))
 
     return u, float(energy)
 
@@ -329,14 +320,8 @@ def gramian_quadrature_matrix(sys: GraphonSystem, num_intervals: int = 2048) -> 
     if num_intervals % 2:
         num_intervals += 1
     n = sys.kernel.num_blocks
-    a_op = sys.kernel.coeffs / n
-    rates, basis = np.linalg.eigh(a_op)
-    rates = rates + sys.alpha0
-    input_mat = sys.beta0 * np.eye(n)
-    power = np.eye(n)
-    for beta in sys.input_poly:
-        power = power @ a_op
-        input_mat = input_mat + beta * power
+    state_mat, input_mat = _system_matrices(sys, n)
+    rates, basis = np.linalg.eigh(state_mat)
     bbt_eig = basis.T @ (input_mat @ input_mat.T) @ basis
 
     grid = np.linspace(0.0, sys.horizon, num_intervals + 1)

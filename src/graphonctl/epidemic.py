@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericsError
-from .functions import Function, inner_product
+from .functions import Function
 from .graphons import Graphon, StepGraphon
 from .integrate import rk4
 from .spectral import SpectralDecomposition, decompose
@@ -58,8 +58,6 @@ class EpidemicModel:
     times node count) must be given; the other is derived.  `alpha` is the
     recovery rate of the nonlinear model and doubles as the linear drift
     coefficient, where negative values describe supercritical spread.
-    The columns of `eigenvector_matrix` are unit Euclidean eigenvectors for the
-    nonzero eigenvalues.
     """
 
     contact: StepGraphon
@@ -71,7 +69,6 @@ class EpidemicModel:
     terminal_weight: float = 4.0
     horizon: float = 1.0
     modes: SpectralDecomposition = field(init=False, repr=False)
-    eigenvector_matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.contact.coeffs.min() < 0.0:
@@ -86,12 +83,7 @@ class EpidemicModel:
         elif abs(self.eta_total - self.eta * n) > 1e-12 * max(1.0, abs(self.eta_total)):
             raise ValueError(f"eta_total={self.eta_total} inconsistent with "
                              f"eta*N={self.eta * n}")
-        modes = decompose(self.contact)
-        basis = (np.stack([f.values for f in modes.eigenfunctions], axis=1)
-                 / np.sqrt(n) if modes.rank else np.zeros((n, 0)))
-        basis.setflags(write=False)
-        object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "eigenvector_matrix", basis)
+        object.__setattr__(self, "modes", decompose(self.contact))
 
     @property
     def num_nodes(self) -> int:
@@ -230,13 +222,11 @@ def optimal_control_finite(model: EpidemicModel, sol: RiccatiSolution,
     regulator.)
     """
     aux, pis = sol.value_at(t)
-    basis = model.eigenvector_matrix
+    basis = model.modes.basis
     half = 0.5 * model.beta0 * aux
-    u = -half * np.asarray(state, dtype=float)
-    if basis.shape[1]:
-        gains = model.beta0 * pis / sol.quadratic_denominators - half
-        u = u - basis @ (gains * (basis.T @ state))
-    return u
+    # basis columns have Euclidean norm sqrt(N), so each projector carries 1/N
+    gains = (model.beta0 * pis / sol.quadratic_denominators - half) / model.num_nodes
+    return -half * np.asarray(state, dtype=float) - basis @ (gains * (basis.T @ state))
 
 
 def optimal_control_graphon(kernel: Graphon, sol: RiccatiSolution,
@@ -247,11 +237,8 @@ def optimal_control_graphon(kernel: Graphon, sol: RiccatiSolution,
         modes = decompose(kernel)
     aux, pis = sol.value_at(t)
     half = 0.5 * beta0 * aux
-    u = -half * state
     gains = beta0 * pis / sol.quadratic_denominators - half
-    for gain, func in zip(gains, modes.eigenfunctions):
-        u = u - (gain * inner_product(state, func)) * func
-    return u
+    return -half * state - modes.combine(gains * modes.coordinates(state))
 
 
 def linear_feedback(model: EpidemicModel, sol: RiccatiSolution):
@@ -362,11 +349,9 @@ def project_trajectories(trajectory: Trajectory,
                          controls: np.ndarray | None = None) -> ProjectionReport:
     """Split a trajectory into eigenstates, eigencontrols and auxiliary parts."""
     n = trajectory.num_blocks
-    funcs = decomposition.eigenfunctions
-    if funcs and funcs[0].num_blocks != n:
+    if not isinstance(decomposition.source, StepGraphon) or decomposition.basis.shape[0] != n:
         raise ValueError("decomposition partition does not match the trajectory")
-    basis = (np.stack([f.values for f in funcs], axis=1) / np.sqrt(n)
-             if funcs else np.zeros((n, 0)))
+    basis = decomposition.basis / np.sqrt(n)
     if controls is None:
         controls = trajectory.controls
     state_coeffs = trajectory.states @ basis

@@ -10,7 +10,9 @@ of exact inner products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -20,7 +22,9 @@ from .functions import (
     Function,
     PiecewiseConstantFunction,
     TrigPolynomial,
+    common_block_count,
     inner_product,
+    trig_block_integrals,
 )
 from .graphons import (
     Graphon,
@@ -43,36 +47,58 @@ def _tie_ordered(values: np.ndarray) -> np.ndarray:
     return np.lexsort((values < 0.0, -np.abs(values)))
 
 
-def _fix_sign(vec: np.ndarray) -> np.ndarray:
-    """Flip so the first non-negligible entry is positive (deterministic output)."""
-    scale = np.abs(vec).max()
-    for entry in vec:
-        if abs(entry) > 1e-12 * scale:
-            return -vec if entry < 0.0 else vec
-    return vec
+def _fourier_layout(coeffs: np.ndarray, order: int) -> np.ndarray:
+    """Fourier coordinates [1, cos_1..h, sin_1..h] (rows) cut or zero-padded to `order`."""
+    h = (coeffs.shape[0] - 1) // 2
+    kept = min(h, order)
+    out = np.zeros((2 * order + 1,) + coeffs.shape[1:])
+    out[:kept + 1] = coeffs[:kept + 1]
+    out[order + 1:order + 1 + kept] = coeffs[h + 1:h + 1 + kept]
+    return out
+
+
+def _fourier_block_integrals(num_blocks: int, order: int) -> np.ndarray:
+    """(2*order+1, num_blocks) integrals of 1, sqrt(2)cos_k, sqrt(2)sin_k over each block."""
+    cos_ints, sin_ints = trig_block_integrals(num_blocks, np.arange(1, order + 1))
+    return np.vstack([np.full(num_blocks, 1.0 / num_blocks),
+                      math.sqrt(2.0) * cos_ints, math.sqrt(2.0) * sin_ints])
+
+
+def _polynomial(coeffs: np.ndarray) -> TrigPolynomial:
+    """Trigonometric polynomial with Fourier coordinates [1, cos_1..h, sin_1..h]."""
+    return TrigPolynomial.from_orthonormal(coeffs[0], *np.split(coeffs[1:], 2))
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Ordered nonzero eigenpairs of a graphon operator.
 
-    eigenvalues[ℓ] and eigenfunctions[ℓ] pair up; ordering is |λ| descending
-    with positive eigenvalues ahead of negative ones on ties.  Zero eigenvalues
-    are dropped; `rank` is the number kept.
+    Column l of `basis` is the eigenfunction of eigenvalues[l]; ordering is |λ|
+    descending with positive eigenvalues ahead of negative ones on ties.  Zero
+    eigenvalues are dropped; `rank` is the number kept.  Step sources store the
+    (n, r) block values of unit-L2 eigenfunctions, sinusoidal sources with H
+    harmonics the (2H+1, r) coordinates over the orthonormal functions
+    [1, sqrt(2)cos_1..H, sqrt(2)sin_1..H].
     """
 
     eigenvalues: np.ndarray
-    eigenfunctions: tuple
+    basis: np.ndarray
     source: Graphon
 
     def __post_init__(self):
-        vals = np.array(self.eigenvalues, dtype=float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", vals)
+        for name in ("eigenvalues", "basis"):
+            array = np.array(getattr(self, name), dtype=float, order="C")
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def rank(self) -> int:
         return self.eigenvalues.size
+
+    @cached_property
+    def eigenfunctions(self) -> tuple:
+        """The columns of `basis` as function objects."""
+        return tuple(self._function(column) for column in self.basis.T)
 
     @property
     def eigenpairs(self) -> list:
@@ -90,6 +116,26 @@ class SpectralDecomposition:
         neg = self.eigenvalues[self.eigenvalues < 0.0]
         return np.sort(neg)
 
+    def coordinates(self, func: Function) -> np.ndarray:
+        """Exact inner products <func, f_l> with a function of the source's family."""
+        n = self.basis.shape[0]
+        if isinstance(self.source, SinusoidalGraphon):
+            coeffs = np.hstack(func.orthonormal_coefficients())
+            return _fourier_layout(coeffs, (n - 1) // 2) @ self.basis
+        merged = common_block_count(n, func.num_blocks)
+        return (np.repeat(func.values, merged // func.num_blocks)
+                @ np.repeat(self.basis, merged // n, axis=0) / merged)
+
+    def combine(self, coeffs) -> Function:
+        """The function sum_l coeffs[l] f_l."""
+        return self._function(self.basis @ np.asarray(coeffs, dtype=float))
+
+    def _function(self, column: np.ndarray) -> Function:
+        if isinstance(self.source, StepGraphon):
+            return PiecewiseConstantFunction(column)
+        live = np.flatnonzero(np.any(np.split(column[1:], 2), axis=0))
+        return _polynomial(_fourier_layout(column, int(live.max(initial=-1)) + 1))
+
 
 def decompose(graphon: Graphon) -> SpectralDecomposition:
     """Eigenvalues and orthonormal eigenfunctions of the integral operator.
@@ -97,7 +143,8 @@ def decompose(graphon: Graphon) -> SpectralDecomposition:
     Step kernels: symmetric eigensolve of the block matrix; operator
     eigenvalues are matrix eigenvalues divided by the block count, and each
     eigenvector v lifts to the piecewise-constant function sqrt(N) * v (unit
-    L2 norm).  Sinusoidal kernels decompose in closed form onto the constant
+    L2 norm), signed so that its first entry above 1e-12 of its largest is
+    positive.  Sinusoidal kernels decompose in closed form onto the constant
     function and the sqrt(2) cos / sqrt(2) sin harmonics.
     """
     if isinstance(graphon, SampledGraphon):
@@ -112,25 +159,20 @@ def decompose(graphon: Graphon) -> SpectralDecomposition:
         lam = mu / n
         order = _tie_ordered(lam)
         lam = lam[order]
-        vecs = vecs[:, order]
         keep = np.abs(lam) > ZERO_EIGENVALUE_RTOL * (np.abs(lam).max() if lam.size else 0.0)
-        funcs = tuple(
-            PiecewiseConstantFunction(_fix_sign(vecs[:, i]) * np.sqrt(n))
-            for i in np.nonzero(keep)[0])
-        return SpectralDecomposition(lam[keep], funcs, graphon)
+        vecs = vecs[:, order[keep]]
+        first = np.argmax(np.abs(vecs) > 1e-12 * np.abs(vecs).max(axis=0), axis=0)
+        signs = np.sign(vecs[first, np.arange(vecs.shape[1])])
+        return SpectralDecomposition(lam[keep], vecs * signs * np.sqrt(n), graphon)
     if isinstance(graphon, SinusoidalGraphon):
-        vals = [graphon.constant]
-        funcs = [TrigPolynomial.constant_function(1.0)]
-        for k in range(1, graphon.harmonics + 1):
-            half = 0.5 * graphon.cosine_coeffs[k - 1]
-            vals.extend([half, half])
-            funcs.extend([TrigPolynomial.cosine_mode(k), TrigPolynomial.sine_mode(k)])
-        lam = np.array(vals)
-        top = np.abs(lam).max() if lam.size else 0.0
-        keep = np.abs(lam) > ZERO_EIGENVALUE_RTOL * top
-        lam, funcs = lam[keep], [f for f, k in zip(funcs, keep) if k]
-        order = _tie_ordered(lam)
-        return SpectralDecomposition(lam[order], tuple(funcs[i] for i in order), graphon)
+        k = np.arange(1, graphon.harmonics + 1)
+        # Fourier-layout rows in the order constant, cos_1, sin_1, cos_2, sin_2, ...
+        rows = np.concatenate(([0], np.column_stack((k, k + graphon.harmonics)).ravel()))
+        lam = np.concatenate(([graphon.constant], np.repeat(0.5 * graphon.cosine_coeffs, 2)))
+        keep = np.abs(lam) > ZERO_EIGENVALUE_RTOL * np.abs(lam).max()
+        order = _tie_ordered(lam[keep])
+        return SpectralDecomposition(lam[keep][order], np.eye(rows.size)[:, rows[keep][order]],
+                                     graphon)
     raise IncompatibleOperandsError(f"cannot decompose {type(graphon).__name__}")
 
 
@@ -174,10 +216,10 @@ class FiniteRankKernel:
 
 
 def to_finite_rank(kernel) -> FiniteRankKernel:
-    """Express a graphon (or pass through a finite-rank kernel) as separable terms."""
+    """Express a graphon or its decomposition as separable terms (finite rank passes through)."""
     if isinstance(kernel, FiniteRankKernel):
         return kernel
-    decomp = decompose(kernel)
+    decomp = kernel if isinstance(kernel, SpectralDecomposition) else decompose(kernel)
     return FiniteRankKernel(tuple(zip(decomp.eigenvalues.tolist(), decomp.eigenfunctions)))
 
 
@@ -206,33 +248,16 @@ def truncate(decomp: SpectralDecomposition, rank: int):
     if not 1 <= rank <= decomp.rank:
         raise ValueError(f"rank must be in [1, {decomp.rank}], got {rank}")
     lam = decomp.eigenvalues[:rank]
-    funcs = decomp.eigenfunctions[:rank]
+    vecs = decomp.basis[:, :rank]
+    coeffs = (vecs * lam) @ vecs.T
     if isinstance(decomp.source, StepGraphon):
-        vecs = np.stack([f.values for f in funcs], axis=1)
-        return StepGraphon((vecs * lam) @ vecs.T, validate=False)
-    constant = 0.0
-    by_harmonic: dict[int, dict[str, float]] = {}
-    for value, func in zip(lam, funcs):
-        kind, harmonic = _trig_mode_kind(func)
-        if kind == "const":
-            constant = value
-        else:
-            by_harmonic.setdefault(harmonic, {})[kind] = value
-    coeffs = np.zeros(max(by_harmonic, default=0))
-    for harmonic, parts in by_harmonic.items():
-        if set(parts) != {"cos", "sin"} or parts["cos"] != parts["sin"]:
-            return FiniteRankKernel(tuple(zip(lam.tolist(), funcs)))
-        coeffs[harmonic - 1] = 2.0 * parts["cos"]
-    return SinusoidalGraphon(constant, coeffs, validate=False)
-
-
-def _trig_mode_kind(func: TrigPolynomial) -> tuple[str, int]:
-    """Classify a sinusoidal eigenfunction as const / cos-k / sin-k."""
-    if func.order == 0:
-        return "const", 0
-    nz_cos = np.nonzero(func.cos_amps)[0]
-    return ("cos", int(nz_cos[0]) + 1) if nz_cos.size else \
-        ("sin", int(np.nonzero(func.sin_amps)[0][0]) + 1)
+        return StepGraphon(coeffs, validate=False)
+    # sinusoidal basis columns are unit vectors, so coeffs is diagonal and exact
+    cos_weights, sin_weights = np.split(np.diag(coeffs)[1:], 2)
+    if (cos_weights != sin_weights).any():
+        return FiniteRankKernel(tuple(zip(lam.tolist(), decomp.eigenfunctions[:rank])))
+    top = int(np.flatnonzero(cos_weights).max(initial=-1)) + 1
+    return SinusoidalGraphon(coeffs[0, 0], 2.0 * cos_weights[:top], validate=False)
 
 
 def truncation_error(decomp: SpectralDecomposition, rank: int) -> float:
@@ -296,12 +321,10 @@ def fourier_project(func: Function, order: int) -> FourierEigenfunction:
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    constant = inner_product(func, TrigPolynomial.constant_function(1.0))
-    cos_coeffs = np.array([inner_product(func, TrigPolynomial.cosine_mode(k))
-                           for k in range(1, order + 1)])
-    sin_coeffs = np.array([inner_product(func, TrigPolynomial.sine_mode(k))
-                           for k in range(1, order + 1)])
-    poly = TrigPolynomial.from_orthonormal(constant, cos_coeffs, sin_coeffs)
+    if isinstance(func, TrigPolynomial):
+        poly = TrigPolynomial(func.constant, func.cos_amps[:order], func.sin_amps[:order])
+    else:
+        poly = _polynomial(_fourier_block_integrals(func.num_blocks, order) @ func.values)
     return FourierEigenfunction(poly, order)
 
 
@@ -317,10 +340,14 @@ def fourier_truncate(decomp: SpectralDecomposition, rank: int,
     if order < 1:
         raise ValueError("order must be >= 1")
     lam = decomp.eigenvalues[:rank].tolist()
-    funcs = decomp.eigenfunctions[:rank]
-    projected = tuple(fourier_project(f, order).polynomial for f in funcs)
+    vecs = decomp.basis[:, :rank]
+    if isinstance(decomp.source, StepGraphon):
+        coeffs = _fourier_block_integrals(vecs.shape[0], order) @ vecs
+    else:
+        coeffs = _fourier_layout(vecs, order)
+    projected = tuple(_polynomial(column) for column in coeffs.T)
     approx = FiniteRankKernel(tuple(zip(lam, projected)))
-    exact_part = FiniteRankKernel(tuple(zip(lam, funcs)))
+    exact_part = FiniteRankKernel(tuple(zip(lam, decomp.eigenfunctions[:rank])))
     bound = truncation_error(decomp, rank) + (exact_part - approx).l2_norm()
     return approx, bound
 

@@ -182,9 +182,21 @@ class TestMinEnergyControl:
             # the reported energy is the integral of ||u(t)||^2
             times = np.linspace(0.0, sys.horizon, 2001)
             norms_sq = [u(t).l2_norm() ** 2 for t in times]
-            quad = np.trapezoid(norms_sq, times) if hasattr(np, "trapezoid") \
-                else np.trapz(norms_sq, times)
+            quad = np.trapezoid(norms_sq, times)
             assert energy == pytest.approx(quad, rel=1e-6)
+
+    def test_steering_from_a_coarser_initial_partition(self):
+        # 3-block kernel, 2-block x0: state, coordinates and control meet on 6 blocks
+        kernel = StepGraphon([[0.6, 0.2, -0.3], [0.2, 0.1, 0.5], [-0.3, 0.5, 0.4]])
+        sys = GraphonSystem(-0.3, 0.8, kernel, (0.4,), 1.2)
+        x0 = PiecewiseConstantFunction([1.0, -0.7])
+        u, energy = min_energy_control(sys, x0)
+        trajectory = simulate(sys, x0, u, step=sys.horizon / 4000)
+        assert trajectory.num_blocks == 6
+        assert trajectory.state_norms()[-1] <= 1e-6 * x0.l2_norm()
+        times = np.linspace(0.0, sys.horizon, 2001)
+        quad = np.trapezoid([u(t).l2_norm() ** 2 for t in times], times)
+        assert energy == pytest.approx(quad, rel=1e-6)
 
     def test_sinusoidal_steering_via_variation_of_constants(self):
         kernel = SinusoidalGraphon(0.5, [0.3])

@@ -62,12 +62,6 @@ class TestEpidemicModel:
         with pytest.raises(ValueError, match="nonnegative"):
             EpidemicModel(StepGraphon([[-0.5]]), alpha=1.0, eta=1.0)
 
-    def test_eigenvector_matrix_is_orthonormal(self, rng):
-        model = random_model(rng)
-        basis = model.eigenvector_matrix
-        np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]),
-                                   atol=1e-10)
-
 
 class TestStabilityThreshold:
     def test_two_cycle_threshold_at_one(self):
@@ -323,7 +317,7 @@ class TestCostAndProjections:
         trajectory = simulate_linearized(model, np.full(model.num_nodes, 0.1),
                                          law, num_steps=100)
         report = project_trajectories(trajectory, model.modes)
-        basis = model.eigenvector_matrix
+        basis = model.modes.basis / np.sqrt(model.num_nodes)
         assert report.reconstruction_error(trajectory.states, basis) < 1e-10
         # the auxiliary part is orthogonal to every eigendirection
         np.testing.assert_allclose(report.auxiliary_states @ basis, 0.0,

@@ -121,6 +121,25 @@ class TestDecomposeSinusoidal:
         assert decomp.eigenfunctions[1].order == 2
 
 
+class TestBasis:
+    def test_basis_is_orthonormal(self, rng):
+        step = decompose(random_symmetric_graphon(rng))
+        gram = step.basis.T @ step.basis / step.basis.shape[0]  # block mean = L2
+        np.testing.assert_allclose(gram, np.eye(step.rank), atol=1e-10)
+        trig = decompose(SinusoidalGraphon(0.4, [0.0, 0.25, -0.1]))
+        assert trig.basis.shape == (7, 5)
+        np.testing.assert_array_equal(trig.basis.T @ trig.basis, np.eye(5))
+
+    def test_coordinates_and_combine_invert_each_other(self, rng):
+        for decomp in (decompose(random_symmetric_graphon(rng)),
+                       decompose(SinusoidalGraphon(0.4, [0.2, -0.3]))):
+            coeffs = rng.normal(size=decomp.rank)
+            func = decomp.combine(coeffs)
+            np.testing.assert_allclose(decomp.coordinates(func), coeffs, atol=1e-12)
+            for l, f in enumerate(decomp.eigenfunctions):
+                assert inner_product(func, f) == pytest.approx(coeffs[l], abs=1e-12)
+
+
 class TestTruncation:
     def test_error_identity_on_random_instances(self, rng):
         for _ in range(8):
