@@ -9,6 +9,7 @@ temporary sibling and renamed, never partially.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -44,28 +45,38 @@ from .spectral import eigenvalue_convergence_experiment
 
 # -- output plumbing -----------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
-
-
-def _atomic_write(path: Path, text: str):
+def _atomic_write(path: Path, chunks):
+    """Stream the strings of `chunks` into a temporary sibling, then rename it
+    over `path`; if a chunk fails, remove the sibling and leave `path` alone."""
     tmp = path.parent / (path.name + ".tmp")
-    tmp.write_text(text)
+    try:
+        with open(tmp, "w") as handle:
+            handle.writelines(chunks)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 
-def write_csv(path: Path, header: list, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+def write_csv(path: Path, header: list, *columns):
+    """Stream equal-length columns (1-D, or 2-D blocks) as CSV, one % per row:
+    integer and bool columns as %d, the rest as %.17g (the bytes of
+    str(int(v)) and f"{float(v):.17g}")."""
+    columns = [np.asarray(c) for c in columns]
+    fmt = ",".join("%d" if c.dtype.kind in "biu" else "%.17g"
+                   for c in columns
+                   for _ in range(1 if c.ndim == 1 else c.shape[1])) + "\n"
+    if len({c.dtype for c in columns}) > 1:
+        # Python scalars keep each column's own type through the stacking
+        columns = [c.astype(object) for c in columns]
+    table = np.column_stack(columns)
+    _atomic_write(path, itertools.chain(
+        [",".join(header) + "\n"],
+        (fmt % tuple(row.tolist()) for row in table)))
 
 
 def write_json(path: Path, payload: dict):
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def write_kernel_csv(out: Path, stem: str, coeffs: np.ndarray, family: str,
@@ -134,11 +145,13 @@ def cmd_spectra(args):
     report = netio.spectral_report(ds, top_fraction=args.top_fraction)
     write_json(out / "spectral_report.json", report.to_json_dict())
     write_csv(out / "eigenvalues.csv", ["index", "eigenvalue"],
-              ((i, v) for i, v in enumerate(report.eigenvalues)))
+              np.arange(report.eigenvalues.size), report.eigenvalues)
     kernel = netio.to_step_graphon(ds, normalize=args.normalize,
                                    symmetrize=args.symmetrize)
     write_kernel_csv(out, "original_kernel", kernel.coeffs, "step", args.normalize)
-    decomp = decompose(kernel)
+    # the report decomposed this same max-abs kernel (its dataset is symmetric)
+    decomp = (report.modes if args.normalize == "max-abs" and report.modes is not None
+              else decompose(kernel))
     rank = min(report.top_k, decomp.rank)
     approx = (truncate(decomp, rank).coeffs if rank
               else np.zeros_like(kernel.coeffs))
@@ -156,14 +169,15 @@ def cmd_approx(args):
             raise ValueError(f"--rank must be in [0, {decomp.rank}]")
         ranks = [args.rank]
     write_csv(out / "truncation_curve.csv", ["rank", "truncation_error"],
-              ((m, truncation_error(decomp, m)) for m in ranks))
+              ranks, [truncation_error(decomp, m) for m in ranks])
     if args.fourier_order is not None:
         exact = to_finite_rank(decomp)
         rows = []
         for m in ranks:
             approx, bound = fourier_truncate(decomp, m, args.fourier_order)
-            rows.append((m, bound, l2_distance(exact, approx)))
-        write_csv(out / "fourier_bounds.csv", ["rank", "bound", "measured"], rows)
+            rows.append((bound, l2_distance(exact, approx)))
+        write_csv(out / "fourier_bounds.csv", ["rank", "bound", "measured"],
+                  ranks, np.array(rows))
     write_manifest(out, "approx", args)
 
 
@@ -211,7 +225,7 @@ def cmd_minenergy(args):
                      / np.sqrt(trajectory.num_blocks))
     write_csv(out / "minenergy_trajectory.csv",
               ["time", "state_norm", "control_norm"],
-              zip(trajectory.times, norms, control_norms))
+              trajectory.times, norms, control_norms)
     write_json(out / "minenergy.json", {
         "energy": energy,
         "initial_norm": float(norms[0]),
@@ -238,25 +252,19 @@ def cmd_epidemic(args):
 
     mode_names = [f"mode{j}" for j in range(sol.eigenvalues.size)]
     write_csv(out / "riccati.csv", ["time", "auxiliary"] + mode_names,
-              (np.concatenate(([t, a], row)) for t, a, row in
-               zip(sol.times, sol.auxiliary, sol.modes)))
+              sol.times, sol.auxiliary, sol.modes)
     node_names = [f"node{i}" for i in range(n)]
     write_csv(out / "states.csv", ["time"] + node_names,
-              (np.concatenate(([t], row)) for t, row in
-               zip(controlled.times, controlled.states)))
+              controlled.times, controlled.states)
     write_csv(out / "controls.csv", ["time"] + node_names,
-              (np.concatenate(([t], row)) for t, row in
-               zip(controlled.times, controlled.controls)))
+              controlled.times, controlled.controls)
     write_csv(out / "eigenstates.csv", ["time"] + mode_names,
-              (np.concatenate(([t], row)) for t, row in
-               zip(report.times, report.state_coefficients)))
+              report.times, report.state_coefficients)
     write_csv(out / "eigencontrols.csv", ["time"] + mode_names,
-              (np.concatenate(([t], row)) for t, row in
-               zip(report.times, report.control_coefficients)))
+              report.times, report.control_coefficients)
     write_csv(out / "auxiliary.csv",
               ["time"] + [f"p_{s}" for s in node_names] + [f"u_{s}" for s in node_names],
-              (np.concatenate(([t], prow, urow)) for t, prow, urow in
-               zip(report.times, report.auxiliary_states, report.auxiliary_controls)))
+              report.times, report.auxiliary_states, report.auxiliary_controls)
     costs = {
         "optimal": closed_loop_cost(model, controlled),
         "zero_control": closed_loop_cost(model, uncontrolled),
@@ -265,8 +273,7 @@ def cmd_epidemic(args):
         nonlinear = simulate_nonlinear(model, np.clip(p0, 0.0, 1.0), feedback,
                                        num_steps)
         write_csv(out / "nonlinear_states.csv", ["time"] + node_names,
-                  (np.concatenate(([t], row)) for t, row in
-                   zip(nonlinear.times, nonlinear.states)))
+                  nonlinear.times, nonlinear.states)
         costs["nonlinear_closed_loop"] = closed_loop_cost(model, nonlinear)
         costs["nonlinear_range_warning"] = nonlinear.range_warning
     write_json(out / "cost.json", costs)
@@ -294,10 +301,11 @@ def cmd_sample(args):
         header = (["size", "seed", "max_error"]
                   + [f"scaled{i}" for i in range(k)]
                   + [f"limit{i}" for i in range(k)])
-        write_csv(out / "convergence.csv", header, rows)
+        write_csv(out / "convergence.csv", header,
+                  [row[:2] for row in rows], [row[2:] for row in rows])
     else:
         ds = netio.sample_graph(kernel, args.num_nodes, args.seed)
-        _atomic_write(out / f"{ds.name}.edges", netio.write_edge_list(ds))
+        _atomic_write(out / f"{ds.name}.edges", [netio.write_edge_list(ds)])
     write_manifest(out, "sample", args)
 
 

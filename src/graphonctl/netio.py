@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParseError
 from .graphons import Graphon, SampledGraphon, SinusoidalGraphon, StepGraphon
-from .spectral import decompose, truncation_error
+from .spectral import SpectralDecomposition, decompose, truncation_error
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,7 +247,12 @@ def write_edge_list(dataset: NetworkDataset) -> str:
 @dataclass(frozen=True, eq=False)
 class SpectralReport:
     """Eigenvalue summary of a network: spectrum, |eigenvalue| histogram,
-    trace, and the L2 error of keeping only the top fraction of directions."""
+    trace, and the L2 error of keeping only the top fraction of directions.
+
+    `modes` is the decomposition of the max-abs-normalized pixel graphon the
+    error was computed from (None for an all-zero network); it is not part of
+    the JSON summary.
+    """
 
     name: str
     num_nodes: int
@@ -257,6 +262,7 @@ class SpectralReport:
     trace: float
     top_k: int
     truncation_error: float
+    modes: SpectralDecomposition | None = field(default=None, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -296,6 +302,6 @@ def spectral_report(dataset: NetworkDataset, top_fraction: float = 0.10,
         decomp = decompose(to_step_graphon(dataset, normalize="max-abs"))
         error = truncation_error(decomp, min(top_k, decomp.rank))
     else:
-        error = 0.0
+        decomp, error = None, 0.0
     return SpectralReport(dataset.name, dataset.num_nodes, values, edges, counts,
-                          float(values.sum()), top_k, float(error))
+                          float(values.sum()), top_k, float(error), decomp)

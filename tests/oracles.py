@@ -220,3 +220,14 @@ def scalar_riccati_ode(linear: float, quadratic: float, q: float,
     if not result.success:
         raise RuntimeError(result.message)
     return result.y[0][::-1][inverse]
+
+
+# -- CSV cells --------------------------------------------------------------------
+
+def csv_cell(value) -> str:
+    """One CSV cell as the artifacts must print it, formatted value by value:
+    integers and bools as decimal integers, everything else as a float with 17
+    significant digits (which round-trips every double)."""
+    if isinstance(value, (bool, int, np.bool_, np.integer)):
+        return str(int(value))
+    return f"{float(value):.17g}"

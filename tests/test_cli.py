@@ -1,9 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import graphonctl.cli as cli
+import graphonctl.netio as netio
 from graphonctl.cli import main
+from oracles import csv_cell
 
 
 def read_csv(path):
@@ -15,6 +19,148 @@ def read_csv(path):
 
 def tree_bytes(root):
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+def reference_csv(header, rows) -> str:
+    """The CSV text of `rows` (sequences of Python or numpy scalars), one cell
+    at a time through the oracle formatter."""
+    lines = [",".join(header)] + [",".join(csv_cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+class TestWriter:
+    FLOATS = [-0.0, float("inf"), float("-inf"), float("nan"), 5e-324, 1e16,
+              0.1, -1.0 / 3.0]
+
+    def test_float_int_and_bool_columns(self, tmp_path):
+        ints = np.array([2**53 + 1, -(2**62), 0, 7, 1, -1, 10**16, 3],
+                        dtype=np.int64)
+        flags = np.array([True, False] * 4)
+        py_flags = [False, True, True, False, True, True, False, False]
+        header = ["i", "x", "b", "pb"]
+        cli.write_csv(tmp_path / "t.csv", header, ints, self.FLOATS, flags, py_flags)
+        rows = zip(ints.tolist(), self.FLOATS, flags, py_flags)
+        assert (tmp_path / "t.csv").read_text() == reference_csv(header, rows)
+
+    def test_single_columns(self, tmp_path):
+        cli.write_csv(tmp_path / "f.csv", ["x"], np.array(self.FLOATS))
+        assert (tmp_path / "f.csv").read_text() == reference_csv(
+            ["x"], [(v,) for v in self.FLOATS])
+        big = [2**53 + 1, -(2**53 + 1), np.int64(2**63 - 1)]
+        cli.write_csv(tmp_path / "i.csv", ["n"], big)
+        assert (tmp_path / "i.csv").read_text() == reference_csv(
+            ["n"], [(v,) for v in big])
+        assert (tmp_path / "i.csv").read_text().splitlines()[1] == "9007199254740993"
+
+    def test_column_blocks(self, tmp_path):
+        times = np.linspace(0.0, 1.0, 5)
+        block = np.arange(15.0).reshape(5, 3) / 7.0 - 1.0
+        cli.write_csv(tmp_path / "b.csv", ["t", "a", "b", "c"], times, block)
+        rows = [(t, *row) for t, row in zip(times, block)]
+        assert (tmp_path / "b.csv").read_text() == reference_csv(
+            ["t", "a", "b", "c"], rows)
+
+    def test_header_only(self, tmp_path):
+        cli.write_csv(tmp_path / "e.csv", ["size", "seed", "x"],
+                      [], np.zeros(0, dtype=int), np.zeros((0, 1)))
+        assert (tmp_path / "e.csv").read_text() == "size,seed,x\n"
+
+    def test_failure_midway_leaves_no_file(self, tmp_path):
+        def lines():
+            yield "a\n"
+            yield "1\n"
+            raise RuntimeError("formatter broke")
+
+        target = tmp_path / "x.csv"
+        with pytest.raises(RuntimeError):
+            cli._atomic_write(target, lines())
+        assert not target.exists()
+        assert not (tmp_path / "x.csv.tmp").exists()
+
+        column = np.array([1.0, 2.0, "not a number", 4.0], dtype=object)
+        with pytest.raises(TypeError):
+            cli.write_csv(target, ["x"], column)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_keeps_previous_target(self, tmp_path):
+        target = tmp_path / "x.csv"
+        cli.write_csv(target, ["x"], [1.0, 2.0])
+        before = target.read_bytes()
+        with pytest.raises(TypeError):
+            cli.write_csv(target, ["x"], np.array([3.0, "bad"], dtype=object))
+        assert target.read_bytes() == before
+        assert not (tmp_path / "x.csv.tmp").exists()
+
+
+class TestArtifactFormat:
+    """Every CSV cell is in canonical form: re-rendering the parsed value with
+    the oracle formatter gives back the same bytes.  Needs no stored digests,
+    so it holds whatever BLAS build computed the values."""
+
+    INT_COLUMNS = {"index", "rank", "size", "seed"}
+
+    def assert_canonical(self, path):
+        text = path.read_text()
+        lines = text.splitlines()
+        header = lines[0].split(",")
+        rows = []
+        for line in lines[1:]:
+            cells = line.split(",")
+            assert len(cells) == len(header), f"{path.name}: ragged row"
+            rows.append([int(c) if name in self.INT_COLUMNS else float(c)
+                         for name, c in zip(header, cells)])
+        assert text == reference_csv(header, rows), path.name
+
+    def test_every_csv_is_canonical(self, data_dir, tmp_path):
+        network = str(data_dir / "k22.edges")
+        runs = {
+            "spectra": ["spectra", network],
+            "approx": ["approx", network, "--fourier-order", "2"],
+            "minenergy": ["minenergy", network],
+            "epidemic": ["epidemic", network, "--nonlinear",
+                         "--riccati-steps", "400", "--step", "0.01"],
+            "sample": ["sample", "--kernel", network, "--converge",
+                       "--sizes", "8,12", "--num-seeds", "2"],
+        }
+        written = []
+        for name, argv in runs.items():
+            assert main(argv + ["--out", str(tmp_path / name)]) == 0
+            written += sorted((tmp_path / name).glob("*.csv"))
+        assert len(written) == 14
+        for path in written:
+            self.assert_canonical(path)
+
+
+class TestSpectraReusesDecomposition:
+    @pytest.fixture
+    def decompose_calls(self, monkeypatch):
+        calls = []
+        original = cli.decompose
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "decompose", counting)
+        monkeypatch.setattr(netio, "decompose", counting)
+        return calls
+
+    @pytest.mark.parametrize("normalize, expected_calls",
+                             [("max-abs", 1), ("none", 2)])
+    def test_decompose_count_and_bytes(self, data_dir, tmp_path, monkeypatch,
+                                       decompose_calls, normalize, expected_calls):
+        argv = ["spectra", str(data_dir / "zero_diag8.edges"),
+                "--normalize", normalize, "--top-fraction", "0.3"]
+        assert main(argv + ["--out", str(tmp_path / "reused")]) == 0
+        assert len(decompose_calls) == expected_calls
+
+        # without the report's decomposition, spectra decomposes its own kernel
+        report = netio.spectral_report
+        monkeypatch.setattr(netio, "spectral_report", lambda *a, **k:
+                            dataclasses.replace(report(*a, **k), modes=None))
+        assert main(argv + ["--out", str(tmp_path / "own")]) == 0
+        assert len(decompose_calls) == expected_calls + 2
+        assert tree_bytes(tmp_path / "reused") == tree_bytes(tmp_path / "own")
 
 
 class TestSpectra:
