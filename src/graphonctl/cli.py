@@ -242,10 +242,14 @@ def cmd_epidemic(args):
                           terminal_weight=args.qT, horizon=args.horizon)
     n = model.num_nodes
     p0 = load_vector(args.p0) if args.p0 else np.full(n, 0.1)
-    num_steps = max(1, round(args.horizon / args.step)) if args.step else 1000
+    num_steps = 1000
+    if args.step is not None:
+        if not args.step > 0.0:
+            raise ValueError(f"--step must be positive, got {args.step}")
+        num_steps = max(1, round(args.horizon / args.step))
 
     sol = solve_riccati_finite(model, num_steps=args.riccati_steps)
-    feedback = linear_feedback(model, sol)
+    feedback = linear_feedback(model, sol, num_steps)
     controlled = simulate_linearized(model, p0, feedback, num_steps)
     uncontrolled = simulate_linearized(model, p0, None, num_steps)
     report = project_trajectories(controlled, model.modes)

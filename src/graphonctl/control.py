@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ExactControllabilityError, IncompatibleOperandsError, NumericsError
 from .functions import Function, PiecewiseConstantFunction, common_block_count, inner_product
 from .graphons import Graphon, StepGraphon, _refine_matrix
-from .integrate import rk4
+from .integrate import rk4, stage_times
 from .spectral import SpectralDecomposition, decompose
 
 # Below this magnitude the growth rate in exp-integrals is treated as zero.
@@ -113,7 +113,9 @@ def simulate(sys: GraphonSystem, x0: PiecewiseConstantFunction,
 
     Step kernels only: states live on the common refinement of the kernel and
     initial-state partitions, where the dynamics reduce to the finite network
-    ODE.  `control` returning None-compatible values is replaced by zero input.
+    ODE.  `control` is called once per distinct RK4 stage time, and the
+    recorded controls are its values at the grid times.  `step` must be
+    positive; the default is a thousandth of the horizon.
     """
     if not isinstance(sys.kernel, StepGraphon):
         raise IncompatibleOperandsError(
@@ -125,6 +127,8 @@ def simulate(sys: GraphonSystem, x0: PiecewiseConstantFunction,
 
     if step is None:
         step = sys.horizon / 1000.0
+    if not step > 0.0:
+        raise ValueError(f"step must be positive, got {step}")
     num_steps = max(1, round(sys.horizon / step))
 
     def control_vector(t: float) -> np.ndarray:
@@ -140,13 +144,20 @@ def simulate(sys: GraphonSystem, x0: PiecewiseConstantFunction,
         def field_fn(t, x):
             return state_mat @ x
     else:
+        stage_grid = np.unique(np.concatenate(stage_times(0.0, sys.horizon, num_steps)))
+        inputs = np.empty((stage_grid.size, merged))
+        forcing = np.empty_like(inputs)
+        for t, u, f in zip(stage_grid, inputs, forcing):
+            u[:] = control_vector(t)
+            f[:] = input_mat @ u
+
         def field_fn(t, x):
-            return state_mat @ x + input_mat @ control_vector(t)
+            return state_mat @ x + forcing[np.searchsorted(stage_grid, t)]
 
     times, states = rk4(field_fn, 0.0, sys.horizon, x_vec, num_steps)
     controls = None
     if control is not None:
-        controls = np.stack([control_vector(t) for t in times])
+        controls = inputs[np.searchsorted(stage_grid, times)]
     return Trajectory(times, states, controls)
 
 

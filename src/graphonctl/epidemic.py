@@ -20,7 +20,7 @@ import numpy as np
 from .errors import NumericsError
 from .functions import Function
 from .graphons import Graphon, StepGraphon
-from .integrate import rk4
+from .integrate import rk4, stage_times
 from .spectral import SpectralDecomposition, decompose
 from .control import Trajectory
 
@@ -222,11 +222,21 @@ def optimal_control_finite(model: EpidemicModel, sol: RiccatiSolution,
     regulator.)
     """
     aux, pis = sol.value_at(t)
+    half, gains = _feedback_gains(model, sol, aux, pis)
     basis = model.modes.basis
+    return -half * np.asarray(state, dtype=float) - basis @ (gains * (basis.T @ state))
+
+
+def _feedback_gains(model: EpidemicModel, sol: RiccatiSolution, aux, pis):
+    """Uniform half-gain and per-eigendirection gains of the finite feedback.
+
+    `aux` and `pis` are Riccati values at one time (a scalar and an r-vector)
+    or at K times (shapes (K, 1) and (K, r)); the arithmetic is the same.
+    """
     half = 0.5 * model.beta0 * aux
     # basis columns have Euclidean norm sqrt(N), so each projector carries 1/N
     gains = (model.beta0 * pis / sol.quadratic_denominators - half) / model.num_nodes
-    return -half * np.asarray(state, dtype=float) - basis @ (gains * (basis.T @ state))
+    return half, gains
 
 
 def optimal_control_graphon(kernel: Graphon, sol: RiccatiSolution,
@@ -241,10 +251,29 @@ def optimal_control_graphon(kernel: Graphon, sol: RiccatiSolution,
     return -half * state - modes.combine(gains * modes.coordinates(state))
 
 
-def linear_feedback(model: EpidemicModel, sol: RiccatiSolution):
-    """Closed-loop control law (t, state) -> control vector."""
+def linear_feedback(model: EpidemicModel, sol: RiccatiSolution,
+                    num_steps: int = 1000):
+    """Closed-loop control law (t, state) -> control vector.
+
+    The gains depend on time only, so they are tabulated once, in one
+    vectorized Riccati evaluation, at every distinct time at which `rk4`
+    evaluates a field over num_steps steps of the horizon.  At a tabulated
+    time the law is two matvecs; at any other time it calls
+    `optimal_control_finite`.  Both routes give the same bits.
+    """
+    times = np.unique(np.concatenate(stage_times(0.0, model.horizon, num_steps)))
+    values = _riccati_values(sol.params, np.concatenate(([0.0], sol.eigenvalues)),
+                             times)
+    halves, gains = _feedback_gains(model, sol, values[:, :1], values[:, 1:])
+    halves = halves[:, 0]
+    basis = model.modes.basis
+
     def law(t: float, state: np.ndarray) -> np.ndarray:
-        return optimal_control_finite(model, sol, state, t)
+        row = np.searchsorted(times, t)
+        if row == times.size or times[row] != t:
+            return optimal_control_finite(model, sol, state, t)
+        return (-halves[row] * np.asarray(state, dtype=float)
+                - basis @ (gains[row] * (basis.T @ state)))
     return law
 
 

@@ -330,6 +330,15 @@ class TestDeterminismAndErrors:
         assert main(args + ["--out", str(second)]) == 0
         assert tree_bytes(first) == tree_bytes(second)
 
+    @pytest.mark.parametrize("command", ["minenergy", "epidemic"])
+    @pytest.mark.parametrize("step", ["0", "-0.5"])
+    def test_non_positive_step_exits_two(self, data_dir, tmp_path, capsys,
+                                         command, step):
+        assert main([command, str(data_dir / "k22.edges"), "--step", step,
+                     "--out", str(tmp_path)]) == 2
+        assert "step must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["spectra", str(tmp_path / "nope.edges"),
                      "--out", str(tmp_path)]) == 2

@@ -15,6 +15,7 @@ from graphonctl.control import (
     growth_integral,
     min_energy_control,
     simulate,
+    _system_matrices,
 )
 from graphonctl.errors import (
     ExactControllabilityError,
@@ -22,6 +23,7 @@ from graphonctl.errors import (
 )
 from graphonctl.functions import PiecewiseConstantFunction, TrigPolynomial, inner_product
 from graphonctl.graphons import SinusoidalGraphon, StepGraphon
+from graphonctl.integrate import rk4, stage_times
 
 import oracles
 from conftest import random_symmetric_graphon
@@ -258,6 +260,38 @@ class TestSimulate:
 
         with pytest.raises(IncompatibleOperandsError, match="refine"):
             simulate(sys, x0, control, step=0.5)
+
+    def test_control_called_once_per_stage_time(self, rng):
+        sys = random_system(rng)
+        n = sys.kernel.num_blocks
+        x0 = PiecewiseConstantFunction(rng.normal(size=n))
+        u, _ = min_energy_control(sys, x0)
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return u(t)
+
+        trajectory = simulate(sys, x0, counted, step=sys.horizon / 200)
+        num_steps = trajectory.times.size - 1
+        distinct = np.unique(np.concatenate(stage_times(0.0, sys.horizon, num_steps)))
+        assert sorted(calls) == list(distinct)
+
+        # reference: one control evaluation per field call
+        state_mat, input_mat = _system_matrices(sys, n)
+        times, states = rk4(lambda t, x: state_mat @ x + input_mat @ u(t).values,
+                            0.0, sys.horizon, x0.values, num_steps)
+        assert np.array_equal(trajectory.times, times)
+        assert np.array_equal(trajectory.states, states)
+        assert np.array_equal(trajectory.controls,
+                              np.stack([u(t).values for t in times]))
+
+    @pytest.mark.parametrize("step", [0.0, -0.5, float("nan")])
+    def test_step_must_be_positive(self, rng, step):
+        sys = random_system(rng)
+        x0 = PiecewiseConstantFunction(np.ones(sys.kernel.num_blocks))
+        with pytest.raises(ValueError, match="step must be positive"):
+            simulate(sys, x0, None, step=step)
 
     def test_sinusoidal_kernel_refused(self):
         sys = GraphonSystem(0.0, 1.0, SinusoidalGraphon(0.5, []), (), 1.0)

@@ -16,9 +16,11 @@ from graphonctl.epidemic import (
     solve_riccati_graphon,
     stability_threshold,
 )
+import graphonctl.epidemic as epidemic
 from graphonctl.errors import NumericsError
 from graphonctl.functions import PiecewiseConstantFunction
 from graphonctl.graphons import StepGraphon
+from graphonctl.integrate import stage_times
 
 import oracles
 from conftest import random_probability_graphon
@@ -236,6 +238,50 @@ class TestFeedbackAgainstMatrixOracle:
             model.contact, sol, PiecewiseConstantFunction(state), 0.3,
             model.beta0, modes=model.modes)
         np.testing.assert_allclose(graphon_u.values, finite, atol=1e-12)
+
+
+class TestFeedbackTable:
+    def test_law_equals_optimal_control_on_and_off_the_table(self, rng,
+                                                            monkeypatch):
+        model = random_model(rng)
+        sol = solve_riccati_finite(model, num_steps=500)
+        law = linear_feedback(model, sol, num_steps=50)
+        state = rng.uniform(0.0, 0.3, size=model.num_nodes)
+        tabulated = np.unique(np.concatenate(stage_times(0.0, model.horizon, 50)))
+        off_grid = np.concatenate((rng.uniform(0.0, model.horizon, 20),
+                                   [-0.1, model.horizon + 0.1]))
+        expected = [optimal_control_finite(model, sol, state, t)
+                    for t in np.concatenate((tabulated, off_grid))]
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args[-1])
+            return optimal_control_finite(*args)
+
+        monkeypatch.setattr(epidemic, "optimal_control_finite", counted)
+        got = [law(t, state) for t in np.concatenate((tabulated, off_grid))]
+        for g, e in zip(got, expected):
+            assert np.array_equal(g, e)
+        # tabulated times never reach the per-call closed form
+        assert calls == list(off_grid)
+
+    @pytest.mark.parametrize("table_steps", [200, 137])
+    def test_simulations_equal_the_per_call_law(self, rng, table_steps):
+        model = random_model(rng, alpha=-0.3)
+        sol = solve_riccati_finite(model, num_steps=400)
+        p0 = rng.uniform(0.05, 0.3, size=model.num_nodes)
+        law = linear_feedback(model, sol, num_steps=table_steps)
+
+        def reference(t, p):
+            return optimal_control_finite(model, sol, p, t)
+
+        for simulate in (simulate_linearized, simulate_nonlinear):
+            got = simulate(model, p0, law, num_steps=200)
+            want = simulate(model, p0, reference, num_steps=200)
+            assert np.array_equal(got.times, want.times)
+            assert np.array_equal(got.states, want.states)
+            assert np.array_equal(got.controls, want.controls)
 
 
 class TestSimulation:
