@@ -35,6 +35,7 @@ from .errors import (  # noqa: E402
 from .functions import (  # noqa: E402
     PiecewiseConstantFunction,
     TrigPolynomial,
+    gram_matrix,
     inner_product,
 )
 from .graphons import (  # noqa: E402
@@ -52,7 +53,6 @@ from .graphons import (  # noqa: E402
 )
 from .spectral import (  # noqa: E402
     FiniteRankKernel,
-    FourierEigenfunction,
     SpectralDecomposition,
     bound_for_exponential,
     bound_for_power,
@@ -62,7 +62,6 @@ from .spectral import (  # noqa: E402
     fourier_truncate,
     l2_distance,
     measured_function_discrepancy,
-    operator_function_error,
     to_finite_rank,
     truncate,
     truncation_error,
@@ -116,6 +115,7 @@ __all__ = [
     "PiecewiseConstantFunction",
     "TrigPolynomial",
     "inner_product",
+    "gram_matrix",
     "StepGraphon",
     "SinusoidalGraphon",
     "SampledGraphon",
@@ -129,7 +129,6 @@ __all__ = [
     "cut_norm",
     "SpectralDecomposition",
     "FiniteRankKernel",
-    "FourierEigenfunction",
     "decompose",
     "truncate",
     "truncation_error",
@@ -137,7 +136,6 @@ __all__ = [
     "l2_distance",
     "fourier_project",
     "fourier_truncate",
-    "operator_function_error",
     "bound_for_power",
     "bound_for_exponential",
     "measured_function_discrepancy",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ExactControllabilityError, IncompatibleOperandsError, NumericsError
-from .functions import Function, PiecewiseConstantFunction, common_block_count, inner_product
+from .functions import Function, PiecewiseConstantFunction, common_block_count
 from .graphons import Graphon, StepGraphon, _refine_matrix
 from .integrate import rk4, stage_times
 from .spectral import SpectralDecomposition, decompose
@@ -165,17 +165,18 @@ def simulate(sys: GraphonSystem, x0: PiecewiseConstantFunction,
 class GramianOperator:
     """Operator scalar*I + sum_l corrections[l] <., f_l> f_l (self-adjoint).
 
-    `eigenfunctions` are the orthonormal directions carrying the rank-one
-    corrections; on their orthogonal complement the operator is pure scaling.
+    The f_l are the orthonormal eigenfunctions of `modes`, the directions
+    carrying the rank-one corrections; on their orthogonal complement the
+    operator is pure scaling.
     """
 
     scalar: float
     corrections: np.ndarray
-    eigenfunctions: tuple
+    modes: SpectralDecomposition
 
     def __post_init__(self):
         c = np.atleast_1d(np.array(self.corrections, dtype=float))
-        if c.size != len(self.eigenfunctions):
+        if c.size != self.modes.rank:
             raise ValueError("one correction per eigenfunction required")
         c.setflags(write=False)
         object.__setattr__(self, "corrections", c)
@@ -191,32 +192,24 @@ class GramianOperator:
         return float(min(self.scalar, values.min())) if values.size else self.scalar
 
     def apply(self, z: Function) -> Function:
-        out = self.scalar * z
-        for coeff, func in zip(self.corrections, self.eigenfunctions):
-            if type(func) is not type(z):
-                raise IncompatibleOperandsError(
-                    f"cannot mix {type(z).__name__} states with "
-                    f"{type(func).__name__} eigenfunctions")
-            out = out + (coeff * inner_product(z, func)) * func
-        return out
+        coeffs = self.corrections * self.modes.coordinates(z)
+        return self.scalar * z + self.modes.combine(coeffs)
 
     def compose(self, other: "GramianOperator") -> "GramianOperator":
-        """Operator product, assuming both share the same eigenfunctions."""
-        if len(self.eigenfunctions) != len(other.eigenfunctions):
+        """Operator product of two operators over the same `modes`."""
+        if other.modes is not self.modes:
             raise IncompatibleOperandsError("operators decompose over different modes")
         mixed = (self.scalar * other.corrections + other.scalar * self.corrections
                  + self.corrections * other.corrections)
-        return GramianOperator(self.scalar * other.scalar, mixed, self.eigenfunctions)
+        return GramianOperator(self.scalar * other.scalar, mixed, self.modes)
 
     def as_matrix(self) -> np.ndarray:
         """Matrix acting on block-value vectors (step-kernel systems only)."""
-        if not all(isinstance(f, PiecewiseConstantFunction) for f in self.eigenfunctions):
+        if not isinstance(self.modes.source, StepGraphon):
             raise IncompatibleOperandsError("matrix form needs piecewise-constant modes")
-        n = self.eigenfunctions[0].num_blocks if self.eigenfunctions else 1
-        mat = self.scalar * np.eye(n)
-        for coeff, func in zip(self.corrections, self.eigenfunctions):
-            mat += (coeff / n) * np.outer(func.values, func.values)
-        return mat
+        basis = self.modes.basis
+        n = basis.shape[0]
+        return self.scalar * np.eye(n) + (basis * (self.corrections / n)) @ basis.T
 
     def identity_deviation(self) -> float:
         dev = abs(self.scalar - 1.0)
@@ -238,7 +231,7 @@ def gramian(sys: GraphonSystem) -> GramianOperator:
     etas = sys.mode_etas
     direction = np.array([eta ** 2 * growth_integral(2.0 * (sys.alpha0 + lam), t)
                           for lam, eta in zip(lams, etas)])
-    return GramianOperator(scalar, direction - scalar, sys.modes.eigenfunctions)
+    return GramianOperator(scalar, direction - scalar, sys.modes)
 
 
 def gramian_inverse(sys: GraphonSystem) -> GramianOperator:
@@ -259,8 +252,7 @@ def gramian_inverse(sys: GraphonSystem) -> GramianOperator:
                 f"Gramian vanishes on eigendirection {idx} "
                 f"(lambda={sys.modes.eigenvalues[idx]:.6g}, "
                 f"eta={sys.mode_etas[idx]:.6g})")
-    inv = GramianOperator(1.0 / w.scalar, 1.0 / direction - 1.0 / w.scalar,
-                          w.eigenfunctions)
+    inv = GramianOperator(1.0 / w.scalar, 1.0 / direction - 1.0 / w.scalar, w.modes)
     residual = w.compose(inv).identity_deviation()
     if residual > 1e-8:
         raise NumericsError(f"inverse Gramian composition residual {residual:.3e}")

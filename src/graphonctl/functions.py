@@ -6,6 +6,7 @@ which keeps every projection and error formula in the package quadrature-free.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,6 +51,13 @@ def trig_block_integrals(num_blocks: int, harmonics) -> tuple[np.ndarray, np.nda
     cos_ints = (s[:, 1:] - s[:, :-1]) / (TWO_PI * k)
     sin_ints = (c[:, :-1] - c[:, 1:]) / (TWO_PI * k)
     return cos_ints, sin_ints
+
+
+def fourier_block_integrals(num_blocks: int, order: int) -> np.ndarray:
+    """(2*order+1, num_blocks) integrals of 1, sqrt(2)cos_k, sqrt(2)sin_k over each block."""
+    cos_ints, sin_ints = trig_block_integrals(num_blocks, np.arange(1, order + 1))
+    return np.vstack([np.full(num_blocks, 1.0 / num_blocks),
+                      math.sqrt(2.0) * cos_ints, math.sqrt(2.0) * sin_ints])
 
 
 def _readonly_vector(values) -> np.ndarray:
@@ -226,22 +234,41 @@ class TrigPolynomial:
 Function = PiecewiseConstantFunction | TrigPolynomial
 
 
+def gram_matrix(funcs) -> np.ndarray:
+    """Exact L2 Gram matrix G[i, j] = <funcs[i], funcs[j]> for any mix of the two families.
+
+    Piecewise-constant values are stacked on the common refinement of all their
+    partitions (PartitionMismatchError when it is unaffordable), trigonometric
+    polynomials as orthonormal coordinates [1, cos_1..H, sin_1..H] padded to the
+    largest order H; the mixed block pairs the step values with the exact block
+    integrals of the polynomials.
+    """
+    funcs = tuple(funcs)
+    for f in funcs:
+        if not isinstance(f, (PiecewiseConstantFunction, TrigPolynomial)):
+            raise IncompatibleOperandsError(f"no inner product with {type(f).__name__}")
+    steps = [i for i, f in enumerate(funcs) if isinstance(f, PiecewiseConstantFunction)]
+    trigs = [i for i, f in enumerate(funcs) if isinstance(f, TrigPolynomial)]
+    blocks = functools.reduce(common_block_count, (funcs[i].num_blocks for i in steps), 1)
+    values = np.zeros((len(steps), blocks))
+    for row, i in zip(values, steps):
+        row[:] = np.repeat(funcs[i].values, blocks // funcs[i].num_blocks)
+    order = max((funcs[i].order for i in trigs), default=0)
+    coords = np.zeros((len(trigs), 2 * order + 1))
+    for row, i in zip(coords, trigs):
+        const, cos_coeffs, sin_coeffs = funcs[i].orthonormal_coefficients()
+        row[0] = const
+        row[1:1 + cos_coeffs.size] = cos_coeffs
+        row[order + 1:order + 1 + sin_coeffs.size] = sin_coeffs
+    cross = values @ (coords @ fourier_block_integrals(blocks, order)).T
+    gram = np.empty((len(funcs), len(funcs)))
+    gram[np.ix_(steps, steps)] = values @ values.T / blocks
+    gram[np.ix_(trigs, trigs)] = coords @ coords.T
+    gram[np.ix_(steps, trigs)] = cross
+    gram[np.ix_(trigs, steps)] = cross.T
+    return gram
+
+
 def inner_product(f: Function, g: Function) -> float:
     """Exact L2 inner product on [0,1] for any pairing of the two families."""
-    if isinstance(f, PiecewiseConstantFunction) and isinstance(g, PiecewiseConstantFunction):
-        merged = common_block_count(f.num_blocks, g.num_blocks)
-        a = np.repeat(f.values, merged // f.num_blocks)
-        b = np.repeat(g.values, merged // g.num_blocks)
-        return float(np.mean(a * b))
-    if isinstance(f, TrigPolynomial) and isinstance(g, TrigPolynomial):
-        order = max(f.order, g.order)
-        ca, sa = f._padded(order)
-        cb, sb = g._padded(order)
-        return float(f.constant * g.constant + 0.5 * (ca @ cb + sa @ sb))
-    if isinstance(f, PiecewiseConstantFunction) and isinstance(g, TrigPolynomial):
-        return float(f.values @ g.block_integrals(f.num_blocks))
-    if isinstance(f, TrigPolynomial) and isinstance(g, PiecewiseConstantFunction):
-        return inner_product(g, f)
-    raise IncompatibleOperandsError(
-        f"no inner product between {type(f).__name__} and {type(g).__name__}"
-    )
+    return float(gram_matrix((f, g))[0, 1])

@@ -10,12 +10,10 @@ of exact inner products.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import IncompatibleOperandsError, NumericsError
 from .functions import (
@@ -23,8 +21,8 @@ from .functions import (
     PiecewiseConstantFunction,
     TrigPolynomial,
     common_block_count,
-    inner_product,
-    trig_block_integrals,
+    fourier_block_integrals,
+    gram_matrix,
 )
 from .graphons import (
     Graphon,
@@ -55,13 +53,6 @@ def _fourier_layout(coeffs: np.ndarray, order: int) -> np.ndarray:
     out[:kept + 1] = coeffs[:kept + 1]
     out[order + 1:order + 1 + kept] = coeffs[h + 1:h + 1 + kept]
     return out
-
-
-def _fourier_block_integrals(num_blocks: int, order: int) -> np.ndarray:
-    """(2*order+1, num_blocks) integrals of 1, sqrt(2)cos_k, sqrt(2)sin_k over each block."""
-    cos_ints, sin_ints = trig_block_integrals(num_blocks, np.arange(1, order + 1))
-    return np.vstack([np.full(num_blocks, 1.0 / num_blocks),
-                      math.sqrt(2.0) * cos_ints, math.sqrt(2.0) * sin_ints])
 
 
 def _polynomial(coeffs: np.ndarray) -> TrigPolynomial:
@@ -118,8 +109,13 @@ class SpectralDecomposition:
 
     def coordinates(self, func: Function) -> np.ndarray:
         """Exact inner products <func, f_l> with a function of the source's family."""
+        sinusoidal = isinstance(self.source, SinusoidalGraphon)
+        if not isinstance(func, TrigPolynomial if sinusoidal else PiecewiseConstantFunction):
+            raise IncompatibleOperandsError(
+                f"{type(func).__name__} has no coordinates over the eigenfunctions "
+                f"of a {type(self.source).__name__}")
         n = self.basis.shape[0]
-        if isinstance(self.source, SinusoidalGraphon):
+        if sinusoidal:
             coeffs = np.hstack(func.orthonormal_coefficients())
             return _fourier_layout(coeffs, (n - 1) // 2) @ self.basis
         merged = common_block_count(n, func.num_blocks)
@@ -197,11 +193,8 @@ class FiniteRankKernel:
         return out
 
     def l2_norm(self) -> float:
-        if not self.terms:
-            return 0.0
         weights = np.array([w for w, _ in self.terms])
-        gram = np.array([[inner_product(f, g) for _, g in self.terms]
-                         for _, f in self.terms])
+        gram = gram_matrix(f for _, f in self.terms)
         sq = float(weights @ (gram ** 2) @ weights)
         if sq < -1e-10:
             raise NumericsError(f"negative squared norm {sq} from Gram evaluation")
@@ -273,46 +266,7 @@ def truncation_error(decomp: SpectralDecomposition, rank: int) -> float:
 
 # -- Fourier approximation of eigenfunctions ----------------------------------
 
-@dataclass(frozen=True, eq=False)
-class FourierEigenfunction:
-    """Orthogonal projection of a function onto harmonics 0..order.
-
-    Stored as a real trigonometric polynomial; `complex_coefficients` gives the
-    equivalent exponential-basis coefficients for harmonics -order..order, and
-    `toeplitz_matrix` the quadratic-form matrix T with conj(e)^T T e
-    reproducing the polynomial on e = (1, exp(2*pi*i*x), ..., exp(2*pi*i*n*x)).
-    The matrix is exposed as data only; no algorithm here consumes it.
-    """
-
-    polynomial: TrigPolynomial
-    order: int
-
-    def __call__(self, x):
-        return self.polynomial(x)
-
-    def complex_coefficients(self) -> np.ndarray:
-        """Coefficients c_h, h = -order..order, with f = sum c_h exp(2*pi*i*h*x)."""
-        n = self.order
-        coeffs = np.zeros(2 * n + 1, dtype=complex)
-        coeffs[n] = self.polynomial.constant
-        cos_amps = self.polynomial.cos_amps
-        sin_amps = self.polynomial.sin_amps
-        for k in range(1, min(n, self.polynomial.order) + 1):
-            beta, alpha = cos_amps[k - 1], sin_amps[k - 1]
-            coeffs[n + k] = 0.5 * (beta - 1j * alpha)
-            coeffs[n - k] = 0.5 * (beta + 1j * alpha)
-        return coeffs
-
-    def toeplitz_matrix(self) -> np.ndarray:
-        n = self.order
-        c = self.complex_coefficients()
-        # diagonal h = col - row holds c_h split over its n+1-|h| entries
-        weights = (n + 1) - np.abs(np.arange(-n, n + 1))
-        spread = c / weights
-        return scipy.linalg.toeplitz(np.conj(spread[n:]), spread[n:])
-
-
-def fourier_project(func: Function, order: int) -> FourierEigenfunction:
+def fourier_project(func: Function, order: int) -> TrigPolynomial:
     """Project onto the Fourier subspace spanned by harmonics 0..order.
 
     Coefficients are exact inner products (analytic block integrals for
@@ -322,10 +276,8 @@ def fourier_project(func: Function, order: int) -> FourierEigenfunction:
     if order < 0:
         raise ValueError("order must be >= 0")
     if isinstance(func, TrigPolynomial):
-        poly = TrigPolynomial(func.constant, func.cos_amps[:order], func.sin_amps[:order])
-    else:
-        poly = _polynomial(_fourier_block_integrals(func.num_blocks, order) @ func.values)
-    return FourierEigenfunction(poly, order)
+        return TrigPolynomial(func.constant, func.cos_amps[:order], func.sin_amps[:order])
+    return _polynomial(fourier_block_integrals(func.num_blocks, order) @ func.values)
 
 
 def fourier_truncate(decomp: SpectralDecomposition, rank: int,
@@ -342,7 +294,7 @@ def fourier_truncate(decomp: SpectralDecomposition, rank: int,
     lam = decomp.eigenvalues[:rank].tolist()
     vecs = decomp.basis[:, :rank]
     if isinstance(decomp.source, StepGraphon):
-        coeffs = _fourier_block_integrals(vecs.shape[0], order) @ vecs
+        coeffs = fourier_block_integrals(vecs.shape[0], order) @ vecs
     else:
         coeffs = _fourier_layout(vecs, order)
     projected = tuple(_polynomial(column) for column in coeffs.T)
@@ -353,30 +305,6 @@ def fourier_truncate(decomp: SpectralDecomposition, rank: int,
 
 
 # -- error bounds for functions of operators -----------------------------------
-
-def operator_function_error(kernel, approx, mode: str,
-                            exponent: int | None = None) -> float:
-    """A-priori bound on the discrepancy of an operator function.
-
-    With c = max of the two kernel L2 norms and D = ||kernel - approx||_2:
-    mode "power" bounds the L2 distance of the operator powers by
-    exponent * c**exponent * D; mode "exponential" bounds the operator-norm
-    distance of the exponentials by c * exp(c) * D.
-
-    Caution: these constants are loose only for c >= 1.  For c < 1 they can
-    undershoot the true discrepancy (see bound_for_power / bound_for_exponential
-    for the always-valid variants).
-    """
-    c = max(_kernel_l2(kernel), _kernel_l2(approx))
-    delta = l2_distance(kernel, approx)
-    if mode == "power":
-        if exponent is None or exponent < 1:
-            raise ValueError("power mode needs an exponent >= 1")
-        return exponent * c ** exponent * delta
-    if mode == "exponential":
-        return c * float(np.exp(c)) * delta
-    raise ValueError(f"unknown mode {mode!r}; expected 'power' or 'exponential'")
-
 
 def bound_for_power(c: float, delta: float, exponent: int) -> float:
     """Valid power-discrepancy bound exponent * c**(exponent-1) * delta.
@@ -395,12 +323,6 @@ def bound_for_exponential(c: float, delta: float) -> float:
     From e^A - e^B = integral of e^{sA} (A-B) e^{(1-s)B} ds over s in [0,1].
     """
     return float(np.exp(c)) * delta
-
-
-def _kernel_l2(kernel) -> float:
-    if isinstance(kernel, FiniteRankKernel):
-        return kernel.l2_norm()
-    return l2_norm(kernel)
 
 
 def measured_function_discrepancy(kernel, approx, mode: str,

@@ -59,6 +59,42 @@ def quad_inner_product(f, g, m: int = 4096) -> float:
     return float(np.mean(np.asarray(f(x), float) * np.asarray(g(x), float)))
 
 
+def exact_inner_product(f, g) -> float:
+    """Closed-form L2 inner product of two functions, pair by pair.
+
+    Piecewise-constant functions (anything with `values`) integrate their
+    product over the sorted union of both partitions' breakpoints; trigonometric
+    polynomials (`constant`, `cos_amps`, `sin_amps`) pair amplitudes with
+    weights 1 and 1/2; a mixed pair sums each block value times the
+    antiderivative of the polynomial across that block.
+    """
+    if hasattr(f, "values") and hasattr(g, "values"):
+        a, b = np.asarray(f.values, float), np.asarray(g.values, float)
+        # i/n == j/m in floats exactly when the fractions are equal
+        edges = np.union1d(np.arange(a.size + 1) / a.size, np.arange(b.size + 1) / b.size)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        return float(np.sum(np.diff(edges) * a[(mids * a.size).astype(int)]
+                            * b[(mids * b.size).astype(int)]))
+    if not hasattr(f, "values") and not hasattr(g, "values"):
+        total = f.constant * g.constant
+        for k in range(min(len(f.cos_amps), len(g.cos_amps))):
+            total += 0.5 * (f.cos_amps[k] * g.cos_amps[k] + f.sin_amps[k] * g.sin_amps[k])
+        return float(total)
+    if hasattr(g, "values"):
+        f, g = g, f
+    n = len(f.values)
+    total = 0.0
+    for i, value in enumerate(f.values):
+        lo, hi = i / n, (i + 1) / n
+        integral = g.constant * (hi - lo)
+        for k in range(1, len(g.cos_amps) + 1):
+            w = 2.0 * math.pi * k
+            integral += g.cos_amps[k - 1] * (math.sin(w * hi) - math.sin(w * lo)) / w
+            integral += g.sin_amps[k - 1] * (math.cos(w * lo) - math.cos(w * hi)) / w
+        total += value * integral
+    return total
+
+
 def series_exponential_grid(kernel, t: float, m: int = 256,
                             terms: int = 40) -> np.ndarray:
     """Grid values of e^{tA} - Id via the Taylor series of the operator powers.

@@ -231,6 +231,14 @@ class TestGramian:
         assert payload["oracle_relative_error"] < 1e-8
         assert len(payload["directions"]) == 2  # rank of K22 pixel kernel
 
+    def test_rank_zero_kernel_oracle_gap(self, tmp_path):
+        network = tmp_path / "zero.edges"
+        network.write_text("1 2 0\n2 3 0\n")
+        assert main(["gramian", str(network), "--oracle", "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "gramian.json").read_text())
+        assert payload["directions"] == []
+        assert payload["oracle_relative_error"] <= 1e-12
+
     def test_zero_gain_reports_uncontrollable(self, data_dir, tmp_path):
         assert main(["gramian", str(data_dir / "k22.edges"), "--beta0", "0",
                      "--out", str(tmp_path)]) == 0

@@ -24,6 +24,7 @@ from graphonctl.errors import (
 from graphonctl.functions import PiecewiseConstantFunction, TrigPolynomial, inner_product
 from graphonctl.graphons import SinusoidalGraphon, StepGraphon
 from graphonctl.integrate import rk4, stage_times
+from graphonctl.spectral import decompose
 
 import oracles
 from conftest import random_symmetric_graphon
@@ -86,12 +87,25 @@ class TestGramianOperator:
         np.testing.assert_allclose(w.compose(inv).as_matrix(),
                                    w.as_matrix() @ inv.as_matrix(), atol=1e-10)
 
+    def test_compose_needs_the_same_modes(self):
+        a = GraphonSystem(0.0, 1.0, StepGraphon([[0.5]]), (), 1.0)
+        b = GraphonSystem(0.0, 1.0, StepGraphon([[0.3]]), (), 1.0)
+        with pytest.raises(IncompatibleOperandsError):
+            gramian(a).compose(gramian(b))
+
     def test_spectral_lower_bound_is_min_direction(self):
-        f = PiecewiseConstantFunction([1.0])
-        w = GramianOperator(2.0, np.array([-0.5]), (f,))
+        modes = decompose(StepGraphon([[1.0]]))
+        w = GramianOperator(2.0, np.array([-0.5]), modes)
         assert w.direction_values[0] == pytest.approx(1.5)
         assert w.spectral_lower_bound == pytest.approx(1.5)
-        assert GramianOperator(2.0, np.array([1.0]), (f,)).spectral_lower_bound == 2.0
+        assert GramianOperator(2.0, np.array([1.0]), modes).spectral_lower_bound == 2.0
+
+    def test_rank_zero_matrix_acts_on_every_block(self):
+        sys = GraphonSystem(0.3, 1.0, StepGraphon(np.zeros((3, 3))), (), 1.0)
+        w = gramian(sys)
+        assert sys.modes.rank == 0
+        assert w.as_matrix().shape == (3, 3)
+        np.testing.assert_array_equal(w.as_matrix(), w.scalar * np.eye(3))
 
 
 class TestGramian:
@@ -230,6 +244,15 @@ class TestMinEnergyControl:
         sys = GraphonSystem(0.0, 0.0, StepGraphon([[0.5]]), (1.0,), 1.0)
         with pytest.raises(ExactControllabilityError):
             min_energy_control(sys, PiecewiseConstantFunction([1.0]))
+
+    @pytest.mark.parametrize("kernel,x0", [
+        (StepGraphon([[0.5, 0.2], [0.2, 0.1]]), TrigPolynomial(1.0, [0.5])),
+        (SinusoidalGraphon(0.4, [0.3]), PiecewiseConstantFunction([1.0, -1.0])),
+    ])
+    def test_other_function_family_refused(self, kernel, x0):
+        sys = GraphonSystem(0.0, 1.0, kernel, (), 1.0)
+        with pytest.raises(IncompatibleOperandsError):
+            min_energy_control(sys, x0)
 
 
 class TestSimulate:

@@ -9,6 +9,7 @@ from graphonctl.functions import (
     TrigPolynomial,
     block_index,
     common_block_count,
+    gram_matrix,
     inner_product,
     trig_block_integrals,
 )
@@ -167,3 +168,34 @@ class TestInnerProduct:
         f = PiecewiseConstantFunction([1.0])
         with pytest.raises(IncompatibleOperandsError):
             inner_product(f, 3.0)
+
+
+def _mixed_functions(rng, block_counts, orders):
+    funcs = ([PiecewiseConstantFunction(rng.normal(size=n)) for n in block_counts]
+             + [TrigPolynomial(rng.normal(), rng.normal(size=h), rng.normal(size=h))
+                for h in orders])
+    return [funcs[i] for i in rng.permutation(len(funcs))]
+
+
+class TestGramMatrix:
+    @pytest.mark.parametrize("block_counts,orders", [
+        ((), ()),
+        ((1, 2, 3, 6), ()),
+        ((), (0, 1, 2, 3)),
+        ((1, 2, 3, 6), (0, 1, 2, 3)),
+        ((6, 1, 6, 3, 2), (3, 0, 2)),
+    ])
+    def test_matches_pairwise_oracle(self, rng, block_counts, orders):
+        for _ in range(3):
+            funcs = _mixed_functions(rng, block_counts, orders)
+            gram = gram_matrix(funcs)
+            expected = np.array([[oracles.exact_inner_product(f, g) for g in funcs]
+                                 for f in funcs]).reshape(len(funcs), len(funcs))
+            np.testing.assert_allclose(gram, expected, rtol=1e-12, atol=0.0)
+            np.testing.assert_array_equal(gram, gram.T)
+
+    def test_unaffordable_refinement_raises(self):
+        funcs = [PiecewiseConstantFunction(np.ones(317)), TrigPolynomial(1.0),
+                 PiecewiseConstantFunction(np.ones(331))]
+        with pytest.raises(PartitionMismatchError):
+            gram_matrix(funcs)

@@ -18,7 +18,6 @@ from graphonctl.graphons import (
 )
 from graphonctl.spectral import (
     FiniteRankKernel,
-    FourierEigenfunction,
     bound_for_exponential,
     bound_for_power,
     decompose,
@@ -27,7 +26,6 @@ from graphonctl.spectral import (
     fourier_truncate,
     l2_distance,
     measured_function_discrepancy,
-    operator_function_error,
     to_finite_rank,
     truncate,
     truncation_error,
@@ -227,7 +225,7 @@ class TestFourier:
     def test_projection_coefficients_match_quadrature(self, rng):
         f = PiecewiseConstantFunction(rng.normal(size=5))
         proj = fourier_project(f, 3)
-        const, cos_coeffs, sin_coeffs = proj.polynomial.orthonormal_coefficients()
+        const, cos_coeffs, sin_coeffs = proj.orthonormal_coefficients()
         assert const == pytest.approx(oracles.fourier_coefficient(f, 0, "const"),
                                       abs=1e-9)
         for k in range(1, 4):
@@ -245,37 +243,10 @@ class TestFourier:
     def test_projection_is_l2_optimal(self, rng):
         # perturbing any kept coefficient increases the distance
         f = PiecewiseConstantFunction(rng.normal(size=4))
-        proj = fourier_project(f, 2).polynomial
+        proj = fourier_project(f, 2)
         err = _distance_to_pwc(f, proj)
         bumped = proj + 0.05 * TrigPolynomial.sine_mode(1)
         assert _distance_to_pwc(f, bumped) > err
-
-    def test_complex_coefficients_reproduce_polynomial(self):
-        poly = TrigPolynomial(0.2, [0.5, -0.1], [0.3, 0.0])
-        fe = FourierEigenfunction(poly, 3)
-        coeffs = fe.complex_coefficients()
-        assert coeffs.shape == (7,)
-        xs = np.linspace(0.0, 1.0, 17)
-        h = np.arange(-3, 4)
-        rebuilt = (coeffs[None, :] * np.exp(2j * np.pi * xs[:, None] * h)).sum(axis=1)
-        np.testing.assert_allclose(rebuilt.imag, 0.0, atol=1e-12)
-        np.testing.assert_allclose(rebuilt.real, poly(xs), atol=1e-12)
-
-    def test_toeplitz_quadratic_form_reproduces_polynomial(self):
-        poly = TrigPolynomial(0.4, [0.1], [0.0, 0.2])
-        fe = FourierEigenfunction(poly, 2)
-        mat = fe.toeplitz_matrix()
-        assert mat.shape == (3, 3)
-        np.testing.assert_allclose(mat, mat.conj().T, atol=1e-14)  # Hermitian
-        # constant diagonals (Toeplitz structure)
-        for d in (-2, -1, 0, 1, 2):
-            diag = np.diagonal(mat, offset=d)
-            np.testing.assert_allclose(diag, diag[0], atol=1e-14)
-        for x in np.linspace(0.0, 1.0, 11):
-            e = np.exp(2j * np.pi * x * np.arange(3))
-            value = np.conj(e) @ mat @ e
-            assert value.imag == pytest.approx(0.0, abs=1e-12)
-            assert value.real == pytest.approx(float(poly(x)), abs=1e-12)
 
     def test_fourier_truncate_bound_dominates_measured_error(self, rng):
         for _ in range(5):
@@ -299,24 +270,6 @@ def _distance_to_pwc(f, poly):
 
 
 class TestOperatorFunctionBounds:
-    def test_printed_constants_on_constant_kernels(self):
-        # norms 0.5 and 0.4 give c = 0.5, delta = 0.1 exactly
-        a = StepGraphon([[0.5]])
-        b = StepGraphon([[0.4]])
-        assert operator_function_error(a, b, "exponential") == pytest.approx(
-            0.5 * math.exp(0.5) * 0.1, rel=1e-12)
-        assert operator_function_error(a, b, "power", 2) == pytest.approx(
-            2 * 0.5**2 * 0.1, rel=1e-12)
-        with pytest.raises(ValueError):
-            operator_function_error(a, b, "power")
-        with pytest.raises(ValueError):
-            operator_function_error(a, b, "log")
-
-    def test_valid_bounds_reduce_to_printed_at_c_equal_one(self):
-        assert bound_for_power(1.0, 0.2, 3) == pytest.approx(
-            operator_function_error(StepGraphon([[1.0]]), StepGraphon([[0.8]]),
-                                    "power", 3), rel=1e-12)
-
     def test_rank_one_counterexample_to_printed_exponential_constant(self):
         # constant kernels commute, so e^A - e^B has operator norm
         # |e^a - e^b| > c e^c (a - b) when c < 1; the derived bound still holds
@@ -324,10 +277,11 @@ class TestOperatorFunctionBounds:
         b = StepGraphon([[0.4]])
         measured = measured_function_discrepancy(a, b, "exponential", resolution=64)
         assert measured == pytest.approx(math.exp(0.5) - math.exp(0.4), rel=1e-10)
-        assert measured > operator_function_error(a, b, "exponential")
+        assert measured > 0.5 * math.exp(0.5) * 0.1
         assert measured <= bound_for_exponential(0.5, 0.1) + 1e-12
 
     def test_derived_bounds_hold_on_random_pairs(self, rng):
+        assert bound_for_power(1.0, 0.2, 3) == pytest.approx(3 * 0.2, rel=1e-15)
         for _ in range(6):
             g = random_symmetric_graphon(rng)
             decomp = decompose(g)
