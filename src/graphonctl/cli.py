@@ -242,6 +242,8 @@ def cmd_epidemic(args):
                           terminal_weight=args.qT, horizon=args.horizon)
     n = model.num_nodes
     p0 = load_vector(args.p0) if args.p0 else np.full(n, 0.1)
+    if p0.size != n:
+        raise ValueError(f"--p0 has {p0.size} values, the network has {n} nodes")
     num_steps = 1000
     if args.step is not None:
         if not args.step > 0.0:

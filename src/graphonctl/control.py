@@ -9,15 +9,15 @@ decomposition of A; the only numerics left are scalar exponentials.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ExactControllabilityError, IncompatibleOperandsError, NumericsError
-from .functions import Function, PiecewiseConstantFunction, common_block_count
+from .functions import Function, PiecewiseConstantFunction
 from .graphons import Graphon, StepGraphon, _refine_matrix
-from .integrate import rk4, stage_times
 from .spectral import SpectralDecomposition, decompose
 
 # Below this magnitude the growth rate in exp-integrals is treated as zero.
@@ -25,10 +25,16 @@ RATE_EPS = 1e-12
 
 
 def growth_integral(rate: float, horizon: float) -> float:
-    """Exact value of the integral of exp(rate * t) over [0, horizon]."""
+    """Exact value of the integral of exp(rate * t) over [0, horizon].
+
+    A value beyond the float range raises NumericsError.
+    """
     if abs(rate) < RATE_EPS:
         return horizon
-    return math.expm1(rate * horizon) / rate
+    try:
+        return math.expm1(rate * horizon) / rate
+    except OverflowError:
+        raise NumericsError(f"exp({rate * horizon:.6g}) exceeds the float range") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,6 +77,7 @@ class Trajectory:
     """States (and optionally controls) sampled on a uniform time grid.
 
     Rows of `states` are block-value vectors; states[k] belongs to times[k].
+    A non-finite state raises NumericsError naming the first such time.
     `range_warning` flags epidemic runs that left the model's validity box.
     """
 
@@ -78,6 +85,12 @@ class Trajectory:
     states: np.ndarray
     controls: np.ndarray | None = None
     range_warning: bool = False
+
+    def __post_init__(self):
+        finite = np.isfinite(self.states).all(axis=1)
+        if not finite.all():
+            raise NumericsError(
+                f"state became non-finite at t={self.times[np.argmin(finite)]:.6g}")
 
     @property
     def num_blocks(self) -> int:
@@ -109,56 +122,75 @@ def _system_matrices(sys: GraphonSystem, num_blocks: int) -> tuple[np.ndarray, n
 
 def simulate(sys: GraphonSystem, x0: PiecewiseConstantFunction,
              control=None, step: float | None = None) -> Trajectory:
-    """Integrate the system from x0 under an open-loop control t -> function.
+    """Closed-form trajectory from x0, free or under its minimum-energy control.
 
-    Step kernels only: states live on the common refinement of the kernel and
-    initial-state partitions, where the dynamics reduce to the finite network
-    ODE.  `control` is called once per distinct RK4 stage time, and the
-    recorded controls are its values at the grid times.  `step` must be
-    positive; the default is a thousandth of the horizon.
+    Step kernels only.  States live on the common refinement of the kernel and
+    x0 partitions, at K + 1 uniform times with K = round(T / step); `step`
+    must be positive and defaults to T / 1000.  With a_l = alpha0 + lambda_l
+    and G = `growth_integral`, eigen-coordinate l starting at c_l is
+    exp(a_l t) c_l when free.  Under the control it is
+    exp(a_l t) c_l (1 - G(-2a_l, t) / G(-2a_l, T)), evaluated as the equal,
+    cancellation-free c_l exp(-|a_l| t) G(-2|a_l|, T - t) / G(-2|a_l|, T).
+    The complement of the eigendirections is the lambda = 0 member.
+    `control` is None or what `min_energy_control(sys, x0)` returned (or a
+    `functools.wraps` wrapper of it); its data are read, it is never called,
+    and its values at the grid times are recorded.  Any other control raises
+    TypeError.
     """
     if not isinstance(sys.kernel, StepGraphon):
         raise IncompatibleOperandsError(
             "simulation requires a step kernel; sinusoidal systems are handled "
             "analytically through their decomposition")
-    merged = common_block_count(sys.kernel.num_blocks, x0.num_blocks)
-    x_vec = np.repeat(x0.values, merged // x0.num_blocks)
-    state_mat, input_mat = _system_matrices(sys, merged)
-
+    law = None if control is None else inspect.unwrap(control)
+    if law is not None and not (isinstance(law, MinEnergyControl)
+                                and law.sys is sys and law.x0 is x0):
+        raise TypeError("control must be None or the min_energy_control of "
+                        "this system and initial state")
     if step is None:
         step = sys.horizon / 1000.0
     if not step > 0.0:
         raise ValueError(f"step must be positive, got {step}")
-    num_steps = max(1, round(sys.horizon / step))
+    times = np.linspace(0.0, sys.horizon, max(1, round(sys.horizon / step)) + 1)
 
-    def control_vector(t: float) -> np.ndarray:
-        u = control(t)
-        if u.num_blocks == merged:
-            return u.values
-        if merged % u.num_blocks:
-            raise IncompatibleOperandsError(
-                f"control on {u.num_blocks} blocks does not refine to {merged}")
-        return np.repeat(u.values, merged // u.num_blocks)
-
-    if control is None:
-        def field_fn(t, x):
-            return state_mat @ x
+    rates = sys.alpha0 + np.concatenate(([0.0], sys.modes.eigenvalues))
+    if law is None:
+        coords = sys.modes.coordinates(x0)
+        residual = x0 - sys.modes.combine(coords)
+        with np.errstate(over="ignore"):
+            factors = np.exp(np.outer(times, rates))
     else:
-        stage_grid = np.unique(np.concatenate(stage_times(0.0, sys.horizon, num_steps)))
-        inputs = np.empty((stage_grid.size, merged))
-        forcing = np.empty_like(inputs)
-        for t, u, f in zip(stage_grid, inputs, forcing):
-            u[:] = control_vector(t)
-            f[:] = input_mat @ u
-
-        def field_fn(t, x):
-            return state_mat @ x + forcing[np.searchsorted(stage_grid, t)]
-
-    times, states = rk4(field_fn, 0.0, sys.horizon, x_vec, num_steps)
-    controls = None
-    if control is not None:
-        controls = inputs[np.searchsorted(stage_grid, times)]
+        coords, residual = law.coords, law.residual
+        factors = np.exp(np.outer(times, -np.abs(rates))) * _remaining_fraction(
+            2.0 * np.abs(rates), times, sys.horizon)
+    basis = np.repeat(sys.modes.basis, residual.num_blocks // sys.modes.basis.shape[0],
+                      axis=0)
+    states = _modal_sum(factors[:, 1:] * coords, factors[:, :1], basis, residual.values)
+    controls = None if law is None else law.values_at(times, basis)
     return Trajectory(times, states, controls)
+
+
+def _remaining_fraction(rates: np.ndarray, times: np.ndarray, horizon: float) -> np.ndarray:
+    """G(-rate, horizon - t) / G(-rate, horizon) per time (rows) and rate (columns).
+
+    Rates are nonnegative, so every factor lies in [0, 1] and the value at the
+    horizon is exactly 0.
+    """
+    remaining = (horizon - times)[:, None]
+    small = rates < RATE_EPS
+    safe = np.where(small, 1.0, rates)
+    fraction = np.expm1(-safe * remaining) / np.expm1(-safe * horizon)
+    return np.where(small, remaining / horizon, fraction)
+
+
+def _modal_sum(mode_values: np.ndarray, complement: np.ndarray, basis: np.ndarray,
+               residual: np.ndarray) -> np.ndarray:
+    """Block-value rows sum_l mode_values[k, l] f_l + complement[k] * residual.
+
+    Non-finite inputs leave non-finite rows, without a warning; `Trajectory`
+    rejects them.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return mode_values @ basis.T + complement * residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,12 +310,52 @@ def exact_controllability_check(sys: GraphonSystem,
                                  bound, nonzero_gain, sys.horizon)
 
 
+@dataclass(frozen=True, eq=False)
+class MinEnergyControl:
+    """The control t -> u(t) that `min_energy_control` returns, with its modal data.
+
+    u(t) = -B* exp(A*(T-t)) W^-1 exp(A*T) x0.  On eigendirection l its
+    coordinate is -etas[l] exp((alpha0 + lambda_l) (2T - t)) coords[l] /
+    directions[l], with coords the coordinates of x0 and directions the
+    Gramian's values there.  On the complement it is
+    -beta0 exp(alpha0 (2T - t)) / scalar times `residual`, the part of x0
+    orthogonal to every eigenfunction.
+    """
+
+    sys: GraphonSystem
+    x0: Function
+    coords: np.ndarray
+    residual: Function
+    etas: np.ndarray
+    directions: np.ndarray
+    scalar: float
+
+    def _gains(self, lead):
+        """Eigendirection coordinates of u at the times 2T - lead (a scalar or a column)."""
+        rates = self.sys.alpha0 + self.sys.modes.eigenvalues
+        return -self.etas * np.exp(rates * lead) / self.directions * self.coords
+
+    def __call__(self, t: float) -> Function:
+        lead = 2.0 * self.sys.horizon - t
+        return ((-self.sys.beta0 * math.exp(self.sys.alpha0 * lead) / self.scalar)
+                * self.residual + self.sys.modes.combine(self._gains(lead)))
+
+    def values_at(self, times: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        """Block values of u at each of `times` (rows); `basis` is the modal
+        basis refined to the residual's partition."""
+        lead = 2.0 * self.sys.horizon - times
+        complement = -self.sys.beta0 * np.exp(self.sys.alpha0 * lead) / self.scalar
+        return _modal_sum(self._gains(lead[:, None]), complement[:, None], basis,
+                          self.residual.values)
+
+
 def min_energy_control(sys: GraphonSystem, x0: Function):
     """Control steering x0 to the origin at the horizon with minimal energy.
 
-    Returns (u, energy) with u(t) = -B* exp(A*(T-t)) W^-1 exp(A*T) x0 expanded
-    over the kernel eigendirections, and the energy
-    <exp(A*T) x0, W^-1 exp(A*T) x0> of that control.
+    Returns (u, energy): u is a `MinEnergyControl`, the callable
+    t -> -B* exp(A*(T-t)) W^-1 exp(A*T) x0 expanded over the kernel
+    eigendirections, and energy is <exp(A*T) x0, W^-1 exp(A*T) x0>, the
+    energy of that control.
     """
     if sys.beta0 == 0.0:
         raise ExactControllabilityError("steering requires beta0 != 0")
@@ -295,21 +367,15 @@ def min_energy_control(sys: GraphonSystem, x0: Function):
                 f"Gramian vanishes on eigendirection {idx}; cannot steer")
     t_final = sys.horizon
     lams = sys.modes.eigenvalues
-    etas = sys.mode_etas
     coords = sys.modes.coordinates(x0)
     residual = x0 - sys.modes.combine(coords)
 
     energy = (math.exp(2.0 * sys.alpha0 * t_final) * residual.l2_norm() ** 2 / w.scalar
               + float(np.sum(np.exp(2.0 * (sys.alpha0 + lams) * t_final)
                              * coords ** 2 / direction)))
-
-    def u(t: float) -> Function:
-        gains = (-etas * np.exp((sys.alpha0 + lams) * (2.0 * t_final - t))
-                 / direction * coords)
-        return ((-sys.beta0 * math.exp(sys.alpha0 * (2.0 * t_final - t)) / w.scalar)
-                * residual + sys.modes.combine(gains))
-
-    return u, float(energy)
+    control = MinEnergyControl(sys, x0, coords, residual, sys.mode_etas, direction,
+                               w.scalar)
+    return control, float(energy)
 
 
 def gramian_quadrature_matrix(sys: GraphonSystem, num_intervals: int = 2048) -> np.ndarray:

@@ -12,8 +12,10 @@ is evaluated in closed form, vectorized over directions and times.
 
 from __future__ import annotations
 
+import inspect
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .functions import Function
 from .graphons import Graphon, StepGraphon
 from .integrate import rk4, stage_times
 from .spectral import SpectralDecomposition, decompose
-from .control import Trajectory
+from .control import Trajectory, _modal_sum
 
 
 @dataclass(frozen=True)
@@ -110,32 +112,43 @@ def stability_threshold(model: EpidemicModel) -> tuple[float, bool]:
     return lambda_max, bool(model.alpha >= model.eta * lambda_max)
 
 
+def _riccati_coefficients(params: RegulatorParams, lams: np.ndarray):
+    """h, b, c, c+h and c-h of the scalar Riccati family, one entry per lams entry.
+
+    h = alpha0 - eta_total*lam, b = beta0^2 / ((lam-1)^2 + 1) and
+    c = sqrt(h^2 + b q).  Of c+h and c-h, whose product is b q, the one that
+    would cancel is formed as a quotient, so both are nonnegative.
+    """
+    q = params.state_weight
+    h = params.alpha0 - params.eta_total * lams
+    b = params.beta0 ** 2 / (lams ** 2 - 2.0 * lams + 2.0)
+    c = np.sqrt(h * h + b * q)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c_plus = np.where(h < 0.0, b * q / (c - h), c + h)
+        c_minus = np.where(h > 0.0, b * q / (c + h), c - h)
+    return h, b, c, c_plus, c_minus
+
+
 def _riccati_values(params: RegulatorParams, lams: np.ndarray, t) -> np.ndarray:
     """pi(t) of pi' = 2h pi + b pi^2 - q, pi(horizon) = q_T, one column per lams entry.
 
-    Here h = alpha0 - eta_total*lam and b = beta0^2 / ((lam-1)^2 + 1).  With
-    c = sqrt(h^2 + b q), tau = horizon - t and e = exp(-2c tau) the solution is
-    [q_T (c-h) + e q_T (c+h) + q (1-e)] / [(c+h) + e (c-h) + b q_T (1-e)].
-    Of c+h and c-h, whose product is b q, the one that would cancel is formed
-    as a quotient, so every term is nonnegative.  The numerator is homogeneous
-    in the weights, so it takes them as fractions of the larger one and tiny
-    weights do not underflow; accuracy holds while b q and b q_T are zero or
-    normal floats.  c = 0 leaves the rational limit
-    (q_T + q tau) / (1 + b q_T tau).  `t` is a scalar or a 1-D array of times
-    (one row each).
+    With h, b and c from `_riccati_coefficients`, tau = horizon - t and
+    e = exp(-2c tau) the solution is N(tau) / D(tau), where
+    N = q_T (c-h) + e q_T (c+h) + q (1-e) and D = (c+h) + e (c-h) + b q_T (1-e);
+    every term is nonnegative.  The numerator is homogeneous in the weights,
+    so it takes them as fractions of the larger one and tiny weights do not
+    underflow; accuracy holds while b q and b q_T are zero or normal floats.
+    c = 0 leaves the rational limit (q_T + q tau) / (1 + b q_T tau).  `t` is a
+    scalar or a 1-D array of times (one row each).
     """
     q, q_terminal = params.state_weight, params.terminal_weight
     scale = max(q, q_terminal)
     tau = params.horizon - np.asarray(t, dtype=float)[..., None]
     if scale == 0.0:
         return np.zeros(np.broadcast_shapes(tau.shape, lams.shape))
-    h = params.alpha0 - params.eta_total * lams
-    b = params.beta0 ** 2 / (lams ** 2 - 2.0 * lams + 2.0)
-    c = np.sqrt(h * h + b * q)
+    _, b, c, c_plus, c_minus = _riccati_coefficients(params, lams)
     w, w_terminal = q / scale, q_terminal / scale
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        c_plus = np.where(h < 0.0, b * q / (c - h), c + h)
-        c_minus = np.where(h > 0.0, b * q / (c + h), c - h)
         rate = -2.0 * c * tau
         e = np.exp(rate)
         e_bar = -np.expm1(rate)
@@ -143,6 +156,32 @@ def _riccati_values(params: RegulatorParams, lams: np.ndarray, t) -> np.ndarray:
                       / (c_plus + e * c_minus + (b * q_terminal) * e_bar))
         critical = (q_terminal + q * tau) / (1.0 + (b * q_terminal) * tau)
     return np.where(c == 0.0, critical, pi)
+
+
+def _closed_loop_decay(params: RegulatorParams, lams: np.ndarray,
+                       times: np.ndarray) -> np.ndarray:
+    """y(t) / y(0) of y' = -(h + b pi(t)) y, one row per time and column per lams entry.
+
+    This is exp(-c t) D(T - t) / D(T) with D the denominator of
+    `_riccati_values`, expanded into nonnegative terms with one exponential
+    each.  c = 0 leaves (1 + b q_T (T - t)) / (1 + b q_T T).  Where
+    c+h + b q_T = 0, pi vanishes or b does, and the loop is the open one,
+    exp(-h t); the general form would be 0/0 there once exp(-2cT) underflows.
+    """
+    h, b, c, c_plus, c_minus = _riccati_coefficients(params, lams)
+    horizon = params.horizon
+    terminal = b * params.terminal_weight
+    t = times[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        numerator = (np.exp(-c * t) * (c_plus - terminal * np.expm1(-2.0 * c * (horizon - t)))
+                     + np.exp(-c * (2.0 * horizon - t)) * c_minus)
+        denominator = (c_plus - terminal * np.expm1(-2.0 * c * horizon)
+                       + np.exp(-2.0 * c * horizon) * c_minus)
+        general = numerator / denominator
+        critical = (1.0 + terminal * (horizon - t)) / (1.0 + terminal * horizon)
+        open_loop = np.exp(-h * t)
+    return np.where(c_plus + terminal == 0.0, open_loop,
+                    np.where(c == 0.0, critical, general))
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,53 +290,91 @@ def optimal_control_graphon(kernel: Graphon, sol: RiccatiSolution,
     return -half * state - modes.combine(gains * modes.coordinates(state))
 
 
-def linear_feedback(model: EpidemicModel, sol: RiccatiSolution,
-                    num_steps: int = 1000):
-    """Closed-loop control law (t, state) -> control vector.
+@dataclass(frozen=True, eq=False)
+class FeedbackLaw:
+    """Closed-loop control law (t, state) -> control vector of `linear_feedback`.
 
-    The gains depend on time only, so they are tabulated once, in one
-    vectorized Riccati evaluation, at every distinct time at which `rk4`
+    The gains depend on time only.  On its first call the law tabulates them,
+    in one vectorized Riccati evaluation, at every distinct time at which `rk4`
     evaluates a field over num_steps steps of the horizon.  At a tabulated
-    time the law is two matvecs; at any other time it calls
+    time a call is two matvecs; at any other time it calls
     `optimal_control_finite`.  Both routes give the same bits.
+    `simulate_linearized` reads `model` and `sol` instead of calling it.
     """
-    times = np.unique(np.concatenate(stage_times(0.0, model.horizon, num_steps)))
-    values = _riccati_values(sol.params, np.concatenate(([0.0], sol.eigenvalues)),
-                             times)
-    halves, gains = _feedback_gains(model, sol, values[:, :1], values[:, 1:])
-    halves = halves[:, 0]
-    basis = model.modes.basis
 
-    def law(t: float, state: np.ndarray) -> np.ndarray:
+    model: EpidemicModel
+    sol: RiccatiSolution
+    num_steps: int = 1000
+
+    @cached_property
+    def _table(self):
+        times = np.unique(np.concatenate(stage_times(0.0, self.model.horizon,
+                                                     self.num_steps)))
+        values = _riccati_values(self.sol.params,
+                                 np.concatenate(([0.0], self.sol.eigenvalues)), times)
+        halves, gains = _feedback_gains(self.model, self.sol, values[:, :1], values[:, 1:])
+        return times, halves[:, 0], gains
+
+    def __call__(self, t: float, state: np.ndarray) -> np.ndarray:
+        times, halves, gains = self._table
         row = np.searchsorted(times, t)
         if row == times.size or times[row] != t:
-            return optimal_control_finite(model, sol, state, t)
+            return optimal_control_finite(self.model, self.sol, state, t)
+        basis = self.model.modes.basis
         return (-halves[row] * np.asarray(state, dtype=float)
                 - basis @ (gains[row] * (basis.T @ state)))
-    return law
 
 
-def _record_controls(control, times: np.ndarray, states: np.ndarray):
-    if control is None:
-        return None
-    return np.stack([control(t, p) for t, p in zip(times, states)])
+def linear_feedback(model: EpidemicModel, sol: RiccatiSolution,
+                    num_steps: int = 1000) -> FeedbackLaw:
+    """Optimal closed-loop law of the linearized model, for simulations of num_steps steps."""
+    return FeedbackLaw(model, sol, num_steps)
 
 
 def simulate_linearized(model: EpidemicModel, p0: np.ndarray, control=None,
                         num_steps: int = 1000) -> Trajectory:
-    """Linearized closed loop dp = (-alpha0 I + eta A) p + beta0 u(t, p)."""
-    drift = -model.alpha * np.eye(model.num_nodes) + model.eta * model.adjacency
+    """Linearized spread dp = (-alpha0 I + eta A) p + beta0 u(t, p), in closed form.
+
+    States (and, under feedback, controls) are sampled at num_steps + 1
+    uniform times.  Each eigen-coordinate y_l solves a scalar linear ODE, and
+    the complement of the eigendirections is its eigenvalue-zero member.
+    With h, b, c and D as in `_riccati_values`, the open loop has
+    y_l(t) = exp(-h_l t) y_l(0), and under the optimal feedback
+    y_l(t) = y_l(0) exp(-c_l t) D_l(T - t) / D_l(T), with control
+    -beta0 pi_l(t) / (lambda_l^2 - 2 lambda_l + 2) y_l(t) on that direction.
+    `control` is None or a `linear_feedback` law for this model and its
+    regulator parameters (or a `functools.wraps` wrapper of one), whose
+    Riccati solution is read, never called; any other control raises
+    TypeError.
+    """
+    law = None if control is None else inspect.unwrap(control)
+    params = model.regulator_params()
+    if law is not None:
+        if not (isinstance(law, FeedbackLaw) and law.model is model):
+            raise TypeError("control must be None or a linear_feedback law for this model")
+        if not (law.sol.params == params
+                and np.array_equal(law.sol.eigenvalues, model.modes.eigenvalues)):
+            raise ValueError("the feedback's Riccati solution belongs to another model")
+    if num_steps < 1:
+        raise ValueError("num_steps must be >= 1")
+    times = np.linspace(0.0, model.horizon, num_steps + 1)
     p0 = np.asarray(p0, dtype=float)
-
-    if control is None:
-        def fn(t, p):
-            return drift @ p
+    basis = model.modes.basis
+    coords = basis.T @ p0 / model.num_nodes
+    residual = p0 - basis @ coords
+    lams = np.concatenate(([0.0], model.modes.eigenvalues))
+    if law is None:
+        with np.errstate(over="ignore"):
+            decay = np.exp(-np.outer(times, params.alpha0 - params.eta_total * lams))
     else:
-        def fn(t, p):
-            return drift @ p + model.beta0 * control(t, p)
-
-    times, states = rk4(fn, 0.0, model.horizon, p0, num_steps)
-    return Trajectory(times, states, _record_controls(control, times, states))
+        decay = _closed_loop_decay(params, lams, times)
+    states = _modal_sum(decay[:, 1:] * coords, decay[:, :1], basis, residual)
+    controls = None
+    if law is not None:
+        gains = (-model.beta0 * _riccati_values(params, lams, times)
+                 / (lams ** 2 - 2.0 * lams + 2.0) * decay)
+        controls = _modal_sum(gains[:, 1:] * coords, gains[:, :1], basis, residual)
+    return Trajectory(times, states, controls)
 
 
 def simulate_nonlinear(model: EpidemicModel, p0: np.ndarray, control=None,
@@ -326,8 +403,10 @@ def simulate_nonlinear(model: EpidemicModel, p0: np.ndarray, control=None,
     if out_of_range:
         warnings.warn("infection fractions left [-0.1, 1.1]; the model "
                       "interpretation is unreliable", RuntimeWarning)
-    return Trajectory(times, states, _record_controls(control, times, states),
-                      range_warning=out_of_range)
+    controls = None
+    if control is not None:
+        controls = np.stack([control(t, p) for t, p in zip(times, states)])
+    return Trajectory(times, states, controls, range_warning=out_of_range)
 
 
 def closed_loop_cost(model: EpidemicModel, trajectory: Trajectory,
@@ -336,7 +415,8 @@ def closed_loop_cost(model: EpidemicModel, trajectory: Trajectory,
 
     The running integrand is q_t |p|^2 + |u|^2 + |(I - A/N) u|^2 in Euclidean
     norms, integrated by the trapezoid rule on the trajectory grid, plus the
-    terminal term q_T |p_T|^2.
+    terminal term q_T |p_T|^2.  A zero weight contributes exactly 0, even
+    where its squared norm overflows.
     """
     if controls is None:
         controls = trajectory.controls
@@ -344,10 +424,12 @@ def closed_loop_cost(model: EpidemicModel, trajectory: Trajectory,
         controls = np.zeros_like(trajectory.states)
     states = trajectory.states
     averaging = np.eye(model.num_nodes) - model.adjacency / model.num_nodes
-    running = (model.state_weight * np.sum(states ** 2, axis=1)
-               + np.sum(controls ** 2, axis=1)
+    weighted = (model.state_weight * np.sum(states ** 2, axis=1)
+                if model.state_weight else 0.0)
+    running = (weighted + np.sum(controls ** 2, axis=1)
                + np.sum((controls @ averaging.T) ** 2, axis=1))
-    terminal = model.terminal_weight * float(np.sum(states[-1] ** 2))
+    terminal = (model.terminal_weight * float(np.sum(states[-1] ** 2))
+                if model.terminal_weight else 0.0)
     return float(np.trapezoid(running, trajectory.times) + terminal)
 
 

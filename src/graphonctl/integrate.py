@@ -1,4 +1,4 @@
-"""Fixed-step Runge-Kutta integration shared by the control and epidemic solvers."""
+"""Fixed-step Runge-Kutta integration for the nonlinear epidemic model."""
 
 from __future__ import annotations
 

@@ -2,8 +2,9 @@
 
 Everything here is written from mathematical definitions using different
 algorithms than the package (double enumeration, generic quadrature, repeated
-matrix exponentials, full-matrix Riccati integration), so agreement between
-the two routes is evidence, not tautology.
+matrix exponentials, full-matrix Riccati integration, fine-step RK4), so
+agreement between the two routes is evidence, not tautology.  Nothing here
+imports graphonctl.
 """
 
 import itertools
@@ -256,6 +257,79 @@ def scalar_riccati_ode(linear: float, quadratic: float, q: float,
     if not result.success:
         raise RuntimeError(result.message)
     return result.y[0][::-1][inverse]
+
+
+# -- linear trajectories ------------------------------------------------------------
+
+def expm_states(matrix: np.ndarray, y0: np.ndarray, times) -> np.ndarray:
+    """Rows exp(matrix * t) y0 for each of `times`, one scipy expm per time."""
+    return np.stack([scipy.linalg.expm(matrix * t) @ y0 for t in times])
+
+
+def rk4_states(field, y0: np.ndarray, horizon: float, num_steps: int) -> np.ndarray:
+    """Classical RK4 for y' = field(t, y) on num_steps equal steps of [0, horizon]."""
+    h = horizon / num_steps
+    y = np.array(y0, dtype=float)
+    states = [y]
+    for k in range(num_steps):
+        t = k * h
+        k1 = field(t, y)
+        k2 = field(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = field(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = field(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(y)
+    return np.stack(states)
+
+
+def step_halving(run, num_steps: int, rtol: float = 1e-10,
+                 max_halvings: int = 10) -> np.ndarray:
+    """Values of run(k) (rows on k + 1 uniform times) at num_steps + 1 grid times.
+
+    The step is halved until two successive runs agree on that grid within
+    rtol of their largest value, and the finer run is returned; if they never
+    do, AssertionError.
+    """
+    coarse = run(num_steps)
+    for halvings in range(1, max_halvings + 1):
+        fine = run(num_steps * 2 ** halvings)[::2 ** halvings]
+        if np.abs(fine - coarse).max() <= rtol * np.abs(fine).max():
+            return fine
+        coarse = fine
+    raise AssertionError(f"RK4 did not converge in {max_halvings} halvings")
+
+
+def lqr_closed_loop(drift: np.ndarray, input_mat: np.ndarray,
+                    state_weight: np.ndarray, control_weight: np.ndarray,
+                    terminal: np.ndarray, y0: np.ndarray, horizon: float,
+                    num_steps: int, rtol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """States and controls of the full-matrix LQR closed loop at num_steps + 1 times.
+
+    For each RK4 step count k, `matrix_riccati` runs on 2k steps, so every
+    stage time of the forward RK4 is a grid time of P; `step_halving` refines k.
+    """
+    rinv_bt = np.linalg.solve(control_weight, input_mat.T)
+    n = drift.shape[0]
+
+    def run(k):
+        _, sheets = matrix_riccati(drift, input_mat, state_weight, control_weight,
+                                   terminal, horizon, 2 * k)
+        gains = -rinv_bt @ sheets
+        closed = drift + input_mat @ gains
+        h = horizon / k
+        y = np.array(y0, dtype=float)
+        rows = [np.concatenate((y, gains[0] @ y))]
+        for i in range(k):
+            k1 = closed[2 * i] @ y
+            k2 = closed[2 * i + 1] @ (y + 0.5 * h * k1)
+            k3 = closed[2 * i + 1] @ (y + 0.5 * h * k2)
+            k4 = closed[2 * i + 2] @ (y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            rows.append(np.concatenate((y, gains[2 * i + 2] @ y)))
+        return np.stack(rows)
+
+    table = step_halving(run, num_steps, rtol)
+    return table[:, :n], table[:, n:]
 
 
 # -- CSV cells --------------------------------------------------------------------

@@ -296,6 +296,14 @@ class TestEpidemic:
         assert costs["nonlinear_range_warning"] in (False, True)
         assert (tmp_path / "nonlinear_states.csv").exists()
 
+    def test_zero_weights_cost_nothing_when_states_overflow_their_squares(
+            self, data_dir, tmp_path):
+        # exp(400) states are finite, their squares are not
+        assert main(["epidemic", str(data_dir / "k22.edges"), "--alpha0", "-400",
+                     "--qt", "0", "--qT", "0", "--out", str(tmp_path)]) == 0
+        costs = json.loads((tmp_path / "cost.json").read_text())
+        assert costs == {"optimal": 0.0, "zero_control": 0.0}
+
     def test_negative_running_weight_rejected(self, data_dir, tmp_path):
         assert main(["epidemic", str(data_dir / "k22.edges"), "--qt", "-1",
                      "--out", str(tmp_path)] + self.ARGS) == 2
@@ -345,6 +353,22 @@ class TestDeterminismAndErrors:
         assert main([command, str(data_dir / "k22.edges"), "--step", step,
                      "--out", str(tmp_path)]) == 2
         assert "step must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["gramian", "minenergy"])
+    def test_overflowing_gramian_exits_three(self, data_dir, tmp_path, capsys,
+                                             command):
+        assert main([command, str(data_dir / "k22.edges"), "--alpha0", "400",
+                     "--out", str(tmp_path)]) == 3
+        assert "numeric failure: exp(800) exceeds the float range" in \
+            capsys.readouterr().err
+
+    def test_p0_length_must_match_the_network(self, data_dir, tmp_path, capsys):
+        p0 = tmp_path / "p0.txt"
+        p0.write_text("0.1\n0.2\n0.3\n")
+        assert main(["epidemic", str(data_dir / "k22.edges"), "--p0", str(p0),
+                     "--out", str(tmp_path)]) == 2
+        assert "--p0 has 3 values, the network has 4 nodes" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
     def test_missing_file(self, tmp_path, capsys):

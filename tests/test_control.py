@@ -1,9 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from hypothesis import assume, example, given, settings, strategies as st
 
 from graphonctl.control import (
     GramianOperator,
@@ -15,15 +17,14 @@ from graphonctl.control import (
     growth_integral,
     min_energy_control,
     simulate,
-    _system_matrices,
 )
 from graphonctl.errors import (
     ExactControllabilityError,
     IncompatibleOperandsError,
+    NumericsError,
 )
 from graphonctl.functions import PiecewiseConstantFunction, TrigPolynomial, inner_product
 from graphonctl.graphons import SinusoidalGraphon, StepGraphon
-from graphonctl.integrate import rk4, stage_times
 from graphonctl.spectral import decompose
 
 import oracles
@@ -49,6 +50,11 @@ class TestGrowthIntegral:
     def test_zero_rate_limit(self):
         assert growth_integral(0.0, 0.7) == 0.7
         assert growth_integral(1e-15, 0.7) == pytest.approx(0.7, rel=1e-12)
+
+    def test_overflow_is_a_numeric_failure(self):
+        with pytest.raises(NumericsError, match="float range"):
+            growth_integral(800.0, 1.0)
+        assert growth_integral(-800.0, 1.0) == pytest.approx(1.0 / 800.0)
 
 
 class TestGraphonSystem:
@@ -274,40 +280,40 @@ class TestSimulate:
         assert trajectory.times.size == 5
         np.testing.assert_allclose(trajectory.state_norms()[0], x0.l2_norm())
 
-    def test_control_partition_must_refine(self):
-        sys = GraphonSystem(0.0, 1.0, StepGraphon(np.full((3, 3), 0.3)), (), 1.0)
-        x0 = PiecewiseConstantFunction([1.0, -1.0])
-
-        def control(t):
-            return PiecewiseConstantFunction(np.ones(4))
-
-        with pytest.raises(IncompatibleOperandsError, match="refine"):
-            simulate(sys, x0, control, step=0.5)
-
-    def test_control_called_once_per_stage_time(self, rng):
+    def test_other_controls_refused(self, rng):
         sys = random_system(rng)
-        n = sys.kernel.num_blocks
-        x0 = PiecewiseConstantFunction(rng.normal(size=n))
+        other = random_system(rng)
+        x0 = PiecewiseConstantFunction(np.ones(sys.kernel.num_blocks))
+        u, _ = min_energy_control(sys, x0)
+        for control in (lambda t: u(t),
+                        u.__call__,
+                        min_energy_control(sys, PiecewiseConstantFunction(x0.values))[0],
+                        min_energy_control(other, PiecewiseConstantFunction(
+                            np.ones(other.kernel.num_blocks)))[0]):
+            with pytest.raises(TypeError, match="min_energy_control"):
+                simulate(sys, x0, control, step=0.5)
+
+    def test_wrapped_control_is_read_not_called(self, rng):
+        sys = random_system(rng)
+        x0 = PiecewiseConstantFunction(rng.normal(size=sys.kernel.num_blocks))
         u, _ = min_energy_control(sys, x0)
         calls = []
 
+        @functools.wraps(u)
         def counted(t):
             calls.append(t)
             return u(t)
 
-        trajectory = simulate(sys, x0, counted, step=sys.horizon / 200)
-        num_steps = trajectory.times.size - 1
-        distinct = np.unique(np.concatenate(stage_times(0.0, sys.horizon, num_steps)))
-        assert sorted(calls) == list(distinct)
+        got = simulate(sys, x0, counted, step=sys.horizon / 50)
+        want = simulate(sys, x0, u, step=sys.horizon / 50)
+        assert not calls
+        assert np.array_equal(got.states, want.states)
+        assert np.array_equal(got.controls, want.controls)
 
-        # reference: one control evaluation per field call
-        state_mat, input_mat = _system_matrices(sys, n)
-        times, states = rk4(lambda t, x: state_mat @ x + input_mat @ u(t).values,
-                            0.0, sys.horizon, x0.values, num_steps)
-        assert np.array_equal(trajectory.times, times)
-        assert np.array_equal(trajectory.states, states)
-        assert np.array_equal(trajectory.controls,
-                              np.stack([u(t).values for t in times]))
+    def test_overflowing_state_names_the_time(self):
+        sys = GraphonSystem(800.0, 1.0, StepGraphon([[0.5]]), (), 1.0)
+        with pytest.raises(NumericsError, match="non-finite at t=0.89"):
+            simulate(sys, PiecewiseConstantFunction([1.0]), None, step=0.01)
 
     @pytest.mark.parametrize("step", [0.0, -0.5, float("nan")])
     def test_step_must_be_positive(self, rng, step):
@@ -327,6 +333,53 @@ class TestSimulate:
         trajectory = simulate(sys, x0, None, step=sys.horizon / 100)
         np.testing.assert_array_equal(trajectory.final_state.values,
                                       trajectory.states[-1])
+
+
+class TestClosedFormTrajectory:
+    """simulate against tests/oracles.py: expm for the free flow, converged RK4
+    of x' = A x + B u(t) under the min-energy control."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), blocks=st.integers(1, 4),
+           refine=st.integers(1, 3), alpha0=st.floats(-3.0, 3.0),
+           beta0=st.floats(0.3, 2.0), degree=st.integers(0, 2),
+           horizon=st.floats(0.3, 1.5))
+    @example(seed=1, blocks=3, refine=2, alpha0=-3.0, beta0=1.0, degree=1, horizon=1.5)
+    @example(seed=2, blocks=1, refine=3, alpha0=0.0, beta0=0.5, degree=0, horizon=1.0)
+    def test_matches_independent_integration(self, seed, blocks, refine, alpha0,
+                                             beta0, degree, horizon):
+        gen = np.random.default_rng(seed)
+        raw = gen.uniform(-1.0, 1.0, (blocks, blocks))
+        kernel = StepGraphon((raw + raw.T) / 2.0)
+        sys = GraphonSystem(alpha0, beta0, kernel,
+                            tuple(gen.uniform(-0.5, 0.5, degree)), horizon)
+        assume(np.abs(np.append(sys.mode_etas, beta0)).min() > 0.05)
+        # x0 on a finer partition: states live on blocks * refine blocks
+        merged = blocks * refine
+        x0 = PiecewiseConstantFunction(gen.normal(size=merged))
+        num_steps = 20
+        free = simulate(sys, x0, None, step=horizon / num_steps)
+        fine = np.repeat(np.repeat(kernel.coeffs, refine, 0), refine, 1)
+        state_mat, input_mat = oracles.system_matrices(fine, alpha0, beta0,
+                                                       sys.input_poly)
+        np.testing.assert_allclose(
+            free.states, oracles.expm_states(state_mat, x0.values, free.times),
+            rtol=1e-12, atol=1e-12 * np.abs(free.states).max())
+        assert free.controls is None
+
+        u, _ = min_energy_control(sys, x0)
+        steered = simulate(sys, x0, u, step=horizon / num_steps)
+        reference = oracles.step_halving(
+            lambda k: oracles.rk4_states(
+                lambda t, x: state_mat @ x + input_mat @ u(t).values,
+                x0.values, horizon, k),
+            num_steps)
+        np.testing.assert_allclose(steered.states, reference, rtol=0.0,
+                                   atol=1e-8 * np.abs(reference).max())
+        assert not steered.states[-1].any()
+        np.testing.assert_allclose(
+            steered.controls, np.stack([u(t).values for t in steered.times]),
+            rtol=1e-12, atol=1e-13 * np.abs(steered.controls).max())
 
 
 class TestQuadratureGramian:

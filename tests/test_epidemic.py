@@ -1,6 +1,10 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.integrate
+from hypothesis import example, given, settings, strategies as st
 
 from graphonctl.epidemic import (
     EpidemicModel,
@@ -276,12 +280,54 @@ class TestFeedbackTable:
         def reference(t, p):
             return optimal_control_finite(model, sol, p, t)
 
-        for simulate in (simulate_linearized, simulate_nonlinear):
-            got = simulate(model, p0, law, num_steps=200)
-            want = simulate(model, p0, reference, num_steps=200)
-            assert np.array_equal(got.times, want.times)
-            assert np.array_equal(got.states, want.states)
-            assert np.array_equal(got.controls, want.controls)
+        got = simulate_nonlinear(model, p0, law, num_steps=200)
+        want = simulate_nonlinear(model, p0, reference, num_steps=200)
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.states, want.states)
+        assert np.array_equal(got.controls, want.controls)
+
+    def test_linear_run_reads_the_law_without_calling_it(self, rng,
+                                                         monkeypatch):
+        model = random_model(rng)
+        sol = solve_riccati_finite(model, num_steps=100)
+        law = linear_feedback(model, sol, num_steps=50)
+        calls = []
+
+        @functools.wraps(law)
+        def counted(t, p):
+            calls.append(t)
+            return law(t, p)
+
+        tables = []
+        monkeypatch.setattr(epidemic, "stage_times",
+                            lambda *args: tables.append(args) or stage_times(*args))
+        p0 = np.full(model.num_nodes, 0.1)
+        got = simulate_linearized(model, p0, counted, num_steps=50)
+        want = simulate_linearized(model, p0, law, num_steps=50)
+        assert not calls and not tables
+        assert np.array_equal(got.states, want.states)
+        assert np.array_equal(got.controls, want.controls)
+        # the nonlinear run builds the stage-time table once, on its first call
+        simulate_nonlinear(model, p0, counted, num_steps=50)
+        assert len(calls) == 4 * 50 + 51 and tables == [(0.0, model.horizon, 50)]
+
+    def test_other_controls_refused(self, rng):
+        model = random_model(rng)
+        sol = solve_riccati_finite(model, num_steps=100)
+        law = linear_feedback(model, sol)
+        twin = EpidemicModel(model.contact, **BASELINE_REGULATOR,
+                             eta=model.eta)
+        for control in (lambda t, p: law(t, p),
+                        linear_feedback(twin, solve_riccati_finite(twin, 100))):
+            with pytest.raises(TypeError, match="linear_feedback"):
+                simulate_linearized(model, np.full(model.num_nodes, 0.1), control)
+        other_weight = dataclasses.replace(model.regulator_params(), state_weight=1.0)
+        other_kernel = random_model(rng)
+        for sol in (solve_riccati_graphon(model.contact, other_weight, 100),
+                    solve_riccati_finite(other_kernel, 100)):
+            with pytest.raises(ValueError, match="another model"):
+                simulate_linearized(model, np.full(model.num_nodes, 0.1),
+                                    linear_feedback(model, sol))
 
 
 class TestSimulation:
@@ -329,6 +375,82 @@ class TestSimulation:
             trajectory = simulate_nonlinear(model, np.full(model.num_nodes, 0.9),
                                             push, num_steps=200)
         assert trajectory.range_warning
+
+
+def _closed_form_against_oracles(model, p0, num_steps=20):
+    """simulate_linearized against expm (open loop) and the converged RK4 of
+    the full-matrix LQR closed loop, both from tests/oracles.py."""
+    n = model.num_nodes
+    drift = -model.alpha * np.eye(n) + model.eta * model.adjacency
+    idle = simulate_linearized(model, p0, None, num_steps)
+    expected = oracles.expm_states(drift, p0, idle.times)
+    np.testing.assert_allclose(idle.states, expected, rtol=1e-12,
+                               atol=1e-12 * np.abs(expected).max())
+    assert idle.controls is None
+
+    sol = solve_riccati_finite(model, num_steps=4)
+    controlled = simulate_linearized(model, p0, linear_feedback(model, sol), num_steps)
+    averaging = np.eye(n) - model.adjacency / n
+    states, controls = oracles.lqr_closed_loop(
+        drift, model.beta0 * np.eye(n), model.state_weight * np.eye(n),
+        np.eye(n) + averaging.T @ averaging, model.terminal_weight * np.eye(n),
+        p0, model.horizon, num_steps, rtol=1e-8)
+    np.testing.assert_allclose(controlled.states, states, rtol=0.0,
+                               atol=1e-7 * np.abs(states).max())
+    np.testing.assert_allclose(controlled.controls, controls, rtol=0.0,
+                               atol=1e-7 * max(np.abs(controls).max(), 1e-300))
+
+
+class TestClosedFormTrajectory:
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), blocks=st.integers(1, 3),
+           refine=st.integers(1, 2),
+           alpha0=st.one_of(st.just(0.0), st.floats(-4.0, 4.0)),
+           eta_total=st.floats(0.0, 15.0), beta0=st.floats(0.2, 2.0),
+           q=st.one_of(st.just(0.0), st.floats(1e-3, 20.0)),
+           q_terminal=st.one_of(st.just(0.0), st.floats(1e-3, 20.0)),
+           horizon=st.floats(0.2, 1.0))
+    # repeated blocks leave a complement, where alpha0 = 0 and q = 0 give c = 0
+    @example(seed=3, blocks=1, refine=2, alpha0=0.0, eta_total=2.0, beta0=1.0,
+             q=0.0, q_terminal=4.0, horizon=1.0)
+    @example(seed=4, blocks=2, refine=2, alpha0=-4.0, eta_total=15.0, beta0=1.0,
+             q=0.0, q_terminal=0.0, horizon=1.0)
+    def test_matches_independent_integration(self, seed, blocks, refine, alpha0,
+                                             eta_total, beta0, q, q_terminal,
+                                             horizon):
+        gen = np.random.default_rng(seed)
+        raw = gen.uniform(0.0, 1.0, (blocks, blocks))
+        contact = StepGraphon(np.repeat(np.repeat((raw + raw.T) / 2.0, refine, 0),
+                                        refine, 1))
+        model = EpidemicModel(contact, alpha=alpha0, beta0=beta0,
+                              eta_total=eta_total, state_weight=q,
+                              terminal_weight=q_terminal, horizon=horizon)
+        _closed_form_against_oracles(model, gen.uniform(0.0, 0.2, model.num_nodes))
+
+    def test_critical_eigendirection(self):
+        # h = alpha0 - eta_total * lam = 1 - 2 * 0.5 = 0 and q = 0, so c = 0
+        model = EpidemicModel(StepGraphon([[0.5]]), alpha=1.0, eta_total=2.0,
+                              state_weight=0.0, terminal_weight=4.0, horizon=2.0)
+        _closed_form_against_oracles(model, np.array([0.1]))
+
+    @pytest.mark.parametrize("eta_total", [1.5e4, 3e4])
+    def test_stiff_constant_kernel(self, eta_total):
+        # too stiff for the RK4 reference: y(t) = y(0) exp(-integral of h + b pi)
+        # by quadrature, with pi from the scalar closed form of tests/oracles.py
+        model = EpidemicModel(StepGraphon([[1.0]]), eta_total=eta_total,
+                              **dict(BASELINE_REGULATOR, alpha=-0.5))
+        params = model.regulator_params()
+        linear, b = _direction_coefficients(params, 1.0)
+        pi = oracles.scalar_riccati_closed_form(linear, b, 2.0, 4.0, 1.0)
+        sol = solve_riccati_finite(model, num_steps=4)
+        trajectory = simulate_linearized(model, np.array([0.1]),
+                                         linear_feedback(model, sol), num_steps=1000)
+        for k in range(1, 41):
+            t = trajectory.times[k]
+            exponent, _ = scipy.integrate.quad(lambda s: 0.5 * linear + b * pi(s),
+                                               0.0, t, epsabs=0.0, epsrel=1e-13)
+            assert trajectory.states[k, 0] == pytest.approx(0.1 * np.exp(-exponent),
+                                                           rel=1e-9)
 
 
 class TestCostAndProjections:
