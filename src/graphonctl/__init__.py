@@ -39,7 +39,6 @@ from .functions import (  # noqa: E402
     inner_product,
 )
 from .graphons import (  # noqa: E402
-    SampledGraphon,
     SinusoidalGraphon,
     StepGraphon,
     apply,
@@ -118,7 +117,6 @@ __all__ = [
     "gram_matrix",
     "StepGraphon",
     "SinusoidalGraphon",
-    "SampledGraphon",
     "apply",
     "compose",
     "power",

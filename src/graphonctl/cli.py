@@ -253,7 +253,12 @@ def cmd_epidemic(args):
     sol = solve_riccati_finite(model, num_steps=args.riccati_steps)
     feedback = linear_feedback(model, sol, num_steps)
     controlled = simulate_linearized(model, p0, feedback, num_steps)
-    uncontrolled = simulate_linearized(model, p0, None, num_steps)
+    try:
+        zero_control = closed_loop_cost(
+            model, simulate_linearized(model, p0, None, num_steps))
+    except NumericsError:
+        # only the uncontrolled comparison left the float range
+        zero_control = float("inf")
     report = project_trajectories(controlled, model.modes)
 
     mode_names = [f"mode{j}" for j in range(sol.eigenvalues.size)]
@@ -273,7 +278,7 @@ def cmd_epidemic(args):
               report.times, report.auxiliary_states, report.auxiliary_controls)
     costs = {
         "optimal": closed_loop_cost(model, controlled),
-        "zero_control": closed_loop_cost(model, uncontrolled),
+        "zero_control": zero_control,
     }
     if args.nonlinear:
         nonlinear = simulate_nonlinear(model, np.clip(p0, 0.0, 1.0), feedback,

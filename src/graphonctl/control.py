@@ -266,8 +266,8 @@ def gramian(sys: GraphonSystem) -> GramianOperator:
     return GramianOperator(scalar, direction - scalar, sys.modes)
 
 
-def gramian_inverse(sys: GraphonSystem) -> GramianOperator:
-    """Closed-form inverse Gramian; composition with the Gramian is checked.
+def _steerable_gramian(sys: GraphonSystem) -> GramianOperator:
+    """The Gramian, refused unless it is positive and finite on every direction.
 
     Requires beta0 != 0 (a compact input operator can never give exact
     controllability over a finite horizon) and every eigendirection excited
@@ -277,13 +277,22 @@ def gramian_inverse(sys: GraphonSystem) -> GramianOperator:
         raise ExactControllabilityError(
             "beta0 = 0 leaves a compact input operator; the Gramian is not invertible")
     w = gramian(sys)
-    direction = w.direction_values
-    for idx, value in enumerate(direction):
+    for idx, value in enumerate(w.direction_values):
         if value <= 0.0 or not np.isfinite(value):
             raise ExactControllabilityError(
                 f"Gramian vanishes on eigendirection {idx} "
                 f"(lambda={sys.modes.eigenvalues[idx]:.6g}, "
                 f"eta={sys.mode_etas[idx]:.6g})")
+    return w
+
+
+def gramian_inverse(sys: GraphonSystem) -> GramianOperator:
+    """Closed-form inverse Gramian; composition with the Gramian is checked.
+
+    Refused as in `_steerable_gramian`.
+    """
+    w = _steerable_gramian(sys)
+    direction = w.direction_values
     inv = GramianOperator(1.0 / w.scalar, 1.0 / direction - 1.0 / w.scalar, w.modes)
     residual = w.compose(inv).identity_deviation()
     if residual > 1e-8:
@@ -355,16 +364,10 @@ def min_energy_control(sys: GraphonSystem, x0: Function):
     Returns (u, energy): u is a `MinEnergyControl`, the callable
     t -> -B* exp(A*(T-t)) W^-1 exp(A*T) x0 expanded over the kernel
     eigendirections, and energy is <exp(A*T) x0, W^-1 exp(A*T) x0>, the
-    energy of that control.
+    energy of that control.  Refused as in `_steerable_gramian`.
     """
-    if sys.beta0 == 0.0:
-        raise ExactControllabilityError("steering requires beta0 != 0")
-    w = gramian(sys)
+    w = _steerable_gramian(sys)
     direction = w.direction_values
-    for idx, value in enumerate(direction):
-        if value <= 0.0 or not np.isfinite(value):
-            raise ExactControllabilityError(
-                f"Gramian vanishes on eigendirection {idx}; cannot steer")
     t_final = sys.horizon
     lams = sys.modes.eigenvalues
     coords = sys.modes.coordinates(x0)

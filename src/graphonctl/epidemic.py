@@ -416,7 +416,8 @@ def closed_loop_cost(model: EpidemicModel, trajectory: Trajectory,
     The running integrand is q_t |p|^2 + |u|^2 + |(I - A/N) u|^2 in Euclidean
     norms, integrated by the trapezoid rule on the trajectory grid, plus the
     terminal term q_T |p_T|^2.  A zero weight contributes exactly 0, even
-    where its squared norm overflows.
+    where its squared norm overflows; an overflowing sum is inf, without a
+    warning.
     """
     if controls is None:
         controls = trajectory.controls
@@ -424,13 +425,14 @@ def closed_loop_cost(model: EpidemicModel, trajectory: Trajectory,
         controls = np.zeros_like(trajectory.states)
     states = trajectory.states
     averaging = np.eye(model.num_nodes) - model.adjacency / model.num_nodes
-    weighted = (model.state_weight * np.sum(states ** 2, axis=1)
-                if model.state_weight else 0.0)
-    running = (weighted + np.sum(controls ** 2, axis=1)
-               + np.sum((controls @ averaging.T) ** 2, axis=1))
-    terminal = (model.terminal_weight * float(np.sum(states[-1] ** 2))
-                if model.terminal_weight else 0.0)
-    return float(np.trapezoid(running, trajectory.times) + terminal)
+    with np.errstate(over="ignore"):
+        weighted = (model.state_weight * np.sum(states ** 2, axis=1)
+                    if model.state_weight else 0.0)
+        running = (weighted + np.sum(controls ** 2, axis=1)
+                   + np.sum((controls @ averaging.T) ** 2, axis=1))
+        terminal = (model.terminal_weight * float(np.sum(states[-1] ** 2))
+                    if model.terminal_weight else 0.0)
+        return float(np.trapezoid(running, trajectory.times) + terminal)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,16 +1,15 @@
 """Graphon representations and the integral-operator algebra on them.
 
-Three kernel families are supported:
+Two kernel families, each with an exact spectral representation:
 
 * ``StepGraphon`` -- constant on the blocks of a uniform partition; the pixel
-  picture of a finite network lives here.
+  picture of a finite network lives here.  A grid of kernel samples is the
+  step kernel ``StepGraphon(grid, validate=False)``.
 * ``SinusoidalGraphon`` -- diagonally constant trigonometric kernels
   ``constant + sum_k b_k cos(2*pi*k*(x - y))`` with finitely many harmonics.
-* ``SampledGraphon`` -- a midpoint-sampled grid of an arbitrary kernel, kept
-  only as a quadrature reference for checking the closed forms.
 
 All operations (`apply`, `compose`, `power`, `exponential`, norms) are exact
-within the first two families; nothing in this module integrates numerically.
+within each family; nothing in this module integrates numerically.
 """
 
 from __future__ import annotations
@@ -118,60 +117,7 @@ class SinusoidalGraphon:
         return f"SinusoidalGraphon(constant={self.constant}, harmonics={self.harmonics})"
 
 
-@dataclass(frozen=True, eq=False)
-class SampledGraphon:
-    """Midpoint samples of a kernel on an M x M grid; quadrature reference only.
-
-    The grid defines a step kernel whose integral operator approximates the
-    sampled one; `operator_eigenvalues` exposes the quadrature spectrum used to
-    cross-check closed-form results.  Spectral routines reject this type.
-    """
-
-    grid: np.ndarray
-
-    def __post_init__(self):
-        g = np.array(self.grid, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] == 0:
-            raise ValueError("grid must be a non-empty square matrix")
-        g.setflags(write=False)
-        object.__setattr__(self, "grid", g)
-
-    @classmethod
-    def from_kernel(cls, kernel, resolution: int) -> "SampledGraphon":
-        """Sample any object exposing value(x, y) at block midpoints."""
-        mids = (np.arange(resolution) + 0.5) / resolution
-        return cls(kernel.value(mids[:, None], mids[None, :]))
-
-    @property
-    def resolution(self) -> int:
-        return self.grid.shape[0]
-
-    @property
-    def num_blocks(self) -> int:
-        return self.grid.shape[0]
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        return self.grid
-
-    def value(self, x, y):
-        ix = block_index(x, self.resolution)
-        iy = block_index(y, self.resolution)
-        return self.grid[ix, iy]
-
-    def operator_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of the midpoint-quadrature operator, |.|-descending."""
-        vals = np.linalg.eigvalsh(self.grid) / self.resolution
-        order = np.lexsort((-np.sign(vals), -np.abs(vals)))
-        return vals[order]
-
-    def __repr__(self):
-        return f"SampledGraphon(resolution={self.resolution})"
-
-
-Graphon = StepGraphon | SinusoidalGraphon | SampledGraphon
-
-_STEP_LIKE = (StepGraphon, SampledGraphon)
+Graphon = StepGraphon | SinusoidalGraphon
 
 
 def _refine_matrix(coeffs: np.ndarray, factor: int) -> np.ndarray:
@@ -189,7 +135,7 @@ def _merged_coeffs(g, h) -> tuple[np.ndarray, np.ndarray, int]:
 
 def apply(graphon: Graphon, f):
     """Integral-operator action: x -> integral of A(x, y) f(y) dy, exact per family."""
-    if isinstance(graphon, _STEP_LIKE):
+    if isinstance(graphon, StepGraphon):
         n = graphon.num_blocks
         if isinstance(f, PiecewiseConstantFunction):
             merged = common_block_count(n, f.num_blocks)
@@ -225,7 +171,7 @@ def compose(g: Graphon, h: Graphon) -> Graphon:
     Note the result of composing two distinct kernels need not be symmetric;
     it is returned unvalidated.
     """
-    if isinstance(g, _STEP_LIKE) and isinstance(h, _STEP_LIKE):
+    if isinstance(g, StepGraphon) and isinstance(h, StepGraphon):
         cg, ch, merged = _merged_coeffs(g, h)
         return StepGraphon(cg @ ch / merged, validate=False)
     if isinstance(g, SinusoidalGraphon) and isinstance(h, SinusoidalGraphon):
@@ -247,7 +193,7 @@ def power(graphon: Graphon, exponent: int) -> Graphon:
     if not isinstance(exponent, (int, np.integer)) or exponent < 1:
         raise ValueError("exponent must be an integer >= 1; "
                          "the identity operator has no kernel representation")
-    if isinstance(graphon, _STEP_LIKE):
+    if isinstance(graphon, StepGraphon):
         n = graphon.num_blocks
         mat = np.linalg.matrix_power(graphon.coeffs, exponent) / float(n) ** (exponent - 1)
         return StepGraphon(mat, validate=False)
@@ -268,11 +214,9 @@ class IdentityPlusGraphon:
     """
 
     scalar: float
-    kernel: Graphon | None
+    kernel: Graphon
 
     def apply(self, f):
-        if self.kernel is None:
-            return self.scalar * f
         return self.scalar * f + apply(self.kernel, f)
 
 
@@ -282,13 +226,10 @@ def exponential(graphon: Graphon, t: float) -> IdentityPlusGraphon:
     For step kernels U_t comes from a dense scaling-and-squaring matrix
     exponential of the block operator; for sinusoidal kernels it is exact.
     """
-    if isinstance(graphon, _STEP_LIKE):
+    if isinstance(graphon, StepGraphon):
         n = graphon.num_blocks
         expm = scipy.linalg.expm(graphon.coeffs * (t / n))
-        part = n * (expm - np.eye(n))
-        if isinstance(graphon, SampledGraphon):
-            return IdentityPlusGraphon(1.0, SampledGraphon(part))
-        return IdentityPlusGraphon(1.0, StepGraphon(part, validate=False))
+        return IdentityPlusGraphon(1.0, StepGraphon(n * (expm - np.eye(n)), validate=False))
     if isinstance(graphon, SinusoidalGraphon):
         const = np.expm1(graphon.constant * t)
         coeffs = 2.0 * np.expm1(0.5 * graphon.cosine_coeffs * t)
@@ -298,7 +239,7 @@ def exponential(graphon: Graphon, t: float) -> IdentityPlusGraphon:
 
 def l2_norm(graphon: Graphon) -> float:
     """Kernel L2 norm on [0,1]^2."""
-    if isinstance(graphon, _STEP_LIKE):
+    if isinstance(graphon, StepGraphon):
         return float(np.linalg.norm(graphon.coeffs) / graphon.num_blocks)
     if isinstance(graphon, SinusoidalGraphon):
         return float(np.sqrt(graphon.constant ** 2
@@ -308,7 +249,7 @@ def l2_norm(graphon: Graphon) -> float:
 
 def operator_norm(graphon: Graphon) -> float:
     """Operator norm of the induced integral operator (largest singular value)."""
-    if isinstance(graphon, _STEP_LIKE):
+    if isinstance(graphon, StepGraphon):
         return float(np.linalg.norm(graphon.coeffs, 2) / graphon.num_blocks)
     if isinstance(graphon, SinusoidalGraphon):
         candidates = [abs(graphon.constant)]
@@ -320,7 +261,7 @@ def operator_norm(graphon: Graphon) -> float:
 
 def subtract(g: Graphon, h: Graphon) -> Graphon:
     """Kernel difference g - h within a family (unvalidated result)."""
-    if isinstance(g, _STEP_LIKE) and isinstance(h, _STEP_LIKE):
+    if isinstance(g, StepGraphon) and isinstance(h, StepGraphon):
         cg, ch, _ = _merged_coeffs(g, h)
         return StepGraphon(cg - ch, validate=False)
     if isinstance(g, SinusoidalGraphon) and isinstance(h, SinusoidalGraphon):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError
-from .graphons import Graphon, SampledGraphon, SinusoidalGraphon, StepGraphon
+from .graphons import Graphon, SinusoidalGraphon, StepGraphon
 from .spectral import SpectralDecomposition, decompose, truncation_error
 
 
@@ -205,9 +205,6 @@ def _probability_check(graphon: Graphon):
         # the kernel range is [a0 - sum|b_k|, a0 + sum|b_k|]
         spread = np.abs(graphon.cosine_coeffs).sum()
         if graphon.constant - spread >= -1e-12 and graphon.constant + spread <= 1.0 + 1e-12:
-            return
-    elif isinstance(graphon, SampledGraphon):
-        if graphon.grid.min() >= 0.0 and graphon.grid.max() <= 1.0:
             return
     raise ValueError("kernel takes values outside [0, 1]; cannot be used "
                      "as an edge-probability model")

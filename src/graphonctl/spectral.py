@@ -26,7 +26,6 @@ from .functions import (
 )
 from .graphons import (
     Graphon,
-    SampledGraphon,
     SinusoidalGraphon,
     StepGraphon,
     l2_norm,
@@ -143,9 +142,6 @@ def decompose(graphon: Graphon) -> SpectralDecomposition:
     positive.  Sinusoidal kernels decompose in closed form onto the constant
     function and the sqrt(2) cos / sqrt(2) sin harmonics.
     """
-    if isinstance(graphon, SampledGraphon):
-        raise TypeError("sampled grids are a quadrature reference, not decomposable; "
-                        "build a StepGraphon from the grid instead")
     if isinstance(graphon, StepGraphon):
         coeffs = graphon.coeffs
         if not np.allclose(coeffs, coeffs.T, rtol=0.0, atol=1e-10):
@@ -334,9 +330,10 @@ def measured_function_discrepancy(kernel, approx, mode: str,
     function is evaluated on the sampled matrices (exact for step kernels when
     the resolution is a multiple of the block count).
     """
-    grid_a = SampledGraphon.from_kernel(kernel, resolution).grid
-    grid_b = SampledGraphon.from_kernel(approx, resolution).grid
     m = resolution
+    mids = (np.arange(m) + 0.5) / m
+    grid_a, grid_b = (np.asarray(k.value(mids[:, None], mids[None, :]), dtype=float)
+                      for k in (kernel, approx))
     if mode == "power":
         if exponent is None or exponent < 1:
             raise ValueError("power mode needs an exponent >= 1")

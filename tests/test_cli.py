@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 import graphonctl.cli as cli
 import graphonctl.netio as netio
 from graphonctl.cli import main
+from graphonctl.errors import NumericsError
 from oracles import csv_cell
 
 
@@ -303,6 +306,34 @@ class TestEpidemic:
                      "--qt", "0", "--qT", "0", "--out", str(tmp_path)]) == 0
         costs = json.loads((tmp_path / "cost.json").read_text())
         assert costs == {"optimal": 0.0, "zero_control": 0.0}
+
+    @pytest.mark.parametrize("eta", ["200", "400"])
+    def test_overflowing_zero_control_reported_infinite(self, data_dir, tmp_path, eta):
+        # the closed loop stays bounded; without control only the squared
+        # states (eta 200) or the states themselves (eta 400) overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["epidemic", str(data_dir / "k22.edges"), "--eta", eta,
+                         "--out", str(tmp_path)]) == 0
+        costs = json.loads((tmp_path / "cost.json").read_text())
+        assert math.isfinite(costs["optimal"])
+        assert costs["zero_control"] == math.inf
+
+    @pytest.mark.parametrize("simulation", ["simulate_linearized", "simulate_nonlinear"])
+    def test_controlled_overflow_exits_three(self, data_dir, tmp_path, capsys,
+                                             monkeypatch, simulation):
+        original = getattr(cli, simulation)
+
+        def overflow_under_control(model, p0, control, num_steps):
+            if control is None:
+                return original(model, p0, control, num_steps)
+            raise NumericsError("state became non-finite at t=0.5")
+
+        monkeypatch.setattr(cli, simulation, overflow_under_control)
+        assert main(["epidemic", str(data_dir / "k22.edges"), "--nonlinear",
+                     "--out", str(tmp_path)] + self.ARGS) == 3
+        assert "numeric failure: state became non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "cost.json").exists()
 
     def test_negative_running_weight_rejected(self, data_dir, tmp_path):
         assert main(["epidemic", str(data_dir / "k22.edges"), "--qt", "-1",

@@ -248,7 +248,13 @@ class TestMinEnergyControl:
 
     def test_zero_gain_refused(self):
         sys = GraphonSystem(0.0, 0.0, StepGraphon([[0.5]]), (1.0,), 1.0)
-        with pytest.raises(ExactControllabilityError):
+        with pytest.raises(ExactControllabilityError, match="beta0"):
+            min_energy_control(sys, PiecewiseConstantFunction([1.0]))
+
+    def test_dead_eigendirection_refused(self):
+        # same refusal as gramian_inverse: 1 - 2 * 0.5 = 0 kills the only direction
+        sys = GraphonSystem(0.0, 1.0, StepGraphon([[0.5]]), (-2.0,), 1.0)
+        with pytest.raises(ExactControllabilityError, match="eigendirection 0"):
             min_energy_control(sys, PiecewiseConstantFunction([1.0]))
 
     @pytest.mark.parametrize("kernel,x0", [

@@ -6,7 +6,6 @@ import pytest
 from graphonctl.errors import IncompatibleOperandsError
 from graphonctl.functions import PiecewiseConstantFunction, TrigPolynomial
 from graphonctl.graphons import (
-    SampledGraphon,
     SinusoidalGraphon,
     StepGraphon,
     apply,
@@ -72,29 +71,6 @@ class TestSinusoidalGraphon:
             expected += b * math.cos(2 * math.pi * k * (x - y))
         assert g.value(x, y) == pytest.approx(expected, rel=1e-14)
         assert g.value(y, x) == pytest.approx(expected, rel=1e-14)  # symmetric
-
-
-class TestSampledGraphon:
-    def test_from_kernel_samples_midpoints(self):
-        g = StepGraphon([[0.2, 0.6], [0.6, 1.0]])
-        s = SampledGraphon.from_kernel(g, 4)
-        assert s.resolution == 4
-        np.testing.assert_array_equal(
-            s.grid, [[0.2, 0.2, 0.6, 0.6], [0.2, 0.2, 0.6, 0.6],
-                     [0.6, 0.6, 1.0, 1.0], [0.6, 0.6, 1.0, 1.0]])
-
-    def test_operator_eigenvalues_match_direct_quadrature(self):
-        g = SinusoidalGraphon(0.5, [0.3])
-        s = SampledGraphon.from_kernel(g, 512)
-        vals = s.operator_eigenvalues()
-        ref = oracles.quad_eigenvalues(g, 512)
-        np.testing.assert_allclose(np.sort(vals), np.sort(ref), atol=1e-12)
-
-    def test_decompose_refuses_sampled(self):
-        from graphonctl.spectral import decompose
-
-        with pytest.raises(TypeError):
-            decompose(SampledGraphon(np.zeros((3, 3))))
 
 
 class TestApply:
@@ -203,6 +179,7 @@ class TestExponential:
         t = 0.7
         out = exponential(g, t)
         assert out.scalar == 1.0
+        assert isinstance(out.kernel, StepGraphon)
         series = oracles.series_exponential_grid(g, t, m=g.num_blocks)
         np.testing.assert_allclose(out.kernel.coeffs, series, atol=1e-13)
 
@@ -226,11 +203,6 @@ class TestExponential:
         out = exponential(g, 1.0).apply(f)
         # rank-one kernel: e^{tA} f = f + (e^{0.5} - 1) f for the constant mode
         assert out.values[0] == pytest.approx(2.0 * math.exp(0.5), rel=1e-12)
-
-    def test_sampled_exponential_stays_sampled(self):
-        s = SampledGraphon.from_kernel(SinusoidalGraphon(0.5, [0.3]), 64)
-        out = exponential(s, 0.5)
-        assert isinstance(out.kernel, SampledGraphon)
 
 
 class TestNorms:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from graphonctl.errors import ParseError
-from graphonctl.graphons import SampledGraphon, SinusoidalGraphon, StepGraphon
+from graphonctl.graphons import SinusoidalGraphon, StepGraphon
 from graphonctl.netio import (
     NetworkDataset,
     parse_edge_list,
@@ -197,14 +197,15 @@ class TestSampleGraph:
             # legal signed kernel, range [-0.3, 0.7], but not a probability
             sample_graph(SinusoidalGraphon(0.2, [0.5]), 4, seed=0)
         with pytest.raises(ValueError, match="probability"):
-            sample_graph(SampledGraphon(np.full((3, 3), 1.2)), 4, seed=0)
+            sample_graph(StepGraphon(np.full((3, 3), 1.2), validate=False), 4, seed=0)
         with pytest.raises(ValueError, match="num_nodes"):
             sample_graph(StepGraphon([[0.5]]), 0, seed=0)
 
     def test_sinusoidal_and_sampled_kernels_accepted(self):
         smooth = sample_graph(SinusoidalGraphon(0.5, [0.3]), 12, seed=3)
         assert smooth.num_nodes == 12
-        gridded = sample_graph(SampledGraphon(np.full((3, 3), 0.5)), 12, seed=3)
+        gridded = sample_graph(StepGraphon(np.full((3, 3), 0.5), validate=False), 12,
+                               seed=3)
         assert gridded.num_nodes == 12
 
 

@@ -9,7 +9,6 @@ from graphonctl.functions import (
     inner_product,
 )
 from graphonctl.graphons import (
-    SampledGraphon,
     SinusoidalGraphon,
     StepGraphon,
     apply,
@@ -311,6 +310,15 @@ class TestOperatorFunctionBounds:
         exact = l2_norm(subtract(power(a, 2), power(b, 2)))
         measured = measured_function_discrepancy(a, b, "power", 2, resolution=64)
         assert measured == pytest.approx(exact, rel=1e-12)
+        # exponent 1 against the zero kernel is the norm of the midpoint samples;
+        # the step kernel's 3 blocks do not align with 64 samples, so shifted
+        # samples land in other blocks
+        zero = StepGraphon([[0.0]])
+        for kernel in (SinusoidalGraphon(0.5, [0.3]),
+                       StepGraphon([[0.9, 0.1, 0.4], [0.1, 0.2, 0.7], [0.4, 0.7, 0.5]])):
+            assert measured_function_discrepancy(kernel, zero, "power", 1,
+                                                 resolution=64) == \
+                np.linalg.norm(oracles.midpoint_grid(kernel, 64)) / 64
 
 
 class TestConvergenceExperiment:
