@@ -21,7 +21,7 @@ from . import __version__
 from .errors import ExactControllabilityError, GraphonError, NumericsError, ParseError
 from .functions import PiecewiseConstantFunction
 from .graphons import SinusoidalGraphon, StepGraphon
-from .spectral import decompose, fourier_truncate, l2_distance, to_finite_rank, truncate, truncation_error
+from .spectral import decompose, fourier_bounds, truncate, truncation_error
 from .control import (
     GraphonSystem,
     exact_controllability_check,
@@ -59,20 +59,20 @@ def _atomic_write(path: Path, chunks):
 
 
 def write_csv(path: Path, header: list, *columns):
-    """Stream equal-length columns (1-D, or 2-D blocks) as CSV, one % per row:
-    integer and bool columns as %d, the rest as %.17g (the bytes of
-    str(int(v)) and f"{float(v):.17g}")."""
+    """Stream equal-length columns (1-D, or 2-D blocks) as CSV, one % per row, stacking
+    256 rows at a time rather than copying the whole table: integer and bool columns as
+    %d, the rest as %.17g (the bytes of str(int(v)) and f"{float(v):.17g}")."""
     columns = [np.asarray(c) for c in columns]
     fmt = ",".join("%d" if c.dtype.kind in "biu" else "%.17g"
-                   for c in columns
-                   for _ in range(1 if c.ndim == 1 else c.shape[1])) + "\n"
+                   for c in columns for _ in range(1 if c.ndim == 1 else c.shape[1])) + "\n"
     if len({c.dtype for c in columns}) > 1:
         # Python scalars keep each column's own type through the stacking
         columns = [c.astype(object) for c in columns]
-    table = np.column_stack(columns)
+    tables = (np.column_stack([c[i:i + 256] for c in columns])  # a ragged column fails here
+              for i in range(0, max(map(len, columns)), 256))
     _atomic_write(path, itertools.chain(
         [",".join(header) + "\n"],
-        (fmt % tuple(row.tolist()) for row in table)))
+        (fmt % tuple(row.tolist()) for table in tables for row in table)))
 
 
 def write_json(path: Path, payload: dict):
@@ -168,16 +168,12 @@ def cmd_approx(args):
         if not 0 <= args.rank <= decomp.rank:
             raise ValueError(f"--rank must be in [0, {decomp.rank}]")
         ranks = [args.rank]
-    write_csv(out / "truncation_curve.csv", ["rank", "truncation_error"],
-              ranks, [truncation_error(decomp, m) for m in ranks])
     if args.fourier_order is not None:
-        exact = to_finite_rank(decomp)
-        rows = []
-        for m in ranks:
-            approx, bound = fourier_truncate(decomp, m, args.fourier_order)
-            rows.append((bound, l2_distance(exact, approx)))
+        bound, measured = fourier_bounds(decomp, args.fourier_order)
         write_csv(out / "fourier_bounds.csv", ["rank", "bound", "measured"],
-                  ranks, np.array(rows))
+                  ranks, bound[ranks], measured[ranks])
+    write_csv(out / "truncation_curve.csv", ["rank", "truncation_error"],
+              ranks, [truncation_error(decomp, m) for m in ranks])  # the bound's tails again
     write_manifest(out, "approx", args)
 
 
@@ -260,6 +256,11 @@ def cmd_epidemic(args):
         # only the uncontrolled comparison left the float range
         zero_control = float("inf")
     report = project_trajectories(controlled, model.modes)
+    costs = {"optimal": closed_loop_cost(model, controlled), "zero_control": zero_control}
+    if args.nonlinear:
+        nonlinear = simulate_nonlinear(model, np.clip(p0, 0.0, 1.0), feedback, num_steps)
+        costs["nonlinear_closed_loop"] = closed_loop_cost(model, nonlinear)
+        costs["nonlinear_range_warning"] = nonlinear.range_warning
 
     mode_names = [f"mode{j}" for j in range(sol.eigenvalues.size)]
     write_csv(out / "riccati.csv", ["time", "auxiliary"] + mode_names,
@@ -276,17 +277,9 @@ def cmd_epidemic(args):
     write_csv(out / "auxiliary.csv",
               ["time"] + [f"p_{s}" for s in node_names] + [f"u_{s}" for s in node_names],
               report.times, report.auxiliary_states, report.auxiliary_controls)
-    costs = {
-        "optimal": closed_loop_cost(model, controlled),
-        "zero_control": zero_control,
-    }
     if args.nonlinear:
-        nonlinear = simulate_nonlinear(model, np.clip(p0, 0.0, 1.0), feedback,
-                                       num_steps)
         write_csv(out / "nonlinear_states.csv", ["time"] + node_names,
                   nonlinear.times, nonlinear.states)
-        costs["nonlinear_closed_loop"] = closed_loop_cost(model, nonlinear)
-        costs["nonlinear_range_warning"] = nonlinear.range_warning
     write_json(out / "cost.json", costs)
     write_manifest(out, "epidemic", args)
 

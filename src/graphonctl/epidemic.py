@@ -398,7 +398,8 @@ def simulate_nonlinear(model: EpidemicModel, p0: np.ndarray, control=None,
             return (-model.alpha * p + model.eta * (1.0 - p) * (adjacency @ p)
                     + model.beta0 * control(t, p))
 
-    times, states = rk4(fn, 0.0, model.horizon, p0, num_steps)
+    with np.errstate(over="ignore", invalid="ignore"):  # rk4 reports a non-finite state
+        times, states = rk4(fn, 0.0, model.horizon, p0, num_steps)
     out_of_range = bool(states.min() < -0.1 or states.max() > 1.1)
     if out_of_range:
         warnings.warn("infection fractions left [-0.1, 1.1]; the model "

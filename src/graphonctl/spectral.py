@@ -276,28 +276,44 @@ def fourier_project(func: Function, order: int) -> TrigPolynomial:
     return _polynomial(fourier_block_integrals(func.num_blocks, order) @ func.values)
 
 
-def fourier_truncate(decomp: SpectralDecomposition, rank: int,
-                     order: int) -> tuple[FiniteRankKernel, float]:
-    """Truncate to `rank` eigenpairs with Fourier-projected eigenfunctions.
-
-    Returns the kernel sum of lambda_l * p_l(x) p_l(y) and the triangle bound
-    on its L2 error: spectral tail plus the exactly measured projection error.
-    """
-    if not 0 <= rank <= decomp.rank:
-        raise ValueError(f"rank must be in [0, {decomp.rank}], got {rank}")
+def _fourier_coordinates(decomp: SpectralDecomposition, rank: int, order: int) -> np.ndarray:
+    """(2*order+1, rank) Fourier coordinates of the projections of f_0..f_{rank-1}."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    lam = decomp.eigenvalues[:rank].tolist()
-    vecs = decomp.basis[:, :rank]
     if isinstance(decomp.source, StepGraphon):
-        coeffs = fourier_block_integrals(vecs.shape[0], order) @ vecs
-    else:
-        coeffs = _fourier_layout(vecs, order)
-    projected = tuple(_polynomial(column) for column in coeffs.T)
-    approx = FiniteRankKernel(tuple(zip(lam, projected)))
-    exact_part = FiniteRankKernel(tuple(zip(lam, decomp.eigenfunctions[:rank])))
-    bound = truncation_error(decomp, rank) + (exact_part - approx).l2_norm()
-    return approx, bound
+        return fourier_block_integrals(len(decomp.basis), order) @ decomp.basis[:, :rank]
+    return _fourier_layout(decomp.basis[:, :rank], order)
+
+
+def fourier_bounds(decomp: SpectralDecomposition, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bound and measured L2 error of the Fourier-projected truncation of each rank 0..r.
+
+    With G = <p_i, p_j> for the projections p_l of the f_l and R = <f_i, f_j> - G for the
+    residuals, p⊗(f-p), (f-p)⊗p and (f-p)⊗(f-p) are mutually orthogonal.  So the squared
+    rank-m projection error is the leading m x m sum of λλᵀ∘R∘(2G+R), and the squared measured
+    error adds the trailing sum of λλᵀ∘G∘G to the full-rank one; rounding is clamped at 0.
+    """
+    coords = _fourier_coordinates(decomp, decomp.rank, order)
+    gram = coords.T @ coords
+    blocks = len(decomp.basis) if isinstance(decomp.source, StepGraphon) else 1
+    resid = decomp.basis.T @ decomp.basis / blocks - gram  # <f_i, f_j> is I to rounding only
+    weights = np.outer(decomp.eigenvalues, decomp.eigenvalues)
+    kept, dropped = (np.maximum(np.pad(terms, (1, 0)).cumsum(0).cumsum(1).diagonal(), 0.0)
+                     for terms in (weights * resid * (2.0 * gram + resid),
+                                   (weights * gram * gram)[::-1, ::-1]))
+    tails = [truncation_error(decomp, m) for m in range(decomp.rank + 1)]
+    return tails + np.sqrt(kept), np.sqrt(dropped[::-1] + kept[-1])
+
+
+def fourier_truncate(decomp: SpectralDecomposition, rank: int,
+                     order: int) -> tuple[FiniteRankKernel, float]:
+    """Kernel sum of λ_l p_l(x) p_l(y) over `rank` eigenpairs, and its bound: row `rank` of
+    a full `fourier_bounds` sweep, so to scan several ranks call `fourier_bounds` once."""
+    if not 0 <= rank <= decomp.rank:
+        raise ValueError(f"rank must be in [0, {decomp.rank}], got {rank}")
+    projected = tuple(_polynomial(c) for c in _fourier_coordinates(decomp, rank, order).T)
+    approx = FiniteRankKernel(tuple(zip(decomp.eigenvalues[:rank].tolist(), projected)))
+    return approx, float(fourier_bounds(decomp, order)[0][rank])
 
 
 # -- error bounds for functions of operators -----------------------------------

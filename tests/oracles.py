@@ -9,6 +9,7 @@ imports graphonctl.
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.integrate
@@ -128,6 +129,52 @@ def fourier_coefficient(func, harmonic: int, kind: str) -> float:
     value, _ = scipy.integrate.quad(lambda x: float(func(x)) * weight(x),
                                     0.0, 1.0, limit=400)
     return value
+
+
+def fourier_sweep_reference(eigenvalues, vectors, order: int):
+    """Projection and measured error of every Fourier-projected truncation, rank by rank.
+
+    Column l of `vectors` holds the block values of the unit eigenfunction f_l
+    of eigenvalues[l].  Its projection p_l onto harmonics 0..order takes its
+    amplitudes from the sin/cos antiderivatives across each block.  With
+    E_m = sum_{l<m} λ_l f_l⊗f_l and A_m the same sum over the p_l, the squared
+    L2 norm of a sum of weighted separable terms is the double sum of weight
+    products times squared `exact_inner_product`s, taken pair by pair.  For
+    every rank m this returns the projection error ||E_m - A_m|| and the
+    measured error ||E_r - A_m||.
+    """
+    lam = [float(v) for v in eigenvalues]
+    vecs = np.asarray(vectors, dtype=float)
+    n = vecs.shape[0]
+    steps = [SimpleNamespace(values=column) for column in vecs.T]
+    polys = []
+    for column in vecs.T:
+        cos_amps, sin_amps = [], []
+        for k in range(1, order + 1):
+            w = 2.0 * math.pi * k
+            # 2 <f, cos_k> and 2 <f, sin_k>: the amplitudes of the projection
+            cos_amps.append(2.0 * sum(v * (math.sin(w * (i + 1) / n) - math.sin(w * i / n)) / w
+                                      for i, v in enumerate(column)))
+            sin_amps.append(2.0 * sum(v * (math.cos(w * i / n) - math.cos(w * (i + 1) / n)) / w
+                                      for i, v in enumerate(column)))
+        polys.append(SimpleNamespace(constant=sum(column) / n, cos_amps=cos_amps,
+                                     sin_amps=sin_amps))
+    funcs = steps + polys
+    gram = [[exact_inner_product(f, g) for g in funcs] for f in funcs]
+
+    def norm(terms):
+        """L2 norm of sum_i w_i g_i⊗g_i for terms (w_i, index of g_i in funcs)."""
+        square = math.fsum(wa * wb * gram[a][b] ** 2 for wa, a in terms for wb, b in terms)
+        return math.sqrt(max(square, 0.0))
+
+    rank = len(lam)
+    exact = [(lam[l], l) for l in range(rank)]
+    projection, measured = [], []
+    for m in range(rank + 1):
+        approx = [(-lam[l], rank + l) for l in range(m)]
+        projection.append(norm(exact[:m] + approx))
+        measured.append(norm(exact + approx))
+    return np.array(projection), np.array(measured)
 
 
 # -- controllability Gramian -----------------------------------------------------

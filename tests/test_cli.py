@@ -63,6 +63,21 @@ class TestWriter:
         assert (tmp_path / "b.csv").read_text() == reference_csv(
             ["t", "a", "b", "c"], rows)
 
+    def test_rows_past_one_stack(self, tmp_path):
+        # write_csv stacks 256 rows at a time; 600 rows cross two seams
+        ints = np.arange(600) - 300
+        floats = np.linspace(-1.0, 1.0, 600) / 3.0
+        block = np.sin(np.arange(1200.0)).reshape(600, 2)
+        cli.write_csv(tmp_path / "l.csv", ["i", "x", "a", "b"], ints, floats, block)
+        rows = [(i, x, *row) for i, x, row in zip(ints.tolist(), floats, block)]
+        assert (tmp_path / "l.csv").read_text() == reference_csv(["i", "x", "a", "b"], rows)
+
+    @pytest.mark.parametrize("lengths", [(3, 5), (5, 3), (512, 600), (600, 512), (0, 2)])
+    def test_ragged_columns_refused(self, tmp_path, lengths):
+        with pytest.raises(ValueError):
+            cli.write_csv(tmp_path / "r.csv", ["a", "b"], *(np.zeros(k) for k in lengths))
+        assert list(tmp_path.iterdir()) == []
+
     def test_header_only(self, tmp_path):
         cli.write_csv(tmp_path / "e.csv", ["size", "seed", "x"],
                       [], np.zeros(0, dtype=int), np.zeros((0, 1)))
@@ -210,10 +225,18 @@ class TestApprox:
         assert rows[-1, 1] == pytest.approx(0.0, abs=1e-7)
 
     def test_fourier_bounds_dominate_measured(self, data_dir, tmp_path):
-        assert main(["approx", str(data_dir / "zero_diag8.edges"),
-                     "--fourier-order", "3", "--out", str(tmp_path)]) == 0
-        _, rows = read_csv(tmp_path / "fourier_bounds.csv")
+        network = str(data_dir / "zero_diag8.edges")
+        assert main(["approx", network, "--fourier-order", "3",
+                     "--out", str(tmp_path / "sweep")]) == 0
+        _, rows = read_csv(tmp_path / "sweep" / "fourier_bounds.csv")
         assert (rows[:, 1] >= rows[:, 2] - 1e-12).all()
+        assert rows[-1, 1] == rows[-1, 2]  # at full rank only the projection error is left
+        # a single rank writes that rank's row of the sweep, byte for byte
+        assert main(["approx", network, "--rank", "3", "--fourier-order", "3",
+                     "--out", str(tmp_path / "single")]) == 0
+        sweep = (tmp_path / "sweep" / "fourier_bounds.csv").read_text().splitlines()
+        single = (tmp_path / "single" / "fourier_bounds.csv").read_text().splitlines()
+        assert single == [sweep[0], sweep[4]]
 
     def test_single_rank_and_range_check(self, data_dir, tmp_path):
         assert main(["approx", str(data_dir / "k22.edges"), "--rank", "1",
@@ -222,6 +245,11 @@ class TestApprox:
         assert rows.shape[0] == 1
         assert main(["approx", str(data_dir / "k22.edges"), "--rank", "99",
                      "--out", str(tmp_path)]) == 2
+        # the order is checked before any file is written
+        out = tmp_path / "order0"
+        assert main(["approx", str(data_dir / "k22.edges"), "--fourier-order", "0",
+                     "--out", str(out)]) == 2
+        assert list(out.iterdir()) == []
 
 
 class TestGramian:
@@ -334,6 +362,21 @@ class TestEpidemic:
                      "--out", str(tmp_path)] + self.ARGS) == 3
         assert "numeric failure: state became non-finite" in capsys.readouterr().err
         assert not (tmp_path / "cost.json").exists()
+
+    def test_nonlinear_overflow_writes_nothing(self, tmp_path, capsys):
+        # complete 4-partite graph, parts 2, 4, 6 and 8 nodes: at eta 360 the
+        # linearized runs are fine, but the nonlinear closed loop overflows
+        part = np.repeat(np.arange(4), [2, 4, 6, 8])
+        network = tmp_path / "multipartite.edges"
+        network.write_text("".join(f"{i} {j}\n" for i in range(20) for j in range(i)
+                                   if part[i] != part[j]))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["epidemic", str(network), "--eta", "360", "--nonlinear",
+                         "--out", str(out)]) == 3
+        assert "numeric failure: state became non-finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_negative_running_weight_rejected(self, data_dir, tmp_path):
         assert main(["epidemic", str(data_dir / "k22.edges"), "--qt", "-1",

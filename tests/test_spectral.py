@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from graphonctl.functions import (
     PiecewiseConstantFunction,
@@ -21,6 +22,7 @@ from graphonctl.spectral import (
     bound_for_power,
     decompose,
     eigenvalue_convergence_experiment,
+    fourier_bounds,
     fourier_project,
     fourier_truncate,
     l2_distance,
@@ -251,15 +253,59 @@ class TestFourier:
         for _ in range(5):
             g = random_symmetric_graphon(rng)
             decomp = decompose(g)
-            rank = min(2, decomp.rank)
-            approx, bound = fourier_truncate(decomp, rank, order=4)
-            assert l2_distance(g, approx) <= bound + 1e-10
+            bounds, measured = fourier_bounds(decomp, 4)
+            for rank in range(decomp.rank + 1):
+                approx, bound = fourier_truncate(decomp, rank, order=4)
+                distance = l2_distance(g, approx)
+                assert bound == bounds[rank]
+                assert distance <= bound + 1e-10
+                assert distance == pytest.approx(measured[rank], rel=1e-10)
+            assert bounds[-1] == measured[-1]
 
     def test_fourier_truncate_rank_zero(self, rng):
         g = random_symmetric_graphon(rng)
         approx, bound = fourier_truncate(decompose(g), 0, order=2)
         assert approx.rank == 0
         assert bound == pytest.approx(l2_norm(g), rel=1e-12)
+
+    def test_sinusoidal_eigenfunctions_are_their_own_projections(self):
+        decomp = decompose(SinusoidalGraphon(0.3, [0.4, -0.2, 0.1]))
+        tails = [truncation_error(decomp, m) for m in range(decomp.rank + 1)]
+        for order in (3, 5):
+            bound, measured = fourier_bounds(decomp, order)
+            assert bound.tolist() == tails
+            np.testing.assert_allclose(measured, tails, rtol=1e-15)
+        # dropping the third harmonic leaves its two eigenfunctions unprojected
+        bound, _ = fourier_bounds(decomp, 2)
+        assert bound[-1] == pytest.approx(math.sqrt(2.0) * 0.05, rel=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), blocks=st.integers(1, 12),
+           groups=st.integers(1, 12), order=st.integers(1, 6))
+    @example(seed=0, blocks=1, groups=1, order=1)
+    @example(seed=1, blocks=6, groups=1, order=3)
+    @example(seed=2, blocks=7, groups=2, order=6)
+    @example(seed=3, blocks=12, groups=12, order=6)
+    def test_sweep_matches_pair_by_pair_reference(self, seed, blocks, groups, order):
+        # `groups` distinct block types make a kernel of rank at most `groups`
+        gen = np.random.default_rng(seed)
+        groups = min(groups, blocks)
+        raw = gen.uniform(-1.0, 1.0, (groups, groups))
+        label = gen.integers(0, groups, blocks)
+        decomp = decompose(StepGraphon(((raw + raw.T) / 2.0)[np.ix_(label, label)]))
+        bound, measured = fourier_bounds(decomp, order)
+        projection, reference = oracles.fourier_sweep_reference(
+            decomp.eigenvalues, decomp.basis, order)
+        tails = [truncation_error(decomp, m) for m in range(decomp.rank + 1)]
+        # Both routes form the residual norms ||f_l - p_l||^2 from Gram entries
+        # near 1, so each squared error carries an absolute rounding floor of a
+        # few eps * (sum |λ|)^2; an eigenfunction that is its own projection
+        # (one block) sits on that floor.
+        floor = 1e-14 * np.abs(decomp.eigenvalues).sum() ** 2
+        np.testing.assert_allclose((bound - tails) ** 2, projection ** 2,
+                                   rtol=1e-12, atol=floor)
+        np.testing.assert_allclose(measured ** 2, reference ** 2, rtol=1e-12, atol=floor)
+        assert bound[-1] == measured[-1]
 
 
 def _distance_to_pwc(f, poly):
