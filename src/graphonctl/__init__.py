@@ -35,7 +35,6 @@ from .errors import (  # noqa: E402
 from .functions import (  # noqa: E402
     PiecewiseConstantFunction,
     TrigPolynomial,
-    gram_matrix,
     inner_product,
 )
 from .graphons import (  # noqa: E402
@@ -61,7 +60,6 @@ from .spectral import (  # noqa: E402
     fourier_truncate,
     l2_distance,
     measured_function_discrepancy,
-    to_finite_rank,
     truncate,
     truncation_error,
 )
@@ -114,7 +112,6 @@ __all__ = [
     "PiecewiseConstantFunction",
     "TrigPolynomial",
     "inner_product",
-    "gram_matrix",
     "StepGraphon",
     "SinusoidalGraphon",
     "apply",
@@ -130,7 +127,6 @@ __all__ = [
     "decompose",
     "truncate",
     "truncation_error",
-    "to_finite_rank",
     "l2_distance",
     "fourier_project",
     "fourier_truncate",

@@ -112,6 +112,8 @@ def load_vector(path_text: str) -> np.ndarray:
     values = [float(line) for line in Path(path_text).read_text().split()]
     if not values:
         raise ParseError(f"{path_text}: no values")
+    if not np.isfinite(values).all():
+        raise ParseError(f"{path_text}: non-finite value")
     return np.array(values)
 
 

@@ -6,7 +6,6 @@ which keeps every projection and error formula in the package quadrature-free.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -234,41 +233,24 @@ class TrigPolynomial:
 Function = PiecewiseConstantFunction | TrigPolynomial
 
 
-def gram_matrix(funcs) -> np.ndarray:
-    """Exact L2 Gram matrix G[i, j] = <funcs[i], funcs[j]> for any mix of the two families.
-
-    Piecewise-constant values are stacked on the common refinement of all their
-    partitions (PartitionMismatchError when it is unaffordable), trigonometric
-    polynomials as orthonormal coordinates [1, cos_1..H, sin_1..H] padded to the
-    largest order H; the mixed block pairs the step values with the exact block
-    integrals of the polynomials.
-    """
-    funcs = tuple(funcs)
-    for f in funcs:
-        if not isinstance(f, (PiecewiseConstantFunction, TrigPolynomial)):
-            raise IncompatibleOperandsError(f"no inner product with {type(f).__name__}")
-    steps = [i for i, f in enumerate(funcs) if isinstance(f, PiecewiseConstantFunction)]
-    trigs = [i for i, f in enumerate(funcs) if isinstance(f, TrigPolynomial)]
-    blocks = functools.reduce(common_block_count, (funcs[i].num_blocks for i in steps), 1)
-    values = np.zeros((len(steps), blocks))
-    for row, i in zip(values, steps):
-        row[:] = np.repeat(funcs[i].values, blocks // funcs[i].num_blocks)
-    order = max((funcs[i].order for i in trigs), default=0)
-    coords = np.zeros((len(trigs), 2 * order + 1))
-    for row, i in zip(coords, trigs):
-        const, cos_coeffs, sin_coeffs = funcs[i].orthonormal_coefficients()
-        row[0] = const
-        row[1:1 + cos_coeffs.size] = cos_coeffs
-        row[order + 1:order + 1 + sin_coeffs.size] = sin_coeffs
-    cross = values @ (coords @ fourier_block_integrals(blocks, order)).T
-    gram = np.empty((len(funcs), len(funcs)))
-    gram[np.ix_(steps, steps)] = values @ values.T / blocks
-    gram[np.ix_(trigs, trigs)] = coords @ coords.T
-    gram[np.ix_(steps, trigs)] = cross
-    gram[np.ix_(trigs, steps)] = cross.T
-    return gram
-
-
 def inner_product(f: Function, g: Function) -> float:
-    """Exact L2 inner product on [0,1] for any pairing of the two families."""
-    return float(gram_matrix((f, g))[0, 1])
+    """Exact L2 inner product on [0,1] for any pairing of the two families.
+
+    Step pairs average their product on the common refinement of both
+    partitions, a mixed pair sums the step values against the polynomial's
+    exact block integrals, and polynomial pairs dot their amplitudes.
+    """
+    if isinstance(f, TrigPolynomial) and isinstance(g, PiecewiseConstantFunction):
+        f, g = g, f
+    if isinstance(f, PiecewiseConstantFunction) and isinstance(g, PiecewiseConstantFunction):
+        merged = common_block_count(f.num_blocks, g.num_blocks)
+        return float(np.mean(np.repeat(f.values, merged // f.num_blocks)
+                             * np.repeat(g.values, merged // g.num_blocks)))
+    if isinstance(f, PiecewiseConstantFunction) and isinstance(g, TrigPolynomial):
+        return float(f.values @ g.block_integrals(f.num_blocks))
+    if isinstance(f, TrigPolynomial) and isinstance(g, TrigPolynomial):
+        h = min(f.order, g.order)
+        amps = f.cos_amps[:h] @ g.cos_amps[:h] + f.sin_amps[:h] @ g.sin_amps[:h]
+        return float(f.constant * g.constant + 0.5 * amps)
+    raise IncompatibleOperandsError(
+        f"no inner product between {type(f).__name__} and {type(g).__name__}")

@@ -3,26 +3,25 @@
 Decompositions are exact per family: a dense symmetric eigensolve for step
 kernels (graphon eigenvalues are the matrix eigenvalues over N) and closed
 forms for sinusoidal kernels.  Truncations, Fourier-projected truncations and
-all the error formulas here are evaluated analytically; `FiniteRankKernel`
-carries sums of separable terms so that L2 distances reduce to Gram matrices
-of exact inner products.
+all the error formulas here are evaluated analytically; a Fourier-truncated
+`FiniteRankKernel` is one coefficient matrix over the orthonormal Fourier
+functions, so its L2 norms and distances are matrix norms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import IncompatibleOperandsError, NumericsError
 from .functions import (
+    TWO_PI,
     Function,
     PiecewiseConstantFunction,
     TrigPolynomial,
     common_block_count,
     fourier_block_integrals,
-    gram_matrix,
 )
 from .graphons import (
     Graphon,
@@ -61,7 +60,7 @@ def _polynomial(coeffs: np.ndarray) -> TrigPolynomial:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Ordered nonzero eigenpairs of a graphon operator.
+    """Ordered nonzero eigenvalues and eigenfunctions of a graphon operator.
 
     Column l of `basis` is the eigenfunction of eigenvalues[l]; ordering is |λ|
     descending with positive eigenvalues ahead of negative ones on ties.  Zero
@@ -84,15 +83,6 @@ class SpectralDecomposition:
     @property
     def rank(self) -> int:
         return self.eigenvalues.size
-
-    @cached_property
-    def eigenfunctions(self) -> tuple:
-        """The columns of `basis` as function objects."""
-        return tuple(self._function(column) for column in self.basis.T)
-
-    @property
-    def eigenpairs(self) -> list:
-        return list(zip(self.eigenvalues, self.eigenfunctions))
 
     @property
     def positive_eigenvalues(self) -> np.ndarray:
@@ -123,9 +113,7 @@ class SpectralDecomposition:
 
     def combine(self, coeffs) -> Function:
         """The function sum_l coeffs[l] f_l."""
-        return self._function(self.basis @ np.asarray(coeffs, dtype=float))
-
-    def _function(self, column: np.ndarray) -> Function:
+        column = self.basis @ np.asarray(coeffs, dtype=float)
         if isinstance(self.source, StepGraphon):
             return PiecewiseConstantFunction(column)
         live = np.flatnonzero(np.any(np.split(column[1:], 2), axis=0))
@@ -170,64 +158,96 @@ def decompose(graphon: Graphon) -> SpectralDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class FiniteRankKernel:
-    """Sum of separable symmetric terms: K(x,y) = sum_i weights[i] f_i(x) f_i(y).
+    """Fourier-truncated kernel K(x,y) = sum_l weights[l] p_l(x) p_l(y).
 
-    The factor functions need not be orthogonal, so norms go through the Gram
-    matrix of exact inner products rather than a sum of squared weights.
+    Column l of `coords` holds p_l's coordinates over the orthonormal functions
+    φ = [1, sqrt(2)cos_1..H, sqrt(2)sin_1..H], the layout of a sinusoidal
+    decomposition's basis.  So K(x,y) = φ(x)ᵀ M φ(y) with the coefficient matrix
+    M = coords diag(weights) coordsᵀ, and the kernel's L2 norm is ||M||_F.
     """
 
-    terms: tuple  # of (weight: float, factor: Function)
+    weights: np.ndarray
+    coords: np.ndarray
+
+    def __post_init__(self):
+        for name in ("weights", "coords"):
+            array = np.array(getattr(self, name), dtype=float, order="C")
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def rank(self) -> int:
-        return len(self.terms)
+        return self.weights.size
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The coefficient matrix M over φ."""
+        return (self.coords * self.weights) @ self.coords.T
 
     def value(self, x, y):
-        out = 0.0
-        for weight, factor in self.terms:
-            out = out + weight * factor(x) * factor(y)
-        return out
+        order = (self.coords.shape[0] - 1) // 2
+        left, right = (_fourier_values(t, order) for t in (x, y))
+        return np.einsum("...i,...i->...", left @ self.matrix, right)
 
     def l2_norm(self) -> float:
-        weights = np.array([w for w, _ in self.terms])
-        gram = gram_matrix(f for _, f in self.terms)
-        sq = float(weights @ (gram ** 2) @ weights)
-        if sq < -1e-10:
-            raise NumericsError(f"negative squared norm {sq} from Gram evaluation")
-        return float(np.sqrt(max(sq, 0.0)))
-
-    def __sub__(self, other: "FiniteRankKernel") -> "FiniteRankKernel":
-        negated = tuple((-w, f) for w, f in other.terms)
-        return FiniteRankKernel(self.terms + negated)
+        return float(np.linalg.norm(self.matrix))
 
     def __repr__(self):
         return f"FiniteRankKernel(rank={self.rank})"
 
 
-def to_finite_rank(kernel) -> FiniteRankKernel:
-    """Express a graphon or its decomposition as separable terms (finite rank passes through)."""
+def _fourier_values(x, order: int) -> np.ndarray:
+    """(..., 2*order+1) values of φ = [1, sqrt(2)cos_1..order, sqrt(2)sin_1..order] at x."""
+    x = np.asarray(x, dtype=float)[..., None]
+    phase = TWO_PI * np.arange(1, order + 1) * x
+    return np.concatenate((np.ones_like(x), np.sqrt(2.0) * np.cos(phase),
+                           np.sqrt(2.0) * np.sin(phase)), axis=-1)
+
+
+def _coefficient_matrix(kernel) -> np.ndarray:
+    """Matrix M over φ with kernel(x,y) = φ(x)ᵀ M φ(y), for a Fourier kernel."""
     if isinstance(kernel, FiniteRankKernel):
-        return kernel
-    decomp = kernel if isinstance(kernel, SpectralDecomposition) else decompose(kernel)
-    return FiniteRankKernel(tuple(zip(decomp.eigenvalues.tolist(), decomp.eigenfunctions)))
+        return kernel.matrix
+    if isinstance(kernel, SinusoidalGraphon):
+        half = 0.5 * kernel.cosine_coeffs
+        return np.diag(np.concatenate(([kernel.constant], half, half)))
+    raise IncompatibleOperandsError(f"no L2 distance for {type(kernel).__name__}")
+
+
+def _padded_matrix(matrix: np.ndarray, order: int) -> np.ndarray:
+    return _fourier_layout(_fourier_layout(matrix, order).T, order)
 
 
 def l2_distance(a, b) -> float:
     """Exact L2 distance between kernels, across families.
 
-    Same-family pairs subtract directly; mixed pairs (or finite-rank kernels)
-    are compared through their separable expansions, where the distance is a
-    Gram-matrix computation with exact inner products.
+    Same-family graphons subtract directly.  Two Fourier kernels (sinusoidal or
+    finite-rank) differ by ||M_a - M_b||_F once both coefficient matrices are
+    padded to a common order.  A step kernel with block values A (block
+    integrals B of φ) against a Fourier kernel M takes the square
+    ||A||^2 - 2 sum A∘(BᵀMB) + ||M||_F^2.
     """
     if isinstance(a, StepGraphon) and isinstance(b, StepGraphon):
         return l2_norm(subtract(a, b))
     if isinstance(a, SinusoidalGraphon) and isinstance(b, SinusoidalGraphon):
         return l2_norm(subtract(a, b))
-    return (to_finite_rank(a) - to_finite_rank(b)).l2_norm()
+    if isinstance(b, StepGraphon):
+        a, b = b, a
+    fourier = _coefficient_matrix(b)
+    if not isinstance(a, StepGraphon):
+        other = _coefficient_matrix(a)
+        order = (max(len(fourier), len(other)) - 1) // 2
+        return float(np.linalg.norm(_padded_matrix(other, order) - _padded_matrix(fourier, order)))
+    blocks = fourier_block_integrals(a.num_blocks, (len(fourier) - 1) // 2)
+    sq = (l2_norm(a) ** 2 - 2.0 * np.sum(a.coeffs * (blocks.T @ fourier @ blocks))
+          + np.linalg.norm(fourier) ** 2)
+    if sq < -1e-10:
+        raise NumericsError(f"negative squared distance {sq} from the closed form")
+    return float(np.sqrt(max(sq, 0.0)))
 
 
 def truncate(decomp: SpectralDecomposition, rank: int):
-    """Keep the `rank` leading eigenpairs as a kernel.
+    """Keep the `rank` leading eigenvalues and eigenfunctions as a kernel.
 
     Step sources reconstruct to a step kernel.  Sinusoidal sources reconstruct
     to a sinusoidal kernel when the kept pairs close every cos/sin harmonic
@@ -244,7 +264,7 @@ def truncate(decomp: SpectralDecomposition, rank: int):
     # sinusoidal basis columns are unit vectors, so coeffs is diagonal and exact
     cos_weights, sin_weights = np.split(np.diag(coeffs)[1:], 2)
     if (cos_weights != sin_weights).any():
-        return FiniteRankKernel(tuple(zip(lam.tolist(), decomp.eigenfunctions[:rank])))
+        return FiniteRankKernel(lam, vecs)
     top = int(np.flatnonzero(cos_weights).max(initial=-1)) + 1
     return SinusoidalGraphon(coeffs[0, 0], 2.0 * cos_weights[:top], validate=False)
 
@@ -307,12 +327,11 @@ def fourier_bounds(decomp: SpectralDecomposition, order: int) -> tuple[np.ndarra
 
 def fourier_truncate(decomp: SpectralDecomposition, rank: int,
                      order: int) -> tuple[FiniteRankKernel, float]:
-    """Kernel sum of λ_l p_l(x) p_l(y) over `rank` eigenpairs, and its bound: row `rank` of
+    """Kernel sum of λ_l p_l(x) p_l(y) over the first `rank` modes, and its bound: row `rank` of
     a full `fourier_bounds` sweep, so to scan several ranks call `fourier_bounds` once."""
     if not 0 <= rank <= decomp.rank:
         raise ValueError(f"rank must be in [0, {decomp.rank}], got {rank}")
-    projected = tuple(_polynomial(c) for c in _fourier_coordinates(decomp, rank, order).T)
-    approx = FiniteRankKernel(tuple(zip(decomp.eigenvalues[:rank].tolist(), projected)))
+    approx = FiniteRankKernel(decomp.eigenvalues[:rank], _fourier_coordinates(decomp, rank, order))
     return approx, float(fourier_bounds(decomp, order)[0][rank])
 
 

@@ -445,6 +445,18 @@ class TestDeterminismAndErrors:
         assert "--p0 has 3 values, the network has 4 nodes" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command,flag,bad", [("epidemic", "--p0", "nan"),
+                                                  ("minenergy", "--x0", "inf")])
+    def test_non_finite_vector_exits_two(self, data_dir, tmp_path, capsys, recwarn,
+                                         command, flag, bad):
+        vector = tmp_path / "vector.txt"
+        vector.write_text(f"0.1\n{bad}\n0.1\n0.1\n")
+        assert main([command, str(data_dir / "k22.edges"), flag, str(vector),
+                     "--out", str(tmp_path)]) == 2
+        assert f"error: {vector}: non-finite value" in capsys.readouterr().err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["spectra", str(tmp_path / "nope.edges"),
                      "--out", str(tmp_path)]) == 2

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from graphonctl.functions import (
     TrigPolynomial,
     block_index,
     common_block_count,
-    gram_matrix,
     inner_product,
     trig_block_integrals,
 )
@@ -178,6 +178,8 @@ def _mixed_functions(rng, block_counts, orders):
 
 
 class TestGramMatrix:
+    """Gram matrices of mixed families, assembled entry by entry from inner_product."""
+
     @pytest.mark.parametrize("block_counts,orders", [
         ((), ()),
         ((1, 2, 3, 6), ()),
@@ -188,14 +190,27 @@ class TestGramMatrix:
     def test_matches_pairwise_oracle(self, rng, block_counts, orders):
         for _ in range(3):
             funcs = _mixed_functions(rng, block_counts, orders)
-            gram = gram_matrix(funcs)
+            gram = np.array([[inner_product(f, g) for g in funcs]
+                             for f in funcs]).reshape(len(funcs), len(funcs))
             expected = np.array([[oracles.exact_inner_product(f, g) for g in funcs]
                                  for f in funcs]).reshape(len(funcs), len(funcs))
             np.testing.assert_allclose(gram, expected, rtol=1e-12, atol=0.0)
             np.testing.assert_array_equal(gram, gram.T)
 
     def test_unaffordable_refinement_raises(self):
-        funcs = [PiecewiseConstantFunction(np.ones(317)), TrigPolynomial(1.0),
-                 PiecewiseConstantFunction(np.ones(331))]
+        f, g = PiecewiseConstantFunction(np.ones(317)), PiecewiseConstantFunction(np.ones(331))
+        assert inner_product(f, TrigPolynomial(1.0)) == pytest.approx(1.0, rel=1e-12)
         with pytest.raises(PartitionMismatchError):
-            gram_matrix(funcs)
+            inner_product(f, g)
+
+    def test_squared_norm_within_two_eps_of_exact_sum(self):
+        # the mean of the squares is a sum of positive terms, so the rounding
+        # of a pairwise sum stays within a couple of eps of the exact value
+        gen = np.random.default_rng(180)
+        worst = 0.0
+        for _ in range(200):
+            values = gen.normal(size=180)
+            f = PiecewiseConstantFunction(values)
+            exact = sum(Fraction(v) ** 2 for v in values.tolist()) / 180
+            worst = max(worst, abs(Fraction(inner_product(f, f)) - exact) / exact)
+        assert worst <= 2 * np.finfo(float).eps

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from graphonctl.errors import IncompatibleOperandsError
 from graphonctl.functions import (
     PiecewiseConstantFunction,
     TrigPolynomial,
@@ -27,13 +28,18 @@ from graphonctl.spectral import (
     fourier_truncate,
     l2_distance,
     measured_function_discrepancy,
-    to_finite_rank,
     truncate,
     truncation_error,
 )
 
 import oracles
 from conftest import random_symmetric_graphon
+
+
+def eigenpairs(decomp):
+    """(λ_l, f_l) for every mode, f_l read as the combination with unit coordinate l."""
+    return [(lam, decomp.combine(unit)) for lam, unit in zip(decomp.eigenvalues,
+                                                              np.eye(decomp.rank))]
 
 
 class TestDecomposeStep:
@@ -57,13 +63,13 @@ class TestDecomposeStep:
 
     def test_eigenpairs_satisfy_eigen_equation(self, rng):
         g = random_symmetric_graphon(rng)
-        for lam, func in decompose(g).eigenpairs:
+        for lam, func in eigenpairs(decompose(g)):
             image = apply(g, func)
             np.testing.assert_allclose(image.values, lam * func.values, atol=1e-12)
 
     def test_eigenfunctions_are_orthonormal(self, rng):
         g = random_symmetric_graphon(rng)
-        funcs = decompose(g).eigenfunctions
+        funcs = [f for _, f in eigenpairs(decompose(g))]
         for i, f in enumerate(funcs):
             for j, h in enumerate(funcs):
                 assert inner_product(f, h) == pytest.approx(
@@ -73,7 +79,7 @@ class TestDecomposeStep:
         decomp = decompose(StepGraphon([[0.0, 1.0], [1.0, 0.0]]))
         # magnitude tie 0.5 vs -0.5: positive first
         np.testing.assert_allclose(decomp.eigenvalues, [0.5, -0.5])
-        for func in decomp.eigenfunctions:
+        for _, func in eigenpairs(decomp):
             leading = func.values[np.abs(func.values) > 1e-12][0]
             assert leading > 0.0
         np.testing.assert_allclose(decomp.positive_eigenvalues, [0.5])
@@ -83,7 +89,7 @@ class TestDecomposeStep:
         decomp = decompose(StepGraphon(np.full((3, 3), 0.6)))
         assert decomp.rank == 1
         assert decomp.eigenvalues[0] == pytest.approx(0.6)
-        np.testing.assert_allclose(decomp.eigenfunctions[0].values, np.ones(3))
+        np.testing.assert_allclose(eigenpairs(decomp)[0][1].values, np.ones(3))
 
     def test_asymmetric_kernel_rejected(self):
         bad = StepGraphon([[0.0, 1.0], [0.0, 0.0]], validate=False)
@@ -95,7 +101,7 @@ class TestDecomposeSinusoidal:
     def test_closed_form_spectrum(self):
         decomp = decompose(SinusoidalGraphon(0.5, [0.3]))
         np.testing.assert_allclose(decomp.eigenvalues, [0.5, 0.15, 0.15])
-        kinds = [type(f) for f in decomp.eigenfunctions]
+        kinds = [type(f) for _, f in eigenpairs(decomp)]
         assert kinds == [TrigPolynomial] * 3
 
     def test_agrees_with_quadrature(self):
@@ -108,7 +114,7 @@ class TestDecomposeSinusoidal:
 
     def test_eigen_equation(self):
         g = SinusoidalGraphon(0.4, [0.0, 0.25])
-        for lam, func in decompose(g).eigenpairs:
+        for lam, func in eigenpairs(decompose(g)):
             image = apply(g, func)
             xs = np.linspace(0.0, 1.0, 64)
             np.testing.assert_allclose(image(xs), lam * func(xs), atol=1e-14)
@@ -117,7 +123,7 @@ class TestDecomposeSinusoidal:
         decomp = decompose(SinusoidalGraphon(0.5, [0.0, 0.3]))
         # the k=1 couple carries weight zero and disappears
         np.testing.assert_allclose(decomp.eigenvalues, [0.5, 0.15, 0.15])
-        assert decomp.eigenfunctions[1].order == 2
+        assert eigenpairs(decomp)[1][1].order == 2
 
 
 class TestBasis:
@@ -135,7 +141,7 @@ class TestBasis:
             coeffs = rng.normal(size=decomp.rank)
             func = decomp.combine(coeffs)
             np.testing.assert_allclose(decomp.coordinates(func), coeffs, atol=1e-12)
-            for l, f in enumerate(decomp.eigenfunctions):
+            for l, (_, f) in enumerate(eigenpairs(decomp)):
                 assert inner_product(func, f) == pytest.approx(coeffs[l], abs=1e-12)
 
 
@@ -189,37 +195,89 @@ class TestTruncation:
         assert truncation_error(decomp, decomp.rank) == 0.0
 
 
+def _quad_distance(a, b, m):
+    grid = oracles.midpoint_grid(a, m) - oracles.midpoint_grid(b, m)
+    return float(np.sqrt(np.mean(grid ** 2)))
+
+
 class TestFiniteRankKernel:
+    # The midpoint rule on m points integrates harmonics below m exactly, so a
+    # grid wider than twice the largest order measures Fourier kernels exactly.
+
     def test_value_and_norm_against_quadrature(self, rng):
+        weights = rng.normal(size=3)
+        coords = rng.normal(size=(5, 3))
+        frk = FiniteRankKernel(weights, coords)
+        xs = rng.uniform(size=7)
+        factors = [coords[0, l] + np.sqrt(2.0) * sum(
+            coords[k, l] * np.cos(2 * np.pi * k * xs)
+            + coords[2 + k, l] * np.sin(2 * np.pi * k * xs) for k in (1, 2))
+            for l in range(3)]
+        direct = sum(w * np.outer(f, f) for w, f in zip(weights, factors))
+        np.testing.assert_allclose(frk.value(xs[:, None], xs[None, :]), direct,
+                                   rtol=1e-12, atol=1e-12)
+        assert frk.l2_norm() == pytest.approx(oracles.quad_l2_norm(frk, 16), rel=1e-12)
+        g = SinusoidalGraphon(0.4, [0.2, -0.3])
+        decomp = decompose(g)
+        full = FiniteRankKernel(decomp.eigenvalues, decomp.basis)
+        assert full.l2_norm() == pytest.approx(l2_norm(g), rel=1e-14)
+        np.testing.assert_allclose(oracles.midpoint_grid(full, 64),
+                                   oracles.midpoint_grid(g, 64), atol=1e-14)
+
+    def test_distance_pads_to_common_order(self, rng):
+        one = FiniteRankKernel([1.0], [[1.0]])
+        assert l2_distance(one, FiniteRankKernel([0.4], [[1.0]])) == pytest.approx(
+            0.6, rel=1e-15)
+        low = FiniteRankKernel(rng.normal(size=2), rng.normal(size=(3, 2)))
+        high = FiniteRankKernel(rng.normal(size=4), rng.normal(size=(9, 4)))
+        expected = _quad_distance(low, high, 32)
+        assert l2_distance(low, high) == pytest.approx(expected, rel=1e-12)
+        assert l2_distance(high, low) == pytest.approx(expected, rel=1e-12)
+
+    def test_sinusoidal_against_split_pair_truncation(self):
+        g = SinusoidalGraphon(0.5, [0.3, -0.2])
+        split = truncate(decompose(g), 2)
+        assert isinstance(split, FiniteRankKernel)
+        for other in (g, SinusoidalGraphon(0.1, [0.0, 0.0, 0.4])):
+            expected = _quad_distance(other, split, 32)
+            assert l2_distance(other, split) == pytest.approx(expected, rel=1e-12)
+            assert l2_distance(split, other) == pytest.approx(expected, rel=1e-12)
+
+    def test_step_against_fourier_truncation(self, rng):
+        for _ in range(3):
+            g = random_symmetric_graphon(rng)
+            decomp = decompose(g)
+            approx, _ = fourier_truncate(decomp, min(3, decomp.rank), order=3)
+            # midpoint sums of a step times a polynomial carry an O(m^-2) error
+            expected = _quad_distance(g, approx, g.num_blocks * 256)
+            assert l2_distance(g, approx) == pytest.approx(expected, rel=1e-4)
+            assert l2_distance(approx, g) == l2_distance(g, approx)
+
+    def test_empty_kernel_has_zero_norm(self, rng):
+        empty = FiniteRankKernel(np.zeros(0), np.zeros((5, 0)))
+        assert empty.rank == 0
+        assert empty.l2_norm() == 0.0
         g = random_symmetric_graphon(rng)
-        frk = to_finite_rank(g)
-        assert frk.l2_norm() == pytest.approx(l2_norm(g), rel=1e-10)
-        m = g.num_blocks * 8
-        np.testing.assert_allclose(oracles.midpoint_grid(frk, m),
-                                   oracles.midpoint_grid(g, m), atol=1e-10)
-
-    def test_subtraction_concatenates_terms(self):
-        f = FiniteRankKernel(((1.0, TrigPolynomial.constant_function(1.0)),))
-        g = FiniteRankKernel(((0.4, TrigPolynomial.constant_function(1.0)),))
-        diff = f - g
-        assert diff.rank == 2
-        assert diff.l2_norm() == pytest.approx(0.6, rel=1e-12)
-
-    def test_empty_kernel_has_zero_norm(self):
-        assert FiniteRankKernel(()).l2_norm() == 0.0
+        s = SinusoidalGraphon(0.4, [0.2])
+        frk = FiniteRankKernel([0.3, -0.2], rng.normal(size=(3, 2)))
+        for kernel in (g, s, frk):
+            norm = kernel.l2_norm() if kernel is frk else l2_norm(kernel)
+            assert l2_distance(kernel, empty) == pytest.approx(norm, rel=1e-14)
 
     def test_l2_distance_dispatch(self, rng):
         g = random_symmetric_graphon(rng)
         h = random_symmetric_graphon(rng)
         direct = l2_norm(subtract(g, h))
         assert l2_distance(g, h) == pytest.approx(direct, rel=1e-12)
-        # cross-family distance through separable expansions
+        # cross-family distance through the coefficient matrix of the sinusoid
         s = SinusoidalGraphon(0.4, [0.2])
         cross = l2_distance(g, s)
-        m = g.num_blocks * 256
-        grid = oracles.midpoint_grid(g, m) - oracles.midpoint_grid(s, m)
-        assert cross == pytest.approx(float(np.sqrt(np.mean(grid ** 2))), rel=1e-4)
-        assert l2_distance(g, to_finite_rank(g)) == pytest.approx(0.0, abs=1e-8)
+        assert cross == pytest.approx(_quad_distance(g, s, g.num_blocks * 256), rel=1e-4)
+        decomp = decompose(s)
+        assert l2_distance(s, FiniteRankKernel(decomp.eigenvalues, decomp.basis)) == \
+            pytest.approx(0.0, abs=1e-15)
+        with pytest.raises(IncompatibleOperandsError):
+            l2_distance(g, decomp)
 
 
 class TestFourier:
