@@ -46,8 +46,9 @@ from .spectral import eigenvalue_convergence_experiment
 # -- output plumbing -----------------------------------------------------------
 
 def _atomic_write(path: Path, chunks):
-    """Stream the strings of `chunks` into a temporary sibling, then rename it
-    over `path`; if a chunk fails, remove the sibling and leave `path` alone."""
+    """Stream `chunks` into a temporary sibling (making the directory), then rename
+    it over `path`; if a chunk fails, remove the sibling and leave `path` alone."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / (path.name + ".tmp")
     try:
         with open(tmp, "w") as handle:
@@ -127,12 +128,6 @@ def parse_kernel_spec(spec: str):
     return netio.to_step_graphon(load_dataset(spec))
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _contact_graphon(args) -> StepGraphon:
     ds = load_dataset(args.network, getattr(args, "degree_sort", False))
     return netio.to_step_graphon(ds, normalize=args.normalize,
@@ -142,7 +137,7 @@ def _contact_graphon(args) -> StepGraphon:
 # -- subcommands -----------------------------------------------------------------
 
 def cmd_spectra(args):
-    out = _out_dir(args)
+    out = Path(args.out)
     ds = load_dataset(args.network, args.degree_sort)
     report = netio.spectral_report(ds, top_fraction=args.top_fraction)
     write_json(out / "spectral_report.json", report.to_json_dict())
@@ -162,7 +157,7 @@ def cmd_spectra(args):
 
 
 def cmd_approx(args):
-    out = _out_dir(args)
+    out = Path(args.out)
     kernel = _contact_graphon(args)
     decomp = decompose(kernel)
     ranks = range(decomp.rank + 1)
@@ -186,7 +181,7 @@ def _system_from_args(args) -> GraphonSystem:
 
 
 def cmd_gramian(args):
-    out = _out_dir(args)
+    out = Path(args.out)
     sys_ = _system_from_args(args)
     w = gramian(sys_)
     verdict = exact_controllability_check(sys_)
@@ -212,7 +207,7 @@ def cmd_gramian(args):
 
 
 def cmd_minenergy(args):
-    out = _out_dir(args)
+    out = Path(args.out)
     sys_ = _system_from_args(args)
     n = sys_.kernel.num_blocks
     x0 = PiecewiseConstantFunction(load_vector(args.x0) if args.x0 else np.ones(n))
@@ -233,7 +228,7 @@ def cmd_minenergy(args):
 
 
 def cmd_epidemic(args):
-    out = _out_dir(args)
+    out = Path(args.out)
     contact = _contact_graphon(args)
     model = EpidemicModel(contact, alpha=args.alpha0, beta0=args.beta0,
                           eta=args.eta, state_weight=args.qt,
@@ -249,7 +244,7 @@ def cmd_epidemic(args):
         num_steps = max(1, round(args.horizon / args.step))
 
     sol = solve_riccati_finite(model, num_steps=args.riccati_steps)
-    feedback = linear_feedback(model, sol, num_steps)
+    feedback = linear_feedback(model, sol)
     controlled = simulate_linearized(model, p0, feedback, num_steps)
     try:
         zero_control = closed_loop_cost(
@@ -287,7 +282,7 @@ def cmd_epidemic(args):
 
 
 def cmd_sample(args):
-    out = _out_dir(args)
+    out = Path(args.out)
     kernel = parse_kernel_spec(args.kernel)
     if args.converge:
         if not args.sizes:

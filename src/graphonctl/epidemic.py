@@ -14,15 +14,14 @@ from __future__ import annotations
 
 import inspect
 import warnings
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import NumericsError
 from .functions import Function
 from .graphons import Graphon, StepGraphon
-from .integrate import rk4, stage_times
+from .integrate import lawson_rk4
 from .spectral import SpectralDecomposition, decompose
 from .control import Trajectory, _modal_sum
 
@@ -158,28 +157,34 @@ def _riccati_values(params: RegulatorParams, lams: np.ndarray, t) -> np.ndarray:
     return np.where(c == 0.0, critical, pi)
 
 
-def _closed_loop_decay(params: RegulatorParams, lams: np.ndarray,
-                       times: np.ndarray) -> np.ndarray:
-    """y(t) / y(0) of y' = -(h + b pi(t)) y, one row per time and column per lams entry.
+def _modal_transition(params: RegulatorParams, lams: np.ndarray, start, stop,
+                      closed: bool) -> np.ndarray:
+    """y(stop) / y(start) of y' = -(h + b pi(t)) y, or of y' = -h y unless `closed`.
 
-    This is exp(-c t) D(T - t) / D(T) with D the denominator of
-    `_riccati_values`, expanded into nonnegative terms with one exponential
-    each.  c = 0 leaves (1 + b q_T (T - t)) / (1 + b q_T T).  Where
-    c+h + b q_T = 0, pi vanishes or b does, and the loop is the open one,
-    exp(-h t); the general form would be 0/0 there once exp(-2cT) underflows.
+    One column per lams entry and one row per time of `start` and `stop`
+    (scalars or 1-D arrays).  With s = stop - start the open loop moves by
+    exp(-h s), the closed one by exp(-c s) D(T - stop) / D(T - start) with D
+    the denominator of `_riccati_values`, in nonnegative terms with one
+    exponential each, so it stays bounded where D underflows; c = 0 leaves
+    (1 + b q_T (T - stop)) / (1 + b q_T (T - start)).  Where c+h + b q_T = 0
+    the loop is the open one, and the general form would be 0/0.
     """
     h, b, c, c_plus, c_minus = _riccati_coefficients(params, lams)
-    horizon = params.horizon
-    terminal = b * params.terminal_weight
-    t = times[:, None]
+    start = np.asarray(start, dtype=float)[..., None]
+    stop = np.asarray(stop, dtype=float)[..., None]
+    t = stop - start
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        numerator = (np.exp(-c * t) * (c_plus - terminal * np.expm1(-2.0 * c * (horizon - t)))
-                     + np.exp(-c * (2.0 * horizon - t)) * c_minus)
-        denominator = (c_plus - terminal * np.expm1(-2.0 * c * horizon)
-                       + np.exp(-2.0 * c * horizon) * c_minus)
-        general = numerator / denominator
-        critical = (1.0 + terminal * (horizon - t)) / (1.0 + terminal * horizon)
         open_loop = np.exp(-h * t)
+        if not closed:
+            return open_loop
+        horizon = params.horizon
+        terminal = b * params.terminal_weight
+        numerator = (np.exp(-c * t) * (c_plus - terminal * np.expm1(-2.0 * c * (horizon - stop)))
+                     + np.exp(-c * (2.0 * (horizon - start) - t)) * c_minus)
+        denominator = (c_plus - terminal * np.expm1(-2.0 * c * (horizon - start))
+                       + np.exp(-2.0 * c * (horizon - start)) * c_minus)
+        general = numerator / denominator
+        critical = (1.0 + terminal * (horizon - stop)) / (1.0 + terminal * (horizon - start))
     return np.where(c_plus + terminal == 0.0, open_loop,
                     np.where(c == 0.0, critical, general))
 
@@ -210,6 +215,12 @@ class RiccatiSolution:
         return self.eigenvalues ** 2 - 2.0 * self.eigenvalues + 2.0
 
 
+def _uniform_times(horizon: float, num_steps: int) -> np.ndarray:
+    if num_steps < 1:
+        raise ValueError("num_steps must be >= 1")
+    return np.linspace(0.0, horizon, num_steps + 1)
+
+
 def _solve_family(params: RegulatorParams, eigenvalues: np.ndarray,
                   num_steps: int) -> RiccatiSolution:
     """Riccati family on num_steps + 1 uniform times; index 0 is the auxiliary.
@@ -217,10 +228,8 @@ def _solve_family(params: RegulatorParams, eigenvalues: np.ndarray,
     Only a direction whose true solution exceeds the float range (zero control
     gain on a supercritical direction) leaves a non-finite column; it aborts.
     """
-    if num_steps < 1:
-        raise ValueError("num_steps must be >= 1")
+    times = _uniform_times(params.horizon, num_steps)
     lams = np.concatenate(([0.0], eigenvalues))
-    times = np.linspace(0.0, params.horizon, num_steps + 1)
     table = _riccati_values(params, lams, times)
     finite = np.isfinite(table).all(axis=0)
     if not finite.all():
@@ -294,41 +303,31 @@ def optimal_control_graphon(kernel: Graphon, sol: RiccatiSolution,
 class FeedbackLaw:
     """Closed-loop control law (t, state) -> control vector of `linear_feedback`.
 
-    The gains depend on time only.  On its first call the law tabulates them,
-    in one vectorized Riccati evaluation, at every distinct time at which `rk4`
-    evaluates a field over num_steps steps of the horizon.  At a tabulated
-    time a call is two matvecs; at any other time it calls
-    `optimal_control_finite`.  Both routes give the same bits.
-    `simulate_linearized` reads `model` and `sol` instead of calling it.
+    A call is `optimal_control_finite`.  The simulations read `model` and `sol`
+    instead: they move the closed loop by its closed-form modal transitions.
     """
 
     model: EpidemicModel
     sol: RiccatiSolution
-    num_steps: int = 1000
-
-    @cached_property
-    def _table(self):
-        times = np.unique(np.concatenate(stage_times(0.0, self.model.horizon,
-                                                     self.num_steps)))
-        values = _riccati_values(self.sol.params,
-                                 np.concatenate(([0.0], self.sol.eigenvalues)), times)
-        halves, gains = _feedback_gains(self.model, self.sol, values[:, :1], values[:, 1:])
-        return times, halves[:, 0], gains
 
     def __call__(self, t: float, state: np.ndarray) -> np.ndarray:
-        times, halves, gains = self._table
-        row = np.searchsorted(times, t)
-        if row == times.size or times[row] != t:
-            return optimal_control_finite(self.model, self.sol, state, t)
-        basis = self.model.modes.basis
-        return (-halves[row] * np.asarray(state, dtype=float)
-                - basis @ (gains[row] * (basis.T @ state)))
+        return optimal_control_finite(self.model, self.sol, state, t)
 
 
-def linear_feedback(model: EpidemicModel, sol: RiccatiSolution,
-                    num_steps: int = 1000) -> FeedbackLaw:
-    """Optimal closed-loop law of the linearized model, for simulations of num_steps steps."""
-    return FeedbackLaw(model, sol, num_steps)
+def linear_feedback(model: EpidemicModel, sol: RiccatiSolution) -> FeedbackLaw:
+    """Optimal closed-loop law of the linearized model."""
+    return FeedbackLaw(model, sol)
+
+
+def _own_law(model: EpidemicModel, control) -> FeedbackLaw | None:
+    """This model's `linear_feedback` law behind `control` (unwrapped), or None."""
+    law = None if control is None else inspect.unwrap(control)
+    if not (isinstance(law, FeedbackLaw) and law.model is model):
+        return None
+    if not (law.sol.params == model.regulator_params()
+            and np.array_equal(law.sol.eigenvalues, model.modes.eigenvalues)):
+        raise ValueError("the feedback's Riccati solution belongs to another model")
+    return law
 
 
 def simulate_linearized(model: EpidemicModel, p0: np.ndarray, control=None,
@@ -337,37 +336,26 @@ def simulate_linearized(model: EpidemicModel, p0: np.ndarray, control=None,
 
     States (and, under feedback, controls) are sampled at num_steps + 1
     uniform times.  Each eigen-coordinate y_l solves a scalar linear ODE, and
-    the complement of the eigendirections is its eigenvalue-zero member.
-    With h, b, c and D as in `_riccati_values`, the open loop has
-    y_l(t) = exp(-h_l t) y_l(0), and under the optimal feedback
-    y_l(t) = y_l(0) exp(-c_l t) D_l(T - t) / D_l(T), with control
-    -beta0 pi_l(t) / (lambda_l^2 - 2 lambda_l + 2) y_l(t) on that direction.
-    `control` is None or a `linear_feedback` law for this model and its
-    regulator parameters (or a `functools.wraps` wrapper of one), whose
-    Riccati solution is read, never called; any other control raises
-    TypeError.
+    the complement of the eigendirections is its eigenvalue-zero member; it
+    moves by `_modal_transition` from 0: exp(-h_l t) in the open loop and
+    exp(-c_l t) D_l(T - t) / D_l(T) under the optimal feedback (h, b, c and D
+    as in `_riccati_values`), whose control on that direction is
+    -beta0 pi_l(t) / (lambda_l^2 - 2 lambda_l + 2) y_l(t).  `control` is None
+    or this model's `linear_feedback` law (or a `functools.wraps` wrapper of
+    one), whose Riccati solution is read, never called; any other control
+    raises TypeError, and a law with another model's solution ValueError.
     """
-    law = None if control is None else inspect.unwrap(control)
+    law = _own_law(model, control)
+    if control is not None and law is None:
+        raise TypeError("control must be None or a linear_feedback law for this model")
     params = model.regulator_params()
-    if law is not None:
-        if not (isinstance(law, FeedbackLaw) and law.model is model):
-            raise TypeError("control must be None or a linear_feedback law for this model")
-        if not (law.sol.params == params
-                and np.array_equal(law.sol.eigenvalues, model.modes.eigenvalues)):
-            raise ValueError("the feedback's Riccati solution belongs to another model")
-    if num_steps < 1:
-        raise ValueError("num_steps must be >= 1")
-    times = np.linspace(0.0, model.horizon, num_steps + 1)
+    times = _uniform_times(model.horizon, num_steps)
     p0 = np.asarray(p0, dtype=float)
     basis = model.modes.basis
     coords = basis.T @ p0 / model.num_nodes
     residual = p0 - basis @ coords
     lams = np.concatenate(([0.0], model.modes.eigenvalues))
-    if law is None:
-        with np.errstate(over="ignore"):
-            decay = np.exp(-np.outer(times, params.alpha0 - params.eta_total * lams))
-    else:
-        decay = _closed_loop_decay(params, lams, times)
+    decay = _modal_transition(params, lams, 0.0, times, law is not None)
     states = _modal_sum(decay[:, 1:] * coords, decay[:, :1], basis, residual)
     controls = None
     if law is not None:
@@ -381,33 +369,57 @@ def simulate_nonlinear(model: EpidemicModel, p0: np.ndarray, control=None,
                        num_steps: int = 1000) -> Trajectory:
     """Nonlinear spread dp_i = -alpha p_i + eta (1-p_i) sum_j a_ij p_j + beta0 u_i.
 
-    Initial fractions must lie in [0,1].  States escaping [-0.1, 1.1] mark the
-    trajectory with `range_warning` (the meta-population reading breaks down)
-    but do not abort.
+    p' = L(t) p + N(t, p) with N = -eta p∘(A p) and L the loop of
+    `simulate_linearized`: closed under this model's `linear_feedback` law
+    (refused as there if its Riccati solution is another's), open otherwise,
+    when any other control joins N.  `lawson_rk4` moves L by its modal
+    transitions and steps N, except that a mode L grows over a step (rate g)
+    joins N as +g p_l: exact growth against N's saturation at -2g is unstable
+    from g h ~ 1, RK4 up to g h ~ 2.8.  Initial fractions must lie in [0,1].
+    States escaping [-0.1, 1.1] set `range_warning` but do not abort.
     """
     p0 = np.asarray(p0, dtype=float)
     if p0.min() < 0.0 or p0.max() > 1.0:
         raise ValueError("initial infected fractions must lie in [0, 1]")
-    adjacency = model.adjacency
+    law = _own_law(model, control)
+    forcing = None if law is not None else control
+    params = model.regulator_params()
+    times = _uniform_times(model.horizon, num_steps)
+    step = model.horizon / num_steps
+    mids = times[:-1] + 0.5 * step
+    lams = np.concatenate(([0.0], model.modes.eigenvalues))
+    basis, n, adjacency = model.modes.basis, model.num_nodes, model.adjacency
 
-    if control is None:
-        def fn(t, p):
-            return -model.alpha * p + model.eta * (1.0 - p) * (adjacency @ p)
-    else:
-        def fn(t, p):
-            return (-model.alpha * p + model.eta * (1.0 - p) * (adjacency @ p)
-                    + model.beta0 * control(t, p))
+    def modal(factors, rows):
+        # rows move by factors[0] on the complement and by factors[l] along mode l
+        return (rows @ basis / n * (factors[1:] - factors[0])) @ basis.T + factors[0] * rows
 
-    with np.errstate(over="ignore", invalid="ignore"):  # rk4 reports a non-finite state
-        times, states = rk4(fn, 0.0, model.horizon, p0, num_steps)
-    out_of_range = bool(states.min() < -0.1 or states.max() > 1.1)
-    if out_of_range:
+    def nonlinear(k, t, p):
+        rate = -model.eta * p * (adjacency @ p)
+        rate = rate + modal(growth[k], p) if grows[k] else rate
+        return rate if forcing is None else rate + model.beta0 * forcing(t, p)
+
+    with np.errstate(over="ignore", invalid="ignore"):  # Trajectory reports a non-finite state
+        halves = (_modal_transition(params, lams, times[:-1], mids, law is not None),
+                  _modal_transition(params, lams, mids, times[1:], law is not None))
+        growth = np.log(np.maximum(halves[0] * halves[1], 1.0)) / step
+        halves = [factors * np.exp(-0.5 * step * growth) for factors in halves]
+        grows = growth.any(axis=1)
+        states = lawson_rk4(lambda k, half, pair: modal(halves[half][k], pair),
+                            nonlinear, times, p0)
+        trajectory = Trajectory(times, states,
+                                range_warning=bool(states.min() < -0.1 or states.max() > 1.1))
+        controls = None
+        if law is not None:
+            values = _riccati_values(params, lams, times)
+            half_gains, gains = _feedback_gains(model, law.sol, values[:, :1], values[:, 1:])
+            controls = -half_gains * states - (states @ basis * gains) @ basis.T
+        elif forcing is not None:
+            controls = np.stack([forcing(t, p) for t, p in zip(times, states)])
+    if trajectory.range_warning:
         warnings.warn("infection fractions left [-0.1, 1.1]; the model "
                       "interpretation is unreliable", RuntimeWarning)
-    controls = None
-    if control is not None:
-        controls = np.stack([control(t, p) for t, p in zip(times, states)])
-    return Trajectory(times, states, controls, range_warning=out_of_range)
+    return replace(trajectory, controls=controls)
 
 
 def closed_loop_cost(model: EpidemicModel, trajectory: Trajectory,

@@ -1,46 +1,38 @@
-"""Fixed-step Runge-Kutta integration for the nonlinear epidemic model."""
+"""Lawson's integrating-factor RK4 for the nonlinear epidemic model.
+
+For y' = L(t) y + N(t, y), L moves by its exact transitions and classical RK4
+steps only N, so a stiff decaying L does not bound the step (Lawson, SIAM J.
+Numer. Anal. 4, 1967; Hochbruck and Ostermann, Acta Numerica 19, 2010).
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericsError
 
+def lawson_rk4(propagate, field, times, y0: np.ndarray) -> np.ndarray:
+    """States of y' = L(t) y + N(t, y) at the uniform grid `times`, one row each.
 
-def stage_times(t0: float, t1: float, num_steps: int):
-    """Times at which `rk4` evaluates its field over num_steps steps from t0 to t1.
-
-    Returns (times, mids, ends): the grid of num_steps + 1 times, and per step
-    k the midpoint times[k] + h/2 of the second and third stages and the end
-    times[k] + h of the fourth.  `ends` is not always `times[1:]` bit for bit,
-    so a table of a time-dependent field must cover all three arrays.
+    propagate(k, half, pair) applies L's transition over the first (half 0,
+    from times[k] to times[k] + h/2) or second (half 1, on to times[k + 1])
+    half of step k to both rows of `pair`; field(k, t, y) is N in step k.
+    With P_m and P_e those transitions, a step from y is N1 = N(y),
+    [a, b] = P_m [y, N1], N2 = N(a + h/2 b), N3 = N(a + h/2 N2),
+    [u4, c] = P_e [a + h N3, a + h/6 (b + 2 N2 + 2 N3)], y+ = c + h/6 N(u4).
+    Stepping stops at the first non-finite state; the rows after it are NaN.
     """
-    if num_steps < 1:
-        raise ValueError("num_steps must be >= 1")
-    h = (t1 - t0) / num_steps
-    times = np.linspace(t0, t1, num_steps + 1)
-    return times, times[:-1] + 0.5 * h, times[:-1] + h
-
-
-def rk4(field, t0: float, t1: float, y0: np.ndarray, num_steps: int):
-    """Classical fourth-order Runge-Kutta from t0 to t1 (t1 < t0 integrates backward).
-
-    Returns (times, states) with states[k] the state at times[k].  The field is
-    evaluated only at the times `stage_times` returns.  Non-finite states
-    abort with NumericsError rather than propagating NaNs.
-    """
-    times, mids, ends = stage_times(t0, t1, num_steps)
-    h = (t1 - t0) / num_steps
+    times = np.asarray(times, dtype=float)
+    h = (times[-1] - times[0]) / (times.size - 1)
     y = np.array(y0, dtype=float)
-    states = np.empty((num_steps + 1,) + y.shape)
+    states = np.full((times.size,) + y.shape, np.nan)
     states[0] = y
-    for k in range(num_steps):
-        k1 = field(times[k], y)
-        k2 = field(mids[k], y + 0.5 * h * k1)
-        k3 = field(mids[k], y + 0.5 * h * k2)
-        k4 = field(ends[k], y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise NumericsError(f"state became non-finite at t={times[k + 1]:.6g}")
-        states[k + 1] = y
-    return times, states
+    for k in range(times.size - 1):
+        mid = times[k] + 0.5 * h
+        a, b = propagate(k, 0, np.stack((y, field(k, times[k], y))))
+        n2 = field(k, mid, a + 0.5 * h * b)
+        n3 = field(k, mid, a + 0.5 * h * n2)
+        u4, c = propagate(k, 1, np.stack((a + h * n3, a + (h / 6.0) * (b + 2.0 * n2 + 2.0 * n3))))
+        y = states[k + 1] = c + (h / 6.0) * field(k, times[k + 1], u4)
+        if not np.isfinite(y).all():
+            break
+    return states

@@ -2,9 +2,9 @@
 
 Everything here is written from mathematical definitions using different
 algorithms than the package (double enumeration, generic quadrature, repeated
-matrix exponentials, full-matrix Riccati integration, fine-step RK4), so
-agreement between the two routes is evidence, not tautology.  Nothing here
-imports graphonctl.
+matrix exponentials, full-matrix Riccati integration, fine-step RK4, implicit
+Radau), so agreement between the two routes is evidence, not tautology.
+Nothing here imports graphonctl.
 """
 
 import itertools
@@ -377,6 +377,61 @@ def lqr_closed_loop(drift: np.ndarray, input_mat: np.ndarray,
 
     table = step_halving(run, num_steps, rtol)
     return table[:, :n], table[:, n:]
+
+
+# -- nonlinear epidemic ---------------------------------------------------------------
+
+def radau_states(adjacency: np.ndarray, alpha: float, eta: float, beta0: float,
+                 p0: np.ndarray, horizon: float, times, weights=None,
+                 rtol: float = 1e-13, atol: float = 1e-16) -> np.ndarray:
+    """States of p' = -alpha p + eta (1 - p)∘(A p) + beta0 u at `times`, one row each.
+
+    u = 0 when `weights` is None.  Otherwise weights = (q, q_T) and u is the
+    optimal feedback of the linearized regulator, -beta0 R^-1 Pi(t) p with
+    drift -alpha I + eta A, R = I + (I - A/n)^2, Q = q I and terminal q_T I.
+    Every one of these matrices is a polynomial in A, so in numpy's eigenbasis
+    of A each entry of Pi solves pi' = l pi + g pi^2 - q, pi(horizon) = q_T,
+    with l = 2 (alpha - eta mu) and g = beta0^2 / r (r the eigenvalue of R):
+    its root form, (pi - r+) / (pi - r-) = k exp(-s (horizon - t)), with the
+    smaller root formed as a quotient (needs l or q nonzero).  The states come
+    from scipy's implicit Radau with the analytic Jacobian, so stiff draws
+    need no small step.
+    """
+    a = np.asarray(adjacency, dtype=float)
+    n = a.shape[0]
+    mu, vecs = np.linalg.eigh(0.5 * (a + a.T))
+    control_weight = 1.0 + (1.0 - mu / n) ** 2
+
+    def closed_loop(t):
+        """beta0 u = vecs diag(closed_loop(t)) vecs^T p."""
+        if weights is None:
+            return np.zeros(n)
+        q, q_terminal = weights
+        linear = 2.0 * (alpha - eta * mu)
+        quadratic = beta0 ** 2 / control_weight
+        s = np.sqrt(linear * linear + 4.0 * quadratic * q)
+        big = (-linear - np.copysign(s, linear)) / (2.0 * quadratic)
+        small = -q / (quadratic * big)
+        r_plus = np.where(linear >= 0.0, small, big)
+        r_minus = np.where(linear >= 0.0, big, small)
+        w = (q_terminal - r_plus) / (q_terminal - r_minus) * np.exp(-s * (horizon - t))
+        return -quadratic * (r_plus - r_minus * w) / (1.0 - w)
+
+    def field(t, p):
+        return (-alpha * p + eta * (1.0 - p) * (a @ p)
+                + vecs @ (closed_loop(t) * (vecs.T @ p)))
+
+    def jac(t, p):
+        return (-alpha * np.eye(n) + eta * ((1.0 - p)[:, None] * a - np.diag(a @ p))
+                + (vecs * closed_loop(t)) @ vecs.T)
+
+    times = np.asarray(times, dtype=float)
+    result = scipy.integrate.solve_ivp(field, (float(times[0]), float(times[-1])),
+                                       np.asarray(p0, dtype=float), method="Radau",
+                                       t_eval=times, rtol=rtol, atol=atol, jac=jac)
+    if not result.success:
+        raise RuntimeError(result.message)
+    return result.y.T
 
 
 # -- CSV cells --------------------------------------------------------------------

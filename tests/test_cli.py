@@ -10,6 +10,7 @@ import graphonctl.cli as cli
 import graphonctl.netio as netio
 from graphonctl.cli import main
 from graphonctl.errors import NumericsError
+import oracles
 from oracles import csv_cell
 
 
@@ -245,11 +246,11 @@ class TestApprox:
         assert rows.shape[0] == 1
         assert main(["approx", str(data_dir / "k22.edges"), "--rank", "99",
                      "--out", str(tmp_path)]) == 2
-        # the order is checked before any file is written
+        # the order is checked before any file is written, or the directory made
         out = tmp_path / "order0"
         assert main(["approx", str(data_dir / "k22.edges"), "--fourier-order", "0",
                      "--out", str(out)]) == 2
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestGramian:
@@ -358,14 +359,15 @@ class TestEpidemic:
             raise NumericsError("state became non-finite at t=0.5")
 
         monkeypatch.setattr(cli, simulation, overflow_under_control)
+        out = tmp_path / "out"
         assert main(["epidemic", str(data_dir / "k22.edges"), "--nonlinear",
-                     "--out", str(tmp_path)] + self.ARGS) == 3
+                     "--out", str(out)] + self.ARGS) == 3
         assert "numeric failure: state became non-finite" in capsys.readouterr().err
-        assert not (tmp_path / "cost.json").exists()
+        assert not out.exists()
 
-    def test_nonlinear_overflow_writes_nothing(self, tmp_path, capsys):
+    def test_stiff_nonlinear_run_matches_radau(self, tmp_path):
         # complete 4-partite graph, parts 2, 4, 6 and 8 nodes: at eta 360 the
-        # linearized runs are fine, but the nonlinear closed loop overflows
+        # closed loop's fastest rate is about 5000, five times 1/step
         part = np.repeat(np.arange(4), [2, 4, 6, 8])
         network = tmp_path / "multipartite.edges"
         network.write_text("".join(f"{i} {j}\n" for i in range(20) for j in range(i)
@@ -374,9 +376,14 @@ class TestEpidemic:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["epidemic", str(network), "--eta", "360", "--nonlinear",
-                         "--out", str(out)]) == 3
-        assert "numeric failure: state became non-finite" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+                         "--out", str(out)]) == 0
+        costs = json.loads((out / "cost.json").read_text())
+        assert math.isfinite(costs["nonlinear_closed_loop"])
+        _, table = read_csv(out / "nonlinear_states.csv")
+        adjacency = (part[:, None] != part[None, :]).astype(float)
+        expected = oracles.radau_states(adjacency, -0.5, 360.0, 1.0, np.full(20, 0.1), 1.0,
+                                        table[:, 0], (2.0, 4.0), rtol=1e-10)
+        assert np.abs(table[:, 1:] - expected).max() < 1e-2 * np.abs(expected).max()
 
     def test_negative_running_weight_rejected(self, data_dir, tmp_path):
         assert main(["epidemic", str(data_dir / "k22.edges"), "--qt", "-1",
@@ -456,6 +463,21 @@ class TestDeterminismAndErrors:
         assert f"error: {vector}: non-finite value" in capsys.readouterr().err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command,flag,line", [("epidemic", "--p0", "nan"),
+                                                   ("minenergy", "--x0", "inf"),
+                                                   ("approx", "--rank", None)],
+                             ids=["epidemic-nan-p0", "minenergy-inf-x0", "approx-rank-99"])
+    def test_refused_run_leaves_no_output_directory(self, data_dir, tmp_path, command,
+                                                     flag, line):
+        value = "99"
+        if line is not None:
+            value = str(tmp_path / "vector.txt")
+            (tmp_path / "vector.txt").write_text(f"0.1\n{line}\n0.1\n0.1\n")
+        out = tmp_path / "out"
+        assert main([command, str(data_dir / "k22.edges"), flag, value,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["spectra", str(tmp_path / "nope.edges"),

@@ -24,7 +24,6 @@ import graphonctl.epidemic as epidemic
 from graphonctl.errors import NumericsError
 from graphonctl.functions import PiecewiseConstantFunction
 from graphonctl.graphons import StepGraphon
-from graphonctl.integrate import stage_times
 
 import oracles
 from conftest import random_probability_graphon
@@ -245,17 +244,15 @@ class TestFeedbackAgainstMatrixOracle:
 
 
 class TestFeedbackTable:
-    def test_law_equals_optimal_control_on_and_off_the_table(self, rng,
-                                                            monkeypatch):
+    def test_law_is_optimal_control_finite_at_any_time(self, rng, monkeypatch):
         model = random_model(rng)
         sol = solve_riccati_finite(model, num_steps=500)
-        law = linear_feedback(model, sol, num_steps=50)
+        law = linear_feedback(model, sol)
         state = rng.uniform(0.0, 0.3, size=model.num_nodes)
-        tabulated = np.unique(np.concatenate(stage_times(0.0, model.horizon, 50)))
-        off_grid = np.concatenate((rng.uniform(0.0, model.horizon, 20),
-                                   [-0.1, model.horizon + 0.1]))
-        expected = [optimal_control_finite(model, sol, state, t)
-                    for t in np.concatenate((tabulated, off_grid))]
+        times = np.concatenate((np.linspace(0.0, model.horizon, 7),
+                                rng.uniform(0.0, model.horizon, 20),
+                                [-0.1, model.horizon + 0.1]))
+        expected = [optimal_control_finite(model, sol, state, t) for t in times]
 
         calls = []
 
@@ -264,33 +261,14 @@ class TestFeedbackTable:
             return optimal_control_finite(*args)
 
         monkeypatch.setattr(epidemic, "optimal_control_finite", counted)
-        got = [law(t, state) for t in np.concatenate((tabulated, off_grid))]
-        for g, e in zip(got, expected):
-            assert np.array_equal(g, e)
-        # tabulated times never reach the per-call closed form
-        assert calls == list(off_grid)
+        for t, e in zip(times, expected):
+            assert np.array_equal(law(t, state), e)
+        assert calls == list(times)
 
-    @pytest.mark.parametrize("table_steps", [200, 137])
-    def test_simulations_equal_the_per_call_law(self, rng, table_steps):
-        model = random_model(rng, alpha=-0.3)
-        sol = solve_riccati_finite(model, num_steps=400)
-        p0 = rng.uniform(0.05, 0.3, size=model.num_nodes)
-        law = linear_feedback(model, sol, num_steps=table_steps)
-
-        def reference(t, p):
-            return optimal_control_finite(model, sol, p, t)
-
-        got = simulate_nonlinear(model, p0, law, num_steps=200)
-        want = simulate_nonlinear(model, p0, reference, num_steps=200)
-        assert np.array_equal(got.times, want.times)
-        assert np.array_equal(got.states, want.states)
-        assert np.array_equal(got.controls, want.controls)
-
-    def test_linear_run_reads_the_law_without_calling_it(self, rng,
-                                                         monkeypatch):
+    def test_linear_run_reads_the_law_without_calling_it(self, rng):
         model = random_model(rng)
         sol = solve_riccati_finite(model, num_steps=100)
-        law = linear_feedback(model, sol, num_steps=50)
+        law = linear_feedback(model, sol)
         calls = []
 
         @functools.wraps(law)
@@ -298,18 +276,16 @@ class TestFeedbackTable:
             calls.append(t)
             return law(t, p)
 
-        tables = []
-        monkeypatch.setattr(epidemic, "stage_times",
-                            lambda *args: tables.append(args) or stage_times(*args))
         p0 = np.full(model.num_nodes, 0.1)
         got = simulate_linearized(model, p0, counted, num_steps=50)
         want = simulate_linearized(model, p0, law, num_steps=50)
-        assert not calls and not tables
         assert np.array_equal(got.states, want.states)
         assert np.array_equal(got.controls, want.controls)
-        # the nonlinear run builds the stage-time table once, on its first call
-        simulate_nonlinear(model, p0, counted, num_steps=50)
-        assert len(calls) == 4 * 50 + 51 and tables == [(0.0, model.horizon, 50)]
+        got = simulate_nonlinear(model, p0, counted, num_steps=50)
+        want = simulate_nonlinear(model, p0, law, num_steps=50)
+        assert np.array_equal(got.states, want.states)
+        assert np.array_equal(got.controls, want.controls)
+        assert not calls
 
     def test_other_controls_refused(self, rng):
         model = random_model(rng)
@@ -329,8 +305,26 @@ class TestFeedbackTable:
                 simulate_linearized(model, np.full(model.num_nodes, 0.1),
                                     linear_feedback(model, sol))
 
+    def test_foreign_solution_refused_by_the_nonlinear_run(self, rng):
+        model = random_model(rng)
+        other_weight = dataclasses.replace(model.regulator_params(), state_weight=1.0)
+        law = linear_feedback(model, solve_riccati_graphon(model.contact, other_weight, 100))
+        with pytest.raises(ValueError, match="another model"):
+            simulate_nonlinear(model, np.full(model.num_nodes, 0.1), law, 50)
+
 
 class TestSimulation:
+    @pytest.mark.parametrize("num_steps", [0, -3])
+    def test_needs_a_step(self, rng, num_steps):
+        model = random_model(rng)
+        p0 = np.full(model.num_nodes, 0.1)
+        law = linear_feedback(model, solve_riccati_finite(model, num_steps=4))
+        for run in (lambda: solve_riccati_finite(model, num_steps),
+                    lambda: simulate_linearized(model, p0, law, num_steps),
+                    lambda: simulate_nonlinear(model, p0, law, num_steps)):
+            with pytest.raises(ValueError, match="num_steps"):
+                run()
+
     def test_uncontrolled_linear_flow_matches_expm(self, rng):
         import scipy.linalg
 
@@ -375,6 +369,69 @@ class TestSimulation:
             trajectory = simulate_nonlinear(model, np.full(model.num_nodes, 0.9),
                                             push, num_steps=200)
         assert trajectory.range_warning
+
+
+def _nonlinear_against_radau(model, p0, controlled, num_steps, rtol):
+    """Largest distance of simulate_nonlinear from the Radau oracle, relative
+    to the largest state, after checking the recorded controls."""
+    law = linear_feedback(model, solve_riccati_finite(model, num_steps=4)) if controlled else None
+    trajectory = simulate_nonlinear(model, p0, law, num_steps)
+    if controlled:
+        per_call = np.stack([law(t, p) for t, p in zip(trajectory.times, trajectory.states)])
+        np.testing.assert_allclose(trajectory.controls, per_call, rtol=0.0,
+                                   atol=1e-13 * np.abs(per_call).max())
+    else:
+        assert trajectory.controls is None
+    weights = (model.state_weight, model.terminal_weight) if controlled else None
+    expected = oracles.radau_states(model.adjacency, model.alpha, model.eta, model.beta0,
+                                    p0, model.horizon, trajectory.times, weights, rtol=rtol)
+    return np.abs(trajectory.states - expected).max() / np.abs(expected).max()
+
+
+class TestNonlinearAgainstRadau:
+    @pytest.mark.parametrize("controlled", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_models(self, seed, controlled):
+        gen = np.random.default_rng(seed)
+        model = EpidemicModel(random_probability_graphon(gen, 6),
+                              alpha=gen.uniform(-1.0, 1.0), beta0=gen.uniform(0.5, 2.0),
+                              eta_total=gen.uniform(0.5, 6.0),
+                              state_weight=gen.uniform(0.5, 5.0),
+                              terminal_weight=gen.uniform(0.5, 5.0),
+                              horizon=gen.uniform(0.5, 1.5))
+        p0 = gen.uniform(0.0, 0.5, model.num_nodes)
+        assert _nonlinear_against_radau(model, p0, controlled, 200, 1e-12) < 1e-10
+
+    def test_stiff_draw(self):
+        # explicit RK4 at this step leaves its stability region within a few steps
+        gen = np.random.default_rng(13)
+        model = EpidemicModel(random_probability_graphon(gen, 6), eta_total=7200.0,
+                              **dict(BASELINE_REGULATOR, alpha=-0.5))
+        p0 = gen.uniform(0.0, 0.3, model.num_nodes)
+        assert _nonlinear_against_radau(model, p0, True, 1000, 1e-10) < 1e-2
+
+    @pytest.mark.parametrize("control", ["none", "idle feedback", "zero forcing"])
+    @pytest.mark.parametrize("eta_total_step, bound", [(1.2, 2e-3), (2.0, 2e-2), (2.5, 6e-2)])
+    def test_saturated_open_loop(self, eta_total_step, bound, control):
+        # complete 4-partite graph, parts 2, 4, 6, 8, at h = 1e-3; the Perron
+        # mode grows at g with g h = 0.85, 1.42 and 1.78.  The spread
+        # saturates near p = 1, where N damps that mode at -2g: moved
+        # exactly, its growth made the step unstable from g h ~ 1.  Plain
+        # RK4 is off Radau by 8.8e-4, 8.4e-3 and 2.9e-2 here.
+        parts = np.repeat(np.arange(4), [2, 4, 6, 8])
+        adjacency = (parts[:, None] != parts[None, :]).astype(float)
+        weights = (0.0, 0.0) if control == "idle feedback" else (2.0, 4.0)
+        model = EpidemicModel(StepGraphon(adjacency), alpha=0.5,
+                              eta_total=1000.0 * eta_total_step,
+                              state_weight=weights[0], terminal_weight=weights[1])
+        law = {"none": None, "zero forcing": lambda t, p: np.zeros_like(p),
+               "idle feedback": linear_feedback(model, solve_riccati_finite(model, 4))}[control]
+        p0 = np.full(model.num_nodes, 0.1)
+        trajectory = simulate_nonlinear(model, p0, law)
+        assert not trajectory.range_warning
+        expected = oracles.radau_states(adjacency, model.alpha, model.eta, model.beta0, p0,
+                                        model.horizon, trajectory.times, rtol=1e-10)
+        assert np.abs(trajectory.states - expected).max() < bound
 
 
 def _closed_form_against_oracles(model, p0, num_steps=20):
