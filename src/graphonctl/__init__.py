@@ -76,14 +76,12 @@ from .control import (  # noqa: E402
 )
 from .epidemic import (  # noqa: E402
     EpidemicModel,
-    ProjectionReport,
     RegulatorParams,
     RiccatiSolution,
     closed_loop_cost,
     linear_feedback,
     optimal_control_finite,
     optimal_control_graphon,
-    project_trajectories,
     simulate_linearized,
     simulate_nonlinear,
     solve_riccati_finite,
@@ -146,7 +144,6 @@ __all__ = [
     "EpidemicModel",
     "RegulatorParams",
     "RiccatiSolution",
-    "ProjectionReport",
     "stability_threshold",
     "solve_riccati_finite",
     "solve_riccati_graphon",
@@ -156,7 +153,6 @@ __all__ = [
     "simulate_linearized",
     "simulate_nonlinear",
     "closed_loop_cost",
-    "project_trajectories",
     "NetworkDataset",
     "SpectralReport",
     "parse_edge_list",

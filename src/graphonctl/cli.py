@@ -34,7 +34,6 @@ from .epidemic import (
     EpidemicModel,
     closed_loop_cost,
     linear_feedback,
-    project_trajectories,
     simulate_linearized,
     simulate_nonlinear,
     solve_riccati_finite,
@@ -243,6 +242,8 @@ def cmd_epidemic(args):
             raise ValueError(f"--step must be positive, got {args.step}")
         num_steps = max(1, round(args.horizon / args.step))
 
+    if args.riccati_steps is None:
+        args.riccati_steps = num_steps  # so the manifest records the count used
     sol = solve_riccati_finite(model, num_steps=args.riccati_steps)
     feedback = linear_feedback(model, sol)
     controlled = simulate_linearized(model, p0, feedback, num_steps)
@@ -252,7 +253,6 @@ def cmd_epidemic(args):
     except NumericsError:
         # only the uncontrolled comparison left the float range
         zero_control = float("inf")
-    report = project_trajectories(controlled, model.modes)
     costs = {"optimal": closed_loop_cost(model, controlled), "zero_control": zero_control}
     if args.nonlinear:
         nonlinear = simulate_nonlinear(model, np.clip(p0, 0.0, 1.0), feedback, num_steps)
@@ -268,12 +268,14 @@ def cmd_epidemic(args):
     write_csv(out / "controls.csv", ["time"] + node_names,
               controlled.times, controlled.controls)
     write_csv(out / "eigenstates.csv", ["time"] + mode_names,
-              report.times, report.state_coefficients)
+              controlled.times, controlled.eigenstates)
     write_csv(out / "eigencontrols.csv", ["time"] + mode_names,
-              report.times, report.control_coefficients)
-    write_csv(out / "auxiliary.csv",
-              ["time"] + [f"p_{s}" for s in node_names] + [f"u_{s}" for s in node_names],
-              report.times, report.auxiliary_states, report.auxiliary_controls)
+              controlled.times, controlled.eigencontrols)
+    # the complement trajectory is rank one: these two columns times the residual
+    write_csv(out / "auxiliary.csv", ["time", "state", "control"],
+              controlled.times, controlled.decay[:, 0], controlled.gains[:, 0])
+    write_csv(out / "auxiliary_residual.csv", ["node", "residual"],
+              np.arange(n), controlled.residual)
     if args.nonlinear:
         write_csv(out / "nonlinear_states.csv", ["time"] + node_names,
                   nonlinear.times, nonlinear.states)
@@ -374,8 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--qT", type=float, default=4.0, help="terminal state weight")
     ep.add_argument("--horizon", type=float, default=1.0)
     ep.add_argument("--step", type=float, default=None, help="simulation step")
-    ep.add_argument("--riccati-steps", type=int, default=10_000,
-                    help="uniform time steps of riccati.csv (one row more)")
+    ep.add_argument("--riccati-steps", type=int, default=None,
+                    help="uniform time steps of riccati.csv (one row more); "
+                         "default: the simulation's")
     ep.add_argument("--p0", default=None, help="file of initial infected fractions")
     ep.add_argument("--nonlinear", action="store_true",
                     help="also run the nonlinear model under the linear feedback")

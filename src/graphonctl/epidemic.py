@@ -330,8 +330,38 @@ def _own_law(model: EpidemicModel, control) -> FeedbackLaw | None:
     return law
 
 
+@dataclass(frozen=True, eq=False, kw_only=True)
+class ModalTrajectory(Trajectory):
+    """A `simulate_linearized` trajectory together with the closed-form factors it sums.
+
+    With coordinates = basis.T p0 / N and residual = p0 - basis @ coordinates
+    (the part of p0 orthogonal to every eigendirection), states[k] is
+    basis @ (decay[k, 1:] * coordinates) + decay[k, 0] * residual, and
+    controls[k] the same sum over `gains` (None in the open loop).  Column 0
+    of `decay` and `gains` is the complement's eigenvalue-zero member, so the
+    complement trajectory is the rank-one decay[:, 0] (outer) residual.
+    """
+
+    coordinates: np.ndarray
+    residual: np.ndarray
+    decay: np.ndarray
+    gains: np.ndarray | None = None
+
+    @property
+    def eigenstates(self) -> np.ndarray:
+        """Euclidean projections of the states on the unit eigenvectors basis / sqrt(N)."""
+        return self.decay[:, 1:] * (np.sqrt(self.num_blocks) * self.coordinates)
+
+    @property
+    def eigencontrols(self) -> np.ndarray | None:
+        """Euclidean projections of the controls on the unit eigenvectors basis / sqrt(N)."""
+        if self.gains is None:
+            return None
+        return self.gains[:, 1:] * (np.sqrt(self.num_blocks) * self.coordinates)
+
+
 def simulate_linearized(model: EpidemicModel, p0: np.ndarray, control=None,
-                        num_steps: int = 1000) -> Trajectory:
+                        num_steps: int = 1000) -> ModalTrajectory:
     """Linearized spread dp = (-alpha0 I + eta A) p + beta0 u(t, p), in closed form.
 
     States (and, under feedback, controls) are sampled at num_steps + 1
@@ -340,7 +370,8 @@ def simulate_linearized(model: EpidemicModel, p0: np.ndarray, control=None,
     moves by `_modal_transition` from 0: exp(-h_l t) in the open loop and
     exp(-c_l t) D_l(T - t) / D_l(T) under the optimal feedback (h, b, c and D
     as in `_riccati_values`), whose control on that direction is
-    -beta0 pi_l(t) / (lambda_l^2 - 2 lambda_l + 2) y_l(t).  `control` is None
+    -beta0 pi_l(t) / (lambda_l^2 - 2 lambda_l + 2) y_l(t).  The result keeps
+    these per-direction factors (`ModalTrajectory`).  `control` is None
     or this model's `linear_feedback` law (or a `functools.wraps` wrapper of
     one), whose Riccati solution is read, never called; any other control
     raises TypeError, and a law with another model's solution ValueError.
@@ -357,12 +388,13 @@ def simulate_linearized(model: EpidemicModel, p0: np.ndarray, control=None,
     lams = np.concatenate(([0.0], model.modes.eigenvalues))
     decay = _modal_transition(params, lams, 0.0, times, law is not None)
     states = _modal_sum(decay[:, 1:] * coords, decay[:, :1], basis, residual)
-    controls = None
+    controls = gains = None
     if law is not None:
         gains = (-model.beta0 * _riccati_values(params, lams, times)
                  / (lams ** 2 - 2.0 * lams + 2.0) * decay)
         controls = _modal_sum(gains[:, 1:] * coords, gains[:, :1], basis, residual)
-    return Trajectory(times, states, controls)
+    return ModalTrajectory(times, states, controls, coordinates=coords,
+                           residual=residual, decay=decay, gains=gains)
 
 
 def simulate_nonlinear(model: EpidemicModel, p0: np.ndarray, control=None,
@@ -446,45 +478,3 @@ def closed_loop_cost(model: EpidemicModel, trajectory: Trajectory,
         terminal = (model.terminal_weight * float(np.sum(states[-1] ** 2))
                     if model.terminal_weight else 0.0)
         return float(np.trapezoid(running, trajectory.times) + terminal)
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectionReport:
-    """States and controls split into eigendirection projections plus residuals.
-
-    state_coefficients[k, l] is the Euclidean projection of the state at
-    times[k] onto eigenvector l; auxiliary arrays hold what remains after all
-    projections are removed.
-    """
-
-    times: np.ndarray
-    eigenvalues: np.ndarray
-    state_coefficients: np.ndarray
-    auxiliary_states: np.ndarray
-    control_coefficients: np.ndarray | None = None
-    auxiliary_controls: np.ndarray | None = None
-
-    def reconstruction_error(self, states: np.ndarray,
-                             basis: np.ndarray) -> float:
-        rebuilt = self.state_coefficients @ basis.T + self.auxiliary_states
-        return float(np.abs(rebuilt - states).max())
-
-
-def project_trajectories(trajectory: Trajectory,
-                         decomposition: SpectralDecomposition,
-                         controls: np.ndarray | None = None) -> ProjectionReport:
-    """Split a trajectory into eigenstates, eigencontrols and auxiliary parts."""
-    n = trajectory.num_blocks
-    if not isinstance(decomposition.source, StepGraphon) or decomposition.basis.shape[0] != n:
-        raise ValueError("decomposition partition does not match the trajectory")
-    basis = decomposition.basis / np.sqrt(n)
-    if controls is None:
-        controls = trajectory.controls
-    state_coeffs = trajectory.states @ basis
-    aux_states = trajectory.states - state_coeffs @ basis.T
-    control_coeffs = aux_controls = None
-    if controls is not None:
-        control_coeffs = controls @ basis
-        aux_controls = controls - control_coeffs @ basis.T
-    return ProjectionReport(trajectory.times, decomposition.eigenvalues,
-                            state_coeffs, aux_states, control_coeffs, aux_controls)

@@ -263,6 +263,14 @@ def epidemic_lqr_oracle(adjacency: np.ndarray, alpha: float, eta: float,
     return times, sheets, feedback
 
 
+def nonzero_eigenvectors(matrix: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
+    """Unit eigenvectors (columns, by np.linalg.eigh) of a symmetric matrix whose
+    eigenvalues exceed rtol times the largest magnitude: an orthonormal basis of
+    its range."""
+    values, vectors = np.linalg.eigh(np.asarray(matrix, dtype=float))
+    return vectors[:, np.abs(values) > rtol * np.abs(values).max()]
+
+
 def scalar_riccati_closed_form(linear: float, quadratic: float, q: float,
                                terminal: float, horizon: float):
     """Closed form for pi' = linear*pi + quadratic*pi^2 - q, pi(horizon) = terminal.

@@ -145,7 +145,7 @@ class TestArtifactFormat:
         for name, argv in runs.items():
             assert main(argv + ["--out", str(tmp_path / name)]) == 0
             written += sorted((tmp_path / name).glob("*.csv"))
-        assert len(written) == 14
+        assert len(written) == 15
         for path in written:
             self.assert_canonical(path)
 
@@ -313,8 +313,8 @@ class TestEpidemic:
                      "--out", str(tmp_path)] + self.ARGS) == 0
         names = {p.name for p in tmp_path.iterdir()}
         assert {"riccati.csv", "states.csv", "controls.csv", "eigenstates.csv",
-                "eigencontrols.csv", "auxiliary.csv", "cost.json",
-                "manifest.json"} <= names
+                "eigencontrols.csv", "auxiliary.csv", "auxiliary_residual.csv",
+                "cost.json", "manifest.json"} <= names
         costs = json.loads((tmp_path / "cost.json").read_text())
         assert costs["optimal"] < costs["zero_control"]
         _, states = read_csv(tmp_path / "states.csv")
@@ -384,6 +384,77 @@ class TestEpidemic:
         expected = oracles.radau_states(adjacency, -0.5, 360.0, 1.0, np.full(20, 0.1), 1.0,
                                         table[:, 0], (2.0, 4.0), rtol=1e-10)
         assert np.abs(table[:, 1:] - expected).max() < 1e-2 * np.abs(expected).max()
+
+    def test_factored_layout_rebuilds_states_and_controls(self, data_dir, tmp_path):
+        # k22 has rank 2 with parts {0, 1} and {2, 3}; this p0 is off its range
+        p0 = np.array([0.05, 0.3, 0.2, 0.1])
+        (tmp_path / "p0.txt").write_text("".join(f"{v!r}\n" for v in p0.tolist()))
+        out = tmp_path / "out"
+        assert main(["epidemic", str(data_dir / "k22.edges"), "--p0",
+                     str(tmp_path / "p0.txt"), "--out", str(out)] + self.ARGS) == 0
+        edges = np.loadtxt(data_dir / "k22.edges", dtype=int, comments="%") - 1
+        adjacency = np.zeros((4, 4))
+        adjacency[edges[:, 0], edges[:, 1]] = adjacency[edges[:, 1], edges[:, 0]] = 1.0
+        vectors = oracles.nonzero_eigenvectors(adjacency)
+
+        header, residual = read_csv(out / "auxiliary_residual.csv")
+        assert header == ["node", "residual"]
+        np.testing.assert_array_equal(residual[:, 0], np.arange(4))
+        residual = residual[:, 1]
+        assert np.abs(residual).max() > 0.1
+        np.testing.assert_allclose(residual, p0 - vectors @ (vectors.T @ p0), atol=1e-15)
+        np.testing.assert_allclose(vectors.T @ residual, 0.0, atol=1e-15)
+
+        header, auxiliary = read_csv(out / "auxiliary.csv")
+        assert header == ["time", "state", "control"]
+        _, eigenstates = read_csv(out / "eigenstates.csv")
+        _, eigencontrols = read_csv(out / "eigencontrols.csv")
+        # match each mode to its eigh vector and sign by the coordinates of p0,
+        # whose magnitudes (0.325 and 0.025) differ
+        coords = vectors.T @ p0
+        first = eigenstates[0, 1:]
+        order = [int(np.argmin(np.abs(np.abs(coords) - abs(c)))) for c in first]
+        assert sorted(order) == [0, 1]
+        unit = vectors[:, order] * np.sign(first * coords[order])
+        np.testing.assert_allclose(first, unit.T @ p0, rtol=0.0, atol=1e-15)
+        for name, modal, column in (("states.csv", eigenstates, 1),
+                                    ("controls.csv", eigencontrols, 2)):
+            _, table = read_csv(out / name)
+            for times in (modal[:, 0], auxiliary[:, 0]):
+                np.testing.assert_array_equal(times, table[:, 0])
+            rebuilt = modal[:, 1:] @ unit.T + np.outer(auxiliary[:, column], residual)
+            np.testing.assert_allclose(rebuilt, table[:, 1:], rtol=0.0,
+                                       atol=1e-14 * np.abs(table[:, 1:]).max())
+
+    @pytest.mark.parametrize("step,num_steps", [(None, 1000), ("0.02", 50)])
+    def test_riccati_table_defaults_to_the_simulation_grid(self, data_dir, tmp_path,
+                                                           step, num_steps):
+        flags = [] if step is None else ["--step", step]
+        runs = {"default": [], "explicit": ["--riccati-steps", str(num_steps)]}
+        for name, extra in runs.items():
+            assert main(["epidemic", str(data_dir / "k22.edges"),
+                         "--out", str(tmp_path / name)] + flags + extra) == 0
+        _, riccati = read_csv(tmp_path / "default" / "riccati.csv")
+        _, states = read_csv(tmp_path / "default" / "states.csv")
+        np.testing.assert_array_equal(riccati[:, 0], states[:, 0])
+        manifest = json.loads((tmp_path / "default" / "manifest.json").read_text())
+        assert manifest["config"]["riccati_steps"] == num_steps
+        assert tree_bytes(tmp_path / "default") == tree_bytes(tmp_path / "explicit")
+
+    def test_explicit_riccati_steps_size_the_table(self, data_dir, tmp_path):
+        assert main(["epidemic", str(data_dir / "k22.edges"), "--step", "0.02",
+                     "--riccati-steps", "7", "--out", str(tmp_path)]) == 0
+        _, riccati = read_csv(tmp_path / "riccati.csv")
+        np.testing.assert_array_equal(riccati[:, 0], np.linspace(0.0, 1.0, 8))
+        _, states = read_csv(tmp_path / "states.csv")
+        assert states.shape[0] == 51
+
+    def test_zero_riccati_steps_exits_two(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["epidemic", str(data_dir / "k22.edges"), "--riccati-steps", "0",
+                     "--out", str(out)]) == 2
+        assert "num_steps must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_running_weight_rejected(self, data_dir, tmp_path):
         assert main(["epidemic", str(data_dir / "k22.edges"), "--qt", "-1",

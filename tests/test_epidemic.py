@@ -13,7 +13,6 @@ from graphonctl.epidemic import (
     linear_feedback,
     optimal_control_finite,
     optimal_control_graphon,
-    project_trajectories,
     simulate_linearized,
     simulate_nonlinear,
     solve_riccati_finite,
@@ -534,29 +533,3 @@ class TestCostAndProjections:
         controlled = simulate_linearized(model, p0, law, num_steps=500)
         idle = simulate_linearized(model, p0, None, num_steps=500)
         assert closed_loop_cost(model, controlled) < closed_loop_cost(model, idle)
-
-    def test_projection_reconstructs_trajectory(self, rng):
-        model = random_model(rng)
-        sol = solve_riccati_finite(model, num_steps=500)
-        law = linear_feedback(model, sol)
-        trajectory = simulate_linearized(model, np.full(model.num_nodes, 0.1),
-                                         law, num_steps=100)
-        report = project_trajectories(trajectory, model.modes)
-        basis = model.modes.basis / np.sqrt(model.num_nodes)
-        assert report.reconstruction_error(trajectory.states, basis) < 1e-10
-        # the auxiliary part is orthogonal to every eigendirection
-        np.testing.assert_allclose(report.auxiliary_states @ basis, 0.0,
-                                   atol=1e-10)
-        rebuilt = report.control_coefficients @ basis.T + report.auxiliary_controls
-        np.testing.assert_allclose(rebuilt, trajectory.controls, atol=1e-10)
-
-    def test_projection_partition_mismatch(self, rng):
-        model = random_model(rng, max_blocks=4)
-        other = random_model(rng, max_blocks=4)
-        while other.num_nodes == model.num_nodes:
-            other = random_model(rng, max_blocks=6)
-        sol = solve_riccati_finite(model, num_steps=200)
-        trajectory = simulate_linearized(model, np.full(model.num_nodes, 0.1),
-                                         linear_feedback(model, sol), num_steps=50)
-        with pytest.raises(ValueError, match="partition"):
-            project_trajectories(trajectory, other.modes)
