@@ -79,6 +79,7 @@ from .epidemic import (  # noqa: E402
     RegulatorParams,
     RiccatiSolution,
     closed_loop_cost,
+    linear_costs,
     linear_feedback,
     optimal_control_finite,
     optimal_control_graphon,
@@ -153,6 +154,7 @@ __all__ = [
     "simulate_linearized",
     "simulate_nonlinear",
     "closed_loop_cost",
+    "linear_costs",
     "NetworkDataset",
     "SpectralReport",
     "parse_edge_list",

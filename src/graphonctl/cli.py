@@ -33,6 +33,7 @@ from .control import (
 from .epidemic import (
     EpidemicModel,
     closed_loop_cost,
+    linear_costs,
     linear_feedback,
     simulate_linearized,
     simulate_nonlinear,
@@ -247,13 +248,8 @@ def cmd_epidemic(args):
     sol = solve_riccati_finite(model, num_steps=args.riccati_steps)
     feedback = linear_feedback(model, sol)
     controlled = simulate_linearized(model, p0, feedback, num_steps)
-    try:
-        zero_control = closed_loop_cost(
-            model, simulate_linearized(model, p0, None, num_steps))
-    except NumericsError:
-        # only the uncontrolled comparison left the float range
-        zero_control = float("inf")
-    costs = {"optimal": closed_loop_cost(model, controlled), "zero_control": zero_control}
+    optimal, zero_control = linear_costs(model, p0)
+    costs = {"optimal": optimal, "zero_control": zero_control}
     if args.nonlinear:
         nonlinear = simulate_nonlinear(model, np.clip(p0, 0.0, 1.0), feedback, num_steps)
         costs["nonlinear_closed_loop"] = closed_loop_cost(model, nonlinear)

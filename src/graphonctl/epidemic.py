@@ -23,7 +23,7 @@ from .functions import Function
 from .graphons import Graphon, StepGraphon
 from .integrate import lawson_rk4
 from .spectral import SpectralDecomposition, decompose
-from .control import Trajectory, _modal_sum
+from .control import RATE_EPS, Trajectory, _modal_sum
 
 
 @dataclass(frozen=True)
@@ -209,11 +209,6 @@ class RiccatiSolution:
                                  np.concatenate(([0.0], self.eigenvalues)), t)
         return float(values[0]), values[1:]
 
-    @property
-    def quadratic_denominators(self) -> np.ndarray:
-        """Control-weight denominators lambda^2 - 2*lambda + 2 per eigendirection."""
-        return self.eigenvalues ** 2 - 2.0 * self.eigenvalues + 2.0
-
 
 def _uniform_times(horizon: float, num_steps: int) -> np.ndarray:
     if num_steps < 1:
@@ -260,6 +255,22 @@ def solve_riccati_graphon(kernel: Graphon, params: RegulatorParams,
     return _solve_family(params, decompose(kernel).eigenvalues, num_steps)
 
 
+def _feedback_factors(beta0: float, params: RegulatorParams, lams: np.ndarray, t):
+    """The optimal control per unit state, -beta0 pi(t) / (lambda^2 - 2 lambda + 2)."""
+    return -beta0 * _riccati_values(params, lams, t) / (lams ** 2 - 2.0 * lams + 2.0)
+
+
+def _modal_apply(basis: np.ndarray, factors: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """rows scaled by factors[..., 0] on the complement and by factors[..., l] along mode l.
+
+    `basis` holds the eigendirections as columns of Euclidean norm sqrt(N), so
+    each projector carries 1/N.  rows is one state or a stack of them;
+    factors is one vector for all rows, or one row of factors per row.
+    """
+    lead = factors[..., :1]
+    return (rows @ basis / basis.shape[0] * (factors[..., 1:] - lead)) @ basis.T + lead * rows
+
+
 def optimal_control_finite(model: EpidemicModel, sol: RiccatiSolution,
                            state: np.ndarray, t: float) -> np.ndarray:
     """Optimal vaccination/medication rates at time t for the linearized model.
@@ -269,22 +280,9 @@ def optimal_control_finite(model: EpidemicModel, sol: RiccatiSolution,
     of one common statement of this law; validated against a full-matrix
     regulator.)
     """
-    aux, pis = sol.value_at(t)
-    half, gains = _feedback_gains(model, sol, aux, pis)
-    basis = model.modes.basis
-    return -half * np.asarray(state, dtype=float) - basis @ (gains * (basis.T @ state))
-
-
-def _feedback_gains(model: EpidemicModel, sol: RiccatiSolution, aux, pis):
-    """Uniform half-gain and per-eigendirection gains of the finite feedback.
-
-    `aux` and `pis` are Riccati values at one time (a scalar and an r-vector)
-    or at K times (shapes (K, 1) and (K, r)); the arithmetic is the same.
-    """
-    half = 0.5 * model.beta0 * aux
-    # basis columns have Euclidean norm sqrt(N), so each projector carries 1/N
-    gains = (model.beta0 * pis / sol.quadratic_denominators - half) / model.num_nodes
-    return half, gains
+    factors = _feedback_factors(model.beta0, sol.params,
+                                np.concatenate(([0.0], sol.eigenvalues)), t)
+    return _modal_apply(model.modes.basis, factors, np.asarray(state, dtype=float))
 
 
 def optimal_control_graphon(kernel: Graphon, sol: RiccatiSolution,
@@ -293,10 +291,10 @@ def optimal_control_graphon(kernel: Graphon, sol: RiccatiSolution,
     """Graphon-limit version of the feedback, acting on L2 functions."""
     if modes is None:
         modes = decompose(kernel)
-    aux, pis = sol.value_at(t)
-    half = 0.5 * beta0 * aux
-    gains = beta0 * pis / sol.quadratic_denominators - half
-    return -half * state - modes.combine(gains * modes.coordinates(state))
+    factors = _feedback_factors(beta0, sol.params,
+                                np.concatenate(([0.0], sol.eigenvalues)), t)
+    return factors[0] * state + modes.combine((factors[1:] - factors[0])
+                                              * modes.coordinates(state))
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,8 +388,7 @@ def simulate_linearized(model: EpidemicModel, p0: np.ndarray, control=None,
     states = _modal_sum(decay[:, 1:] * coords, decay[:, :1], basis, residual)
     controls = gains = None
     if law is not None:
-        gains = (-model.beta0 * _riccati_values(params, lams, times)
-                 / (lams ** 2 - 2.0 * lams + 2.0) * decay)
+        gains = _feedback_factors(model.beta0, params, lams, times) * decay
         controls = _modal_sum(gains[:, 1:] * coords, gains[:, :1], basis, residual)
     return ModalTrajectory(times, states, controls, coordinates=coords,
                            residual=residual, decay=decay, gains=gains)
@@ -422,13 +419,9 @@ def simulate_nonlinear(model: EpidemicModel, p0: np.ndarray, control=None,
     lams = np.concatenate(([0.0], model.modes.eigenvalues))
     basis, n, adjacency = model.modes.basis, model.num_nodes, model.adjacency
 
-    def modal(factors, rows):
-        # rows move by factors[0] on the complement and by factors[l] along mode l
-        return (rows @ basis / n * (factors[1:] - factors[0])) @ basis.T + factors[0] * rows
-
     def nonlinear(k, t, p):
         rate = -model.eta * p * (adjacency @ p)
-        rate = rate + modal(growth[k], p) if grows[k] else rate
+        rate = rate + _modal_apply(basis, growth[k], p) if grows[k] else rate
         return rate if forcing is None else rate + model.beta0 * forcing(t, p)
 
     with np.errstate(over="ignore", invalid="ignore"):  # Trajectory reports a non-finite state
@@ -437,21 +430,53 @@ def simulate_nonlinear(model: EpidemicModel, p0: np.ndarray, control=None,
         growth = np.log(np.maximum(halves[0] * halves[1], 1.0)) / step
         halves = [factors * np.exp(-0.5 * step * growth) for factors in halves]
         grows = growth.any(axis=1)
-        states = lawson_rk4(lambda k, half, pair: modal(halves[half][k], pair),
+        states = lawson_rk4(lambda k, half, pair: _modal_apply(basis, halves[half][k], pair),
                             nonlinear, times, p0)
         trajectory = Trajectory(times, states,
                                 range_warning=bool(states.min() < -0.1 or states.max() > 1.1))
         controls = None
         if law is not None:
-            values = _riccati_values(params, lams, times)
-            half_gains, gains = _feedback_gains(model, law.sol, values[:, :1], values[:, 1:])
-            controls = -half_gains * states - (states @ basis * gains) @ basis.T
+            # `_modal_apply`'s product with 1/N folded into the gains, the rounding
+            # order that earlier versions wrote `nonlinear_closed_loop` costs with
+            gains = _feedback_factors(model.beta0, params, lams, times)
+            lead = gains[:, :1]
+            controls = lead * states + (states @ basis * ((gains[:, 1:] - lead) / n)) @ basis.T
         elif forcing is not None:
             controls = np.stack([forcing(t, p) for t, p in zip(times, states)])
     if trajectory.range_warning:
         warnings.warn("infection fractions left [-0.1, 1.1]; the model "
                       "interpretation is unreliable", RuntimeWarning)
     return replace(trajectory, controls=controls)
+
+
+def linear_costs(model: EpidemicModel, p0: np.ndarray) -> tuple[float, float]:
+    """Exact (optimal, zero_control) costs of the linearized regulator from p0.
+
+    Each direction costs its weight w times a scalar: w = |r|^2 on the
+    complement and N c_l^2 along mode l, with c = basis.T p0 / N and
+    r = p0 - basis @ c.  Under the optimal feedback the scalar is the value
+    pi(0) of `_riccati_values`, so the sum is p0' Pi(0) p0.  Without control
+    each direction decays as exp(-h t), and the scalar is
+    q G(-2h, T) + q_T exp(-2h T), G(a, T) the integral of exp(a t) over
+    [0, T].  A zero weight, q or q_T adds exactly 0; an overflowing sum is
+    inf, without a warning.
+    """
+    params = model.regulator_params()
+    q, q_terminal, horizon = params.state_weight, params.terminal_weight, params.horizon
+    p0, basis = np.asarray(p0, dtype=float), model.modes.basis
+    coords = basis.T @ p0 / model.num_nodes
+    residual = p0 - basis @ coords
+    weights = np.concatenate(([residual @ residual], model.num_nodes * coords ** 2))
+    lams = np.concatenate(([0.0], model.modes.eigenvalues))
+    rate = -2.0 * _riccati_coefficients(params, lams)[0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        growth = np.where(np.abs(rate) < RATE_EPS, horizon, np.expm1(rate * horizon) / rate)
+        idle = ((q * growth if q else 0.0)
+                + (q_terminal * np.exp(rate * horizon) if q_terminal else 0.0))
+        scalars = np.stack(np.broadcast_arrays(_riccati_values(params, lams, 0.0), idle))
+        terms = np.where((weights == 0.0) | (scalars == 0.0), 0.0, weights * scalars)
+        optimal, zero_control = terms.sum(axis=1)
+    return float(optimal), float(zero_control)
 
 
 def closed_loop_cost(model: EpidemicModel, trajectory: Trajectory,

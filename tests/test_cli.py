@@ -351,11 +351,7 @@ class TestEpidemic:
     @pytest.mark.parametrize("simulation", ["simulate_linearized", "simulate_nonlinear"])
     def test_controlled_overflow_exits_three(self, data_dir, tmp_path, capsys,
                                              monkeypatch, simulation):
-        original = getattr(cli, simulation)
-
         def overflow_under_control(model, p0, control, num_steps):
-            if control is None:
-                return original(model, p0, control, num_steps)
             raise NumericsError("state became non-finite at t=0.5")
 
         monkeypatch.setattr(cli, simulation, overflow_under_control)
@@ -365,13 +361,18 @@ class TestEpidemic:
         assert "numeric failure: state became non-finite" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_stiff_nonlinear_run_matches_radau(self, tmp_path):
-        # complete 4-partite graph, parts 2, 4, 6 and 8 nodes: at eta 360 the
-        # closed loop's fastest rate is about 5000, five times 1/step
+    @staticmethod
+    def multipartite(tmp_path):
+        """Complete 4-partite graph, parts of 2, 4, 6 and 8 nodes: its file and adjacency."""
         part = np.repeat(np.arange(4), [2, 4, 6, 8])
         network = tmp_path / "multipartite.edges"
         network.write_text("".join(f"{i} {j}\n" for i in range(20) for j in range(i)
                                    if part[i] != part[j]))
+        return network, (part[:, None] != part[None, :]).astype(float)
+
+    def test_stiff_nonlinear_run_matches_radau(self, tmp_path):
+        # at eta 360 the closed loop's fastest rate is about 5000, five times 1/step
+        network, adjacency = self.multipartite(tmp_path)
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -380,10 +381,25 @@ class TestEpidemic:
         costs = json.loads((out / "cost.json").read_text())
         assert math.isfinite(costs["nonlinear_closed_loop"])
         _, table = read_csv(out / "nonlinear_states.csv")
-        adjacency = (part[:, None] != part[None, :]).astype(float)
         expected = oracles.radau_states(adjacency, -0.5, 360.0, 1.0, np.full(20, 0.1), 1.0,
                                         table[:, 0], (2.0, 4.0), rtol=1e-10)
         assert np.abs(table[:, 1:] - expected).max() < 1e-2 * np.abs(expected).max()
+
+    def test_stiff_optimal_cost_is_the_value_function(self, tmp_path):
+        # the closed loop is fast here: a trapezoid over the default grid gives 269.65
+        network, adjacency = self.multipartite(tmp_path)
+        assert main(["epidemic", str(network), "--eta", "40", "--out", str(tmp_path)]) == 0
+        costs = json.loads((tmp_path / "cost.json").read_text())
+        _, sheets, _ = oracles.epidemic_lqr_oracle(adjacency, -0.5, 40.0, 1.0, 2.0, 4.0, 1.0)
+        p0 = np.full(20, 0.1)
+        assert costs["optimal"] == pytest.approx(p0 @ sheets[0] @ p0, rel=1e-9)
+
+    def test_costs_do_not_depend_on_the_step(self, data_dir, tmp_path):
+        for name, flags in (("default", []), ("fine", ["--step", "0.0001"])):
+            assert main(["epidemic", str(data_dir / "k22.edges"),
+                         "--out", str(tmp_path / name)] + flags) == 0
+        assert ((tmp_path / "default" / "cost.json").read_bytes()
+                == (tmp_path / "fine" / "cost.json").read_bytes())
 
     def test_factored_layout_rebuilds_states_and_controls(self, data_dir, tmp_path):
         # k22 has rank 2 with parts {0, 1} and {2, 3}; this p0 is off its range

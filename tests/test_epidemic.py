@@ -1,5 +1,7 @@
 import dataclasses
 import functools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from graphonctl.epidemic import (
     EpidemicModel,
     RegulatorParams,
     closed_loop_cost,
+    linear_costs,
     linear_feedback,
     optimal_control_finite,
     optimal_control_graphon,
@@ -22,7 +25,8 @@ from graphonctl.epidemic import (
 import graphonctl.epidemic as epidemic
 from graphonctl.errors import NumericsError
 from graphonctl.functions import PiecewiseConstantFunction
-from graphonctl.graphons import StepGraphon
+from graphonctl.graphons import SinusoidalGraphon, StepGraphon
+from graphonctl.netio import sample_graph
 
 import oracles
 from conftest import random_probability_graphon
@@ -120,8 +124,6 @@ class TestRiccati:
         aux, pis = sol.value_at(float(sol.times[123]))
         assert aux == pytest.approx(sol.auxiliary[123], rel=1e-14)
         np.testing.assert_allclose(pis, sol.modes[123], rtol=1e-14)
-        np.testing.assert_allclose(sol.quadratic_denominators,
-                                   sol.eigenvalues**2 - 2 * sol.eigenvalues + 2)
 
 
 def _direction_coefficients(params, lam):
@@ -533,3 +535,84 @@ class TestCostAndProjections:
         controlled = simulate_linearized(model, p0, law, num_steps=500)
         idle = simulate_linearized(model, p0, None, num_steps=500)
         assert closed_loop_cost(model, controlled) < closed_loop_cost(model, idle)
+
+
+def repeated_block_model(seed, **overrides):
+    """Random kernel on 2k nodes, every block value repeated over two nodes, so
+    its rank is at most k and a generic p0 has a part off every eigendirection."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 4))
+    raw = rng.uniform(0.0, 1.0, (k, k))
+    contact = StepGraphon(np.kron((raw + raw.T) / 2.0, np.ones((2, 2))))
+    kwargs = dict(BASELINE_REGULATOR, eta=1.5 / contact.num_blocks)
+    kwargs.update(overrides)
+    return EpidemicModel(contact, **kwargs), rng.uniform(0.0, 0.3, 2 * k)
+
+
+class TestLinearCosts:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("alpha", [0.5, -0.5])
+    @pytest.mark.parametrize("weights", [(2.0, 4.0), (0.0, 4.0), (2.0, 0.0), (0.0, 0.0)])
+    def test_value_and_converged_trapezoid(self, seed, alpha, weights):
+        q, q_terminal = weights
+        model, p0 = repeated_block_model(seed, alpha=alpha, state_weight=q,
+                                         terminal_weight=q_terminal)
+        basis = model.modes.basis
+        residual = p0 - basis @ (basis.T @ p0) / model.num_nodes
+        assert np.linalg.norm(residual) > 1e-3  # p0 is off the adjacency's range
+        optimal, zero_control = linear_costs(model, p0)
+
+        _, sheets, _ = oracles.epidemic_lqr_oracle(
+            model.adjacency, model.alpha, model.eta, model.beta0, q, q_terminal,
+            model.horizon)
+        value = p0 @ sheets[0] @ p0
+        # a trapezoid extrapolated from steps h and h/2 leaves an O(h^4) error
+        coarse, fine = (closed_loop_cost(model, simulate_linearized(model, p0, None, k))
+                        for k in (2000, 4000))
+        trapezoid = (4.0 * fine - coarse) / 3.0
+        if weights == (0.0, 0.0):
+            assert (optimal, zero_control) == (0.0, 0.0)
+            assert value == 0.0 and trapezoid == 0.0
+        else:
+            assert optimal == pytest.approx(value, rel=1e-9)
+            assert zero_control == pytest.approx(trapezoid, rel=1e-10)
+
+    def test_overflowing_open_loop_is_exactly_zero_or_infinite(self):
+        # eta_total 400 on a constant kernel: its one mode (eigenvalue 1) grows
+        # as exp(399.5 t) without control, while the complement decays as exp(-t/2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model = EpidemicModel(StepGraphon(np.ones((4, 4))), alpha=0.5,
+                                  eta_total=400.0)
+            optimal, zero_control = linear_costs(model, np.full(4, 0.1))
+            assert math.isfinite(optimal) and zero_control == math.inf
+            # off the growing mode its weight is exactly 0 and adds nothing
+            off_mode = np.array([0.1, -0.1, 0.0, 0.0])
+            assert linear_costs(model, off_mode)[1] == pytest.approx(
+                0.02 * (2.0 * -math.expm1(-1.0) + 4.0 * math.exp(-1.0)), rel=1e-14)
+            assert linear_costs(model, np.zeros(4)) == (0.0, 0.0)
+            unweighted = EpidemicModel(model.contact, alpha=0.5, eta_total=400.0,
+                                       state_weight=0.0, terminal_weight=0.0)
+            assert linear_costs(unweighted, np.full(4, 0.1)) == (0.0, 0.0)
+
+
+class TestGraphonLimitCost:
+    def test_cost_per_node_approaches_the_graphon_value(self):
+        # W = 0.5 + 0.3 cos 2 pi (x - y): p0 = 0.1 lies on its constant
+        # eigenfunction (eigenvalue 0.5) with squared L2 norm 0.01
+        kernel = SinusoidalGraphon(0.5, [0.3])
+        sol = solve_riccati_graphon(kernel, RegulatorParams(-0.5, 1.0, 1.5), num_steps=1)
+        assert sol.eigenvalues[0] == pytest.approx(0.5)
+        limit = sol.value_at(0.0)[1][0] * 0.01
+        assert limit == pytest.approx(0.0379128, abs=5e-8)
+        gaps = {}
+        for n in (100, 300):
+            costs = [linear_costs(EpidemicModel(StepGraphon(sample_graph(kernel, n, seed)
+                                                            .adjacency()),
+                                                alpha=-0.5, eta_total=1.5),
+                                  np.full(n, 0.1))[0] for seed in range(5)]
+            gaps[n] = np.abs(np.array(costs) / n / limit - 1.0).max()
+        # measured: 2.4e-3 at n = 100 and 5.0e-4 at n = 300
+        assert gaps[100] < 5e-3
+        assert gaps[300] < 1.5e-3
+        assert gaps[300] < gaps[100]
