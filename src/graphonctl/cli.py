@@ -146,9 +146,7 @@ def cmd_spectra(args):
     kernel = netio.to_step_graphon(ds, normalize=args.normalize,
                                    symmetrize=args.symmetrize)
     write_kernel_csv(out, "original_kernel", kernel.coeffs, "step", args.normalize)
-    # the report decomposed this same max-abs kernel (its dataset is symmetric)
-    decomp = (report.modes if args.normalize == "max-abs" and report.modes is not None
-              else decompose(kernel))
+    decomp = decompose(kernel)
     rank = min(report.top_k, decomp.rank)
     approx = (truncate(decomp, rank).coeffs if rank
               else np.zeros_like(kernel.coeffs))

@@ -255,9 +255,9 @@ def solve_riccati_graphon(kernel: Graphon, params: RegulatorParams,
     return _solve_family(params, decompose(kernel).eigenvalues, num_steps)
 
 
-def _feedback_factors(beta0: float, params: RegulatorParams, lams: np.ndarray, t):
+def _feedback_factors(params: RegulatorParams, lams: np.ndarray, t):
     """The optimal control per unit state, -beta0 pi(t) / (lambda^2 - 2 lambda + 2)."""
-    return -beta0 * _riccati_values(params, lams, t) / (lams ** 2 - 2.0 * lams + 2.0)
+    return -params.beta0 * _riccati_values(params, lams, t) / (lams ** 2 - 2.0 * lams + 2.0)
 
 
 def _modal_apply(basis: np.ndarray, factors: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -280,19 +280,17 @@ def optimal_control_finite(model: EpidemicModel, sol: RiccatiSolution,
     of one common statement of this law; validated against a full-matrix
     regulator.)
     """
-    factors = _feedback_factors(model.beta0, sol.params,
-                                np.concatenate(([0.0], sol.eigenvalues)), t)
+    factors = _feedback_factors(sol.params, np.concatenate(([0.0], sol.eigenvalues)), t)
     return _modal_apply(model.modes.basis, factors, np.asarray(state, dtype=float))
 
 
 def optimal_control_graphon(kernel: Graphon, sol: RiccatiSolution,
-                            state: Function, t: float, beta0: float,
+                            state: Function, t: float,
                             modes: SpectralDecomposition | None = None) -> Function:
     """Graphon-limit version of the feedback, acting on L2 functions."""
     if modes is None:
         modes = decompose(kernel)
-    factors = _feedback_factors(beta0, sol.params,
-                                np.concatenate(([0.0], sol.eigenvalues)), t)
+    factors = _feedback_factors(sol.params, np.concatenate(([0.0], sol.eigenvalues)), t)
     return factors[0] * state + modes.combine((factors[1:] - factors[0])
                                               * modes.coordinates(state))
 
@@ -388,7 +386,7 @@ def simulate_linearized(model: EpidemicModel, p0: np.ndarray, control=None,
     states = _modal_sum(decay[:, 1:] * coords, decay[:, :1], basis, residual)
     controls = gains = None
     if law is not None:
-        gains = _feedback_factors(model.beta0, params, lams, times) * decay
+        gains = _feedback_factors(params, lams, times) * decay
         controls = _modal_sum(gains[:, 1:] * coords, gains[:, :1], basis, residual)
     return ModalTrajectory(times, states, controls, coordinates=coords,
                            residual=residual, decay=decay, gains=gains)
@@ -417,7 +415,7 @@ def simulate_nonlinear(model: EpidemicModel, p0: np.ndarray, control=None,
     step = model.horizon / num_steps
     mids = times[:-1] + 0.5 * step
     lams = np.concatenate(([0.0], model.modes.eigenvalues))
-    basis, n, adjacency = model.modes.basis, model.num_nodes, model.adjacency
+    basis, adjacency = model.modes.basis, model.adjacency
 
     def nonlinear(k, t, p):
         rate = -model.eta * p * (adjacency @ p)
@@ -436,11 +434,7 @@ def simulate_nonlinear(model: EpidemicModel, p0: np.ndarray, control=None,
                                 range_warning=bool(states.min() < -0.1 or states.max() > 1.1))
         controls = None
         if law is not None:
-            # `_modal_apply`'s product with 1/N folded into the gains, the rounding
-            # order that earlier versions wrote `nonlinear_closed_loop` costs with
-            gains = _feedback_factors(model.beta0, params, lams, times)
-            lead = gains[:, :1]
-            controls = lead * states + (states @ basis * ((gains[:, 1:] - lead) / n)) @ basis.T
+            controls = _modal_apply(basis, _feedback_factors(params, lams, times), states)
         elif forcing is not None:
             controls = np.stack([forcing(t, p) for t, p in zip(times, states)])
     if trajectory.range_warning:
@@ -479,8 +473,7 @@ def linear_costs(model: EpidemicModel, p0: np.ndarray) -> tuple[float, float]:
     return float(optimal), float(zero_control)
 
 
-def closed_loop_cost(model: EpidemicModel, trajectory: Trajectory,
-                     controls: np.ndarray | None = None) -> float:
+def closed_loop_cost(model: EpidemicModel, trajectory: Trajectory) -> float:
     """Quadratic cost: state weight, control effort, and neighbor-equity penalty.
 
     The running integrand is q_t |p|^2 + |u|^2 + |(I - A/N) u|^2 in Euclidean
@@ -489,8 +482,7 @@ def closed_loop_cost(model: EpidemicModel, trajectory: Trajectory,
     where its squared norm overflows; an overflowing sum is inf, without a
     warning.
     """
-    if controls is None:
-        controls = trajectory.controls
+    controls = trajectory.controls
     if controls is None:
         controls = np.zeros_like(trajectory.states)
     states = trajectory.states

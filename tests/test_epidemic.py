@@ -233,14 +233,14 @@ class TestFeedbackAgainstMatrixOracle:
                 ref = oracle_feedback(t, state)
                 np.testing.assert_allclose(mine, ref, atol=2e-6)
 
-    def test_graphon_feedback_reproduces_finite(self, rng):
-        model = random_model(rng)
+    @pytest.mark.parametrize("beta0", [1.0, 0.4])
+    def test_graphon_feedback_reproduces_finite(self, rng, beta0):
+        model = random_model(rng, beta0=beta0)
         sol = solve_riccati_finite(model, num_steps=1000)
         state = rng.normal(size=model.num_nodes)
         finite = optimal_control_finite(model, sol, state, 0.3)
         graphon_u = optimal_control_graphon(
-            model.contact, sol, PiecewiseConstantFunction(state), 0.3,
-            model.beta0, modes=model.modes)
+            model.contact, sol, PiecewiseConstantFunction(state), 0.3, modes=model.modes)
         np.testing.assert_allclose(graphon_u.values, finite, atol=1e-12)
 
 

@@ -261,6 +261,20 @@ class TestSpectralReport:
         with pytest.raises(ValueError, match="top_fraction"):
             spectral_report(ds, top_fraction=1.5)
 
+    @pytest.mark.parametrize("top_fraction", [0.1, 0.3, 1.0])
+    @pytest.mark.parametrize("name", ["k22.edges", "zero_diag8.edges", "two_cycle.mtx",
+                                      "path3_weighted.edges"])
+    def test_error_is_the_scaled_eigvalsh_tail(self, data_dir, name, top_fraction):
+        text = (data_dir / name).read_text()
+        ds = (parse_matrix_market if name.endswith(".mtx") else parse_edge_list)(text)
+        report = spectral_report(ds, top_fraction=top_fraction)
+        adjacency = ds.adjacency()
+        lam = np.linalg.eigvalsh(adjacency) / (ds.num_nodes * np.abs(adjacency).max())
+        by_size = np.sort(np.abs(lam))[::-1]
+        tail = math.sqrt(np.sum(by_size[math.ceil(top_fraction * ds.num_nodes):] ** 2))
+        # eigensolver dust in a zero tail reads ~1e-17 here and exactly 0 in the report
+        assert report.truncation_error == pytest.approx(tail, rel=1e-12, abs=1e-15)
+
     def test_zero_weight_network(self):
         report = spectral_report(NetworkDataset(3, ((0, 1, 0.0),)))
         assert report.truncation_error == 0.0
