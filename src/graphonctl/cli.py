@@ -1,9 +1,11 @@
 """Command-line front end: reproducible spectral / control runs on network files.
 
 Every subcommand writes its artifacts plus a manifest.json capturing the full
-configuration, seed and package version (no timestamps), so a rerun with the
-same manifest reproduces every CSV byte for byte.  Files are written to a
-temporary sibling and renamed, never partially.
+configuration, seed and package version (no timestamps).  A rerun with the
+same manifest, the same numpy, scipy and BLAS build and the same BLAS thread
+count reproduces every artifact byte for byte; the thread count alone can move
+eigensolver and matrix-product digits.  Files are written to a temporary
+sibling and renamed, never partially.
 """
 
 from __future__ import annotations
@@ -139,12 +141,13 @@ def _contact_graphon(args) -> StepGraphon:
 def cmd_spectra(args):
     out = Path(args.out)
     ds = load_dataset(args.network, args.degree_sort)
+    if args.symmetrize:  # the report and the kernel read the same symmetric graph
+        ds = ds.symmetrized()
     report = netio.spectral_report(ds, top_fraction=args.top_fraction)
     write_json(out / "spectral_report.json", report.to_json_dict())
     write_csv(out / "eigenvalues.csv", ["index", "eigenvalue"],
               np.arange(report.eigenvalues.size), report.eigenvalues)
-    kernel = netio.to_step_graphon(ds, normalize=args.normalize,
-                                   symmetrize=args.symmetrize)
+    kernel = netio.to_step_graphon(ds, normalize=args.normalize)
     write_kernel_csv(out, "original_kernel", kernel.coeffs, "step", args.normalize)
     decomp = decompose(kernel)
     rank = min(report.top_k, decomp.rank)

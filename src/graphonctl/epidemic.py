@@ -278,8 +278,9 @@ def optimal_control_finite(model: EpidemicModel, sol: RiccatiSolution,
     Feedback mixes a uniform term on the state with per-eigendirection
     corrections on its projections.  (Stabilizing sign, which is the negation
     of one common statement of this law; validated against a full-matrix
-    regulator.)
+    regulator.)  A `sol` of another model raises ValueError.
     """
+    _require_own_solution(model, sol)
     factors = _feedback_factors(sol.params, np.concatenate(([0.0], sol.eigenvalues)), t)
     return _modal_apply(model.modes.basis, factors, np.asarray(state, dtype=float))
 
@@ -315,14 +316,19 @@ def linear_feedback(model: EpidemicModel, sol: RiccatiSolution) -> FeedbackLaw:
     return FeedbackLaw(model, sol)
 
 
+def _require_own_solution(model: EpidemicModel, sol: RiccatiSolution):
+    """Raise ValueError unless `sol` was solved for `model`'s regulator and spectrum."""
+    if not (sol.params == model.regulator_params()
+            and np.array_equal(sol.eigenvalues, model.modes.eigenvalues)):
+        raise ValueError("the Riccati solution belongs to another model")
+
+
 def _own_law(model: EpidemicModel, control) -> FeedbackLaw | None:
     """This model's `linear_feedback` law behind `control` (unwrapped), or None."""
     law = None if control is None else inspect.unwrap(control)
     if not (isinstance(law, FeedbackLaw) and law.model is model):
         return None
-    if not (law.sol.params == model.regulator_params()
-            and np.array_equal(law.sol.eigenvalues, model.modes.eigenvalues)):
-        raise ValueError("the feedback's Riccati solution belongs to another model")
+    _require_own_solution(model, law.sol)
     return law
 
 

@@ -37,26 +37,35 @@ def common_block_count(n: int, m: int) -> int:
     return merged
 
 
-def trig_block_integrals(num_blocks: int, harmonics) -> tuple[np.ndarray, np.ndarray]:
-    """Exact integrals of cos(2*pi*k*x) and sin(2*pi*k*x) over each partition block.
-
-    Returns two arrays of shape (len(harmonics), num_blocks).
-    """
-    harmonics = np.atleast_1d(np.asarray(harmonics, dtype=float))
+def fourier_block_integrals(num_blocks: int, order: int) -> np.ndarray:
+    """(2*order+1, num_blocks) integrals of φ = [1, sqrt(2)cos_1..order, sqrt(2)sin_1..order]
+    over each block of the uniform partition."""
     edges = np.arange(num_blocks + 1) / num_blocks
-    k = harmonics[:, None]
+    k = np.arange(1, order + 1, dtype=float)[:, None]
     s = np.sin(TWO_PI * k * edges)
     c = np.cos(TWO_PI * k * edges)
     cos_ints = (s[:, 1:] - s[:, :-1]) / (TWO_PI * k)
     sin_ints = (c[:, :-1] - c[:, 1:]) / (TWO_PI * k)
-    return cos_ints, sin_ints
-
-
-def fourier_block_integrals(num_blocks: int, order: int) -> np.ndarray:
-    """(2*order+1, num_blocks) integrals of 1, sqrt(2)cos_k, sqrt(2)sin_k over each block."""
-    cos_ints, sin_ints = trig_block_integrals(num_blocks, np.arange(1, order + 1))
     return np.vstack([np.full(num_blocks, 1.0 / num_blocks),
                       math.sqrt(2.0) * cos_ints, math.sqrt(2.0) * sin_ints])
+
+
+def _fourier_values(x, order: int) -> np.ndarray:
+    """(..., 2*order+1) values of φ = [1, sqrt(2)cos_1..order, sqrt(2)sin_1..order] at x."""
+    x = np.asarray(x, dtype=float)[..., None]
+    phase = TWO_PI * np.arange(1, order + 1) * x
+    return np.concatenate((np.ones_like(x), np.sqrt(2.0) * np.cos(phase),
+                           np.sqrt(2.0) * np.sin(phase)), axis=-1)
+
+
+def _fourier_layout(coeffs: np.ndarray, order: int) -> np.ndarray:
+    """Coordinates over φ (rows [1, cos_1..h, sin_1..h]) cut or zero-padded to `order`."""
+    h = (coeffs.shape[0] - 1) // 2
+    kept = min(h, order)
+    out = np.zeros((2 * order + 1,) + coeffs.shape[1:])
+    out[:kept + 1] = coeffs[:kept + 1]
+    out[order + 1:order + 1 + kept] = coeffs[h + 1:h + 1 + kept]
+    return out
 
 
 def _readonly_vector(values) -> np.ndarray:
@@ -126,89 +135,52 @@ class PiecewiseConstantFunction:
 
 @dataclass(frozen=True, eq=False)
 class TrigPolynomial:
-    """constant + sum_k cos_amps[k-1]*cos(2*pi*k*x) + sin_amps[k-1]*sin(2*pi*k*x)."""
+    """The function coeffs · φ(x) over the orthonormal Fourier functions
+    φ = [1, sqrt(2)cos_1..H, sqrt(2)sin_1..H], so `coeffs` has odd length 2H+1.
 
-    constant: float = 0.0
-    cos_amps: np.ndarray = ()
-    sin_amps: np.ndarray = ()
+    `TrigPolynomial([c])` is the constant c.  Instances are immutable after
+    construction.
+    """
+
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.array(self.cos_amps, dtype=float)) if np.size(self.cos_amps) else np.zeros(0)
-        s = np.atleast_1d(np.array(self.sin_amps, dtype=float)) if np.size(self.sin_amps) else np.zeros(0)
-        order = max(c.size, s.size)
-        c = np.pad(c, (0, order - c.size))
-        s = np.pad(s, (0, order - s.size))
+        c = np.array(self.coeffs, dtype=float)
+        if c.ndim != 1 or c.size % 2 == 0:
+            raise ValueError("coeffs must be a vector of odd length 2H+1")
         c.setflags(write=False)
-        s.setflags(write=False)
-        object.__setattr__(self, "constant", float(self.constant))
-        object.__setattr__(self, "cos_amps", c)
-        object.__setattr__(self, "sin_amps", s)
-
-    @classmethod
-    def constant_function(cls, value: float) -> "TrigPolynomial":
-        return cls(constant=value)
+        object.__setattr__(self, "coeffs", c)
 
     @classmethod
     def cosine_mode(cls, harmonic: int) -> "TrigPolynomial":
         """Unit-L2-norm cosine mode sqrt(2)*cos(2*pi*k*x)."""
-        amps = np.zeros(harmonic)
-        amps[harmonic - 1] = math.sqrt(2.0)
-        return cls(cos_amps=amps)
+        return cls(np.eye(2 * harmonic + 1)[harmonic])
 
     @classmethod
     def sine_mode(cls, harmonic: int) -> "TrigPolynomial":
         """Unit-L2-norm sine mode sqrt(2)*sin(2*pi*k*x)."""
-        amps = np.zeros(harmonic)
-        amps[harmonic - 1] = math.sqrt(2.0)
-        return cls(sin_amps=amps)
-
-    @classmethod
-    def from_orthonormal(cls, constant, cos_coeffs=(), sin_coeffs=()) -> "TrigPolynomial":
-        """Build from coefficients over the orthonormal basis {1, sqrt(2)cos, sqrt(2)sin}."""
-        r = math.sqrt(2.0)
-        return cls(constant, r * np.asarray(cos_coeffs, dtype=float),
-                   r * np.asarray(sin_coeffs, dtype=float))
+        return cls(np.eye(2 * harmonic + 1)[2 * harmonic])
 
     @property
     def order(self) -> int:
-        return self.cos_amps.size
-
-    def orthonormal_coefficients(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """Coefficients over the orthonormal basis {1, sqrt(2)cos, sqrt(2)sin}."""
-        r = math.sqrt(2.0)
-        return self.constant, self.cos_amps / r, self.sin_amps / r
+        return (self.coeffs.size - 1) // 2
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.full(x.shape, self.constant)
-        for k in range(1, self.order + 1):
-            phase = TWO_PI * k * x
-            out = out + self.cos_amps[k - 1] * np.cos(phase) + self.sin_amps[k - 1] * np.sin(phase)
-        return out
+        return _fourier_values(x, self.order) @ self.coeffs
 
     def block_integrals(self, num_blocks: int) -> np.ndarray:
         """Exact integral of the function over every block of the uniform partition."""
-        out = np.full(num_blocks, self.constant / num_blocks)
-        if self.order:
-            cos_ints, sin_ints = trig_block_integrals(num_blocks, np.arange(1, self.order + 1))
-            out = out + self.cos_amps @ cos_ints + self.sin_amps @ sin_ints
-        return out
+        return self.coeffs @ fourier_block_integrals(num_blocks, self.order)
 
     def l2_norm(self) -> float:
-        return float(np.sqrt(self.constant ** 2
-                             + 0.5 * (np.sum(self.cos_amps ** 2) + np.sum(self.sin_amps ** 2))))
-
-    def _padded(self, order: int) -> tuple[np.ndarray, np.ndarray]:
-        pad = order - self.order
-        return np.pad(self.cos_amps, (0, pad)), np.pad(self.sin_amps, (0, pad))
+        return float(np.linalg.norm(self.coeffs))
 
     def __add__(self, other):
         if not isinstance(other, TrigPolynomial):
             return NotImplemented
         order = max(self.order, other.order)
-        ca, sa = self._padded(order)
-        cb, sb = other._padded(order)
-        return TrigPolynomial(self.constant + other.constant, ca + cb, sa + sb)
+        return TrigPolynomial(_fourier_layout(self.coeffs, order)
+                              + _fourier_layout(other.coeffs, order))
 
     def __sub__(self, other):
         if not isinstance(other, TrigPolynomial):
@@ -218,8 +190,7 @@ class TrigPolynomial:
     def __mul__(self, scalar):
         if not np.isscalar(scalar):
             return NotImplemented
-        s = float(scalar)
-        return TrigPolynomial(self.constant * s, self.cos_amps * s, self.sin_amps * s)
+        return TrigPolynomial(self.coeffs * float(scalar))
 
     __rmul__ = __mul__
 
@@ -233,12 +204,20 @@ class TrigPolynomial:
 Function = PiecewiseConstantFunction | TrigPolynomial
 
 
+def _phi_coordinates(func: Function, order: int) -> np.ndarray:
+    """Coordinates over φ of func's projection onto harmonics 0..order: exact inner
+    products, from the analytic block integrals for a piecewise-constant func."""
+    if isinstance(func, TrigPolynomial):
+        return _fourier_layout(func.coeffs, order)
+    return fourier_block_integrals(func.num_blocks, order) @ func.values
+
+
 def inner_product(f: Function, g: Function) -> float:
     """Exact L2 inner product on [0,1] for any pairing of the two families.
 
     Step pairs average their product on the common refinement of both
     partitions, a mixed pair sums the step values against the polynomial's
-    exact block integrals, and polynomial pairs dot their amplitudes.
+    exact block integrals, and polynomial pairs dot their coordinates over φ.
     """
     if isinstance(f, TrigPolynomial) and isinstance(g, PiecewiseConstantFunction):
         f, g = g, f
@@ -249,8 +228,7 @@ def inner_product(f: Function, g: Function) -> float:
     if isinstance(f, PiecewiseConstantFunction) and isinstance(g, TrigPolynomial):
         return float(f.values @ g.block_integrals(f.num_blocks))
     if isinstance(f, TrigPolynomial) and isinstance(g, TrigPolynomial):
-        h = min(f.order, g.order)
-        amps = f.cos_amps[:h] @ g.cos_amps[:h] + f.sin_amps[:h] @ g.sin_amps[:h]
-        return float(f.constant * g.constant + 0.5 * amps)
+        order = max(f.order, g.order)
+        return float(_fourier_layout(f.coeffs, order) @ _fourier_layout(g.coeffs, order))
     raise IncompatibleOperandsError(
         f"no inner product between {type(f).__name__} and {type(g).__name__}")

@@ -22,11 +22,12 @@ import scipy.linalg
 
 from .errors import IncompatibleOperandsError, PartitionMismatchError
 from .functions import (
+    Function,
     PiecewiseConstantFunction,
     TrigPolynomial,
+    _phi_coordinates,
     block_index,
     common_block_count,
-    trig_block_integrals,
 )
 
 # Slack applied to the [-1, 1] range and symmetry checks.
@@ -105,6 +106,12 @@ class SinusoidalGraphon:
     def harmonics(self) -> int:
         return self.cosine_coeffs.size
 
+    @property
+    def fourier_weights(self) -> np.ndarray:
+        """The operator's diagonal [a0, b/2, b/2] over φ = [1, sqrt(2)cos_1..H, sqrt(2)sin_1..H]."""
+        half = 0.5 * self.cosine_coeffs
+        return np.concatenate(([self.constant], half, half))
+
     def value(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -145,22 +152,9 @@ def apply(graphon: Graphon, f):
         if isinstance(f, TrigPolynomial):
             # integrate f exactly over each y-block
             return PiecewiseConstantFunction(graphon.coeffs @ f.block_integrals(n))
-    if isinstance(graphon, SinusoidalGraphon):
-        b = graphon.cosine_coeffs
-        if isinstance(f, TrigPolynomial):
-            order = min(graphon.harmonics, f.order)
-            ca, sa = f.cos_amps[:order], f.sin_amps[:order]
-            half = 0.5 * b[:order]
-            return TrigPolynomial(graphon.constant * f.constant, half * ca, half * sa)
-        if isinstance(f, PiecewiseConstantFunction):
-            mean = float(np.mean(f.values))
-            if graphon.harmonics == 0:
-                return TrigPolynomial(graphon.constant * mean)
-            cos_ints, sin_ints = trig_block_integrals(
-                f.num_blocks, np.arange(1, graphon.harmonics + 1))
-            return TrigPolynomial(graphon.constant * mean,
-                                  b * (cos_ints @ f.values),
-                                  b * (sin_ints @ f.values))
+    if isinstance(graphon, SinusoidalGraphon) and isinstance(f, Function):
+        # the operator is diagonal over φ
+        return TrigPolynomial(graphon.fourier_weights * _phi_coordinates(f, graphon.harmonics))
     raise IncompatibleOperandsError(
         f"cannot apply {type(graphon).__name__} to {type(f).__name__}")
 

@@ -59,6 +59,16 @@ class NetworkDataset:
                 mat[j, i] = weight
         return mat
 
+    def symmetrized(self) -> "NetworkDataset":
+        """Undirected copy keeping the larger-magnitude orientation of each node
+        pair (the i -> j weight, i < j, on a tie); an undirected dataset is its own."""
+        if not self.directed:
+            return self
+        mat = self.adjacency()
+        mat = np.triu(np.where(np.abs(mat) >= np.abs(mat.T), mat, mat.T))
+        edges = tuple((int(i), int(j), float(mat[i, j])) for i, j in zip(*np.nonzero(mat)))
+        return NetworkDataset(self.num_nodes, edges, self.name, self.source)
+
     def degree_sorted(self) -> "NetworkDataset":
         """Relabel nodes by descending weighted degree (ties keep input order)."""
         mat = np.abs(self.adjacency())
@@ -176,14 +186,11 @@ def to_step_graphon(dataset: NetworkDataset, normalize: str = "max-abs",
     normalize="max-abs" divides by the largest magnitude so values land in
     [-1, 1]; "none" keeps raw weights (unvalidated kernel, e.g. for stability
     thresholds on raw adjacencies).  Asymmetric data needs `symmetrize`, which
-    keeps the larger-magnitude orientation of each pair.
+    reads `dataset.symmetrized()`.
     """
-    mat = dataset.adjacency()
+    mat = (dataset.symmetrized() if symmetrize else dataset).adjacency()
     if not np.array_equal(mat, mat.T):
-        if not symmetrize:
-            raise ValueError("dataset is asymmetric; pass symmetrize=True")
-        keep = np.abs(mat) >= np.abs(mat.T)
-        mat = np.where(keep, mat, mat.T)
+        raise ValueError("dataset is asymmetric; pass symmetrize=True")
     if np.trace(np.abs(mat)) > 0.0:
         warnings.warn("self-loops present: diagonal is nonzero and so is the trace")
     if normalize == "max-abs":

@@ -16,10 +16,12 @@ import numpy as np
 
 from .errors import IncompatibleOperandsError, NumericsError
 from .functions import (
-    TWO_PI,
     Function,
     PiecewiseConstantFunction,
     TrigPolynomial,
+    _fourier_layout,
+    _fourier_values,
+    _phi_coordinates,
     common_block_count,
     fourier_block_integrals,
 )
@@ -49,21 +51,6 @@ def _nonzero_ordered(values: np.ndarray) -> np.ndarray:
     magnitudes = np.abs(values)
     kept = np.flatnonzero(magnitudes > ZERO_EIGENVALUE_RTOL * magnitudes.max(initial=0.0))
     return kept[_tie_ordered(values[kept])]
-
-
-def _fourier_layout(coeffs: np.ndarray, order: int) -> np.ndarray:
-    """Fourier coordinates [1, cos_1..h, sin_1..h] (rows) cut or zero-padded to `order`."""
-    h = (coeffs.shape[0] - 1) // 2
-    kept = min(h, order)
-    out = np.zeros((2 * order + 1,) + coeffs.shape[1:])
-    out[:kept + 1] = coeffs[:kept + 1]
-    out[order + 1:order + 1 + kept] = coeffs[h + 1:h + 1 + kept]
-    return out
-
-
-def _polynomial(coeffs: np.ndarray) -> TrigPolynomial:
-    """Trigonometric polynomial with Fourier coordinates [1, cos_1..h, sin_1..h]."""
-    return TrigPolynomial.from_orthonormal(coeffs[0], *np.split(coeffs[1:], 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,8 +100,7 @@ class SpectralDecomposition:
                 f"of a {type(self.source).__name__}")
         n = self.basis.shape[0]
         if sinusoidal:
-            coeffs = np.hstack(func.orthonormal_coefficients())
-            return _fourier_layout(coeffs, (n - 1) // 2) @ self.basis
+            return _fourier_layout(func.coeffs, (n - 1) // 2) @ self.basis
         merged = common_block_count(n, func.num_blocks)
         return (np.repeat(func.values, merged // func.num_blocks)
                 @ np.repeat(self.basis, merged // n, axis=0) / merged)
@@ -124,8 +110,7 @@ class SpectralDecomposition:
         column = self.basis @ np.asarray(coeffs, dtype=float)
         if isinstance(self.source, StepGraphon):
             return PiecewiseConstantFunction(column)
-        live = np.flatnonzero(np.any(np.split(column[1:], 2), axis=0))
-        return _polynomial(_fourier_layout(column, int(live.max(initial=-1)) + 1))
+        return TrigPolynomial(column)
 
 
 def decompose(graphon: Graphon) -> SpectralDecomposition:
@@ -154,7 +139,7 @@ def decompose(graphon: Graphon) -> SpectralDecomposition:
         k = np.arange(1, graphon.harmonics + 1)
         # Fourier-layout rows in the order constant, cos_1, sin_1, cos_2, sin_2, ...
         rows = np.concatenate(([0], np.column_stack((k, k + graphon.harmonics)).ravel()))
-        lam = np.concatenate(([graphon.constant], np.repeat(0.5 * graphon.cosine_coeffs, 2)))
+        lam = graphon.fourier_weights[rows]
         order = _nonzero_ordered(lam)
         return SpectralDecomposition(lam[order], np.eye(rows.size)[:, rows[order]], graphon)
     raise IncompatibleOperandsError(f"cannot decompose {type(graphon).__name__}")
@@ -200,21 +185,12 @@ class FiniteRankKernel:
         return f"FiniteRankKernel(rank={self.rank})"
 
 
-def _fourier_values(x, order: int) -> np.ndarray:
-    """(..., 2*order+1) values of φ = [1, sqrt(2)cos_1..order, sqrt(2)sin_1..order] at x."""
-    x = np.asarray(x, dtype=float)[..., None]
-    phase = TWO_PI * np.arange(1, order + 1) * x
-    return np.concatenate((np.ones_like(x), np.sqrt(2.0) * np.cos(phase),
-                           np.sqrt(2.0) * np.sin(phase)), axis=-1)
-
-
 def _coefficient_matrix(kernel) -> np.ndarray:
     """Matrix M over φ with kernel(x,y) = φ(x)ᵀ M φ(y), for a Fourier kernel."""
     if isinstance(kernel, FiniteRankKernel):
         return kernel.matrix
     if isinstance(kernel, SinusoidalGraphon):
-        half = 0.5 * kernel.cosine_coeffs
-        return np.diag(np.concatenate(([kernel.constant], half, half)))
+        return np.diag(kernel.fourier_weights)
     raise IncompatibleOperandsError(f"no L2 distance for {type(kernel).__name__}")
 
 
@@ -295,9 +271,7 @@ def fourier_project(func: Function, order: int) -> TrigPolynomial:
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    if isinstance(func, TrigPolynomial):
-        return TrigPolynomial(func.constant, func.cos_amps[:order], func.sin_amps[:order])
-    return _polynomial(fourier_block_integrals(func.num_blocks, order) @ func.values)
+    return TrigPolynomial(_phi_coordinates(func, order))
 
 
 def _fourier_coordinates(decomp: SpectralDecomposition, rank: int, order: int) -> np.ndarray:

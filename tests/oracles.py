@@ -61,13 +61,33 @@ def quad_inner_product(f, g, m: int = 4096) -> float:
     return float(np.mean(np.asarray(f(x), float) * np.asarray(g(x), float)))
 
 
+def _harmonics(coeffs):
+    """(constant, cos list, sin list): coordinates over the orthonormal functions
+    [1, √2cos_1..h, √2sin_1..h], split into the constant, √2cos_k and √2sin_k parts."""
+    coeffs = [float(c) for c in coeffs]
+    h = (len(coeffs) - 1) // 2
+    return coeffs[0], coeffs[1:h + 1], coeffs[h + 1:]
+
+
+def _block_harmonic_integrals(values, k: int) -> tuple[float, float]:
+    """∫ f cos(2πkx) dx and ∫ f sin(2πkx) dx for block values of f, from the
+    sin/cos antiderivatives across each block."""
+    n = len(values)
+    w = 2.0 * math.pi * k
+    cos_int = sum(v * (math.sin(w * (i + 1) / n) - math.sin(w * i / n)) / w
+                  for i, v in enumerate(values))
+    sin_int = sum(v * (math.cos(w * i / n) - math.cos(w * (i + 1) / n)) / w
+                  for i, v in enumerate(values))
+    return cos_int, sin_int
+
+
 def exact_inner_product(f, g) -> float:
     """Closed-form L2 inner product of two functions, pair by pair.
 
     Piecewise-constant functions (anything with `values`) integrate their
     product over the sorted union of both partitions' breakpoints; trigonometric
-    polynomials (`constant`, `cos_amps`, `sin_amps`) pair amplitudes with
-    weights 1 and 1/2; a mixed pair sums each block value times the
+    polynomials (`coeffs` over [1, √2cos_1..h, √2sin_1..h]) pair harmonic by
+    harmonic, orthonormally; a mixed pair sums each block value times the
     antiderivative of the polynomial across that block.
     """
     if hasattr(f, "values") and hasattr(g, "values"):
@@ -78,23 +98,43 @@ def exact_inner_product(f, g) -> float:
         return float(np.sum(np.diff(edges) * a[(mids * a.size).astype(int)]
                             * b[(mids * b.size).astype(int)]))
     if not hasattr(f, "values") and not hasattr(g, "values"):
-        total = f.constant * g.constant
-        for k in range(min(len(f.cos_amps), len(g.cos_amps))):
-            total += 0.5 * (f.cos_amps[k] * g.cos_amps[k] + f.sin_amps[k] * g.sin_amps[k])
+        (fc, fcos, fsin), (gc, gcos, gsin) = _harmonics(f.coeffs), _harmonics(g.coeffs)
+        total = fc * gc
+        for k in range(min(len(fcos), len(gcos))):
+            total += fcos[k] * gcos[k] + fsin[k] * gsin[k]
         return float(total)
     if hasattr(g, "values"):
         f, g = g, f
-    n = len(f.values)
-    total = 0.0
-    for i, value in enumerate(f.values):
-        lo, hi = i / n, (i + 1) / n
-        integral = g.constant * (hi - lo)
-        for k in range(1, len(g.cos_amps) + 1):
-            w = 2.0 * math.pi * k
-            integral += g.cos_amps[k - 1] * (math.sin(w * hi) - math.sin(w * lo)) / w
-            integral += g.sin_amps[k - 1] * (math.cos(w * lo) - math.cos(w * hi)) / w
-        total += value * integral
+    constant, cos_coords, sin_coords = _harmonics(g.coeffs)
+    total = constant * float(np.mean(f.values))
+    for k in range(1, len(cos_coords) + 1):
+        cos_int, sin_int = _block_harmonic_integrals(f.values, k)
+        total += math.sqrt(2.0) * (cos_coords[k - 1] * cos_int + sin_coords[k - 1] * sin_int)
     return total
+
+
+def sinusoidal_apply(constant: float, cosine_coeffs, func) -> np.ndarray:
+    """Coordinates over [1, √2cos_1..H, √2sin_1..H] of A f for the kernel
+    A(x, y) = constant + sum_k b_k cos(2πk(x - y)), harmonic by harmonic.
+
+    cos(2πk(x - y)) = cos_k(x) cos_k(y) + sin_k(x) sin_k(y), so A f is
+    constant ∫f + sum_k b_k (cos_k ∫cos_k f + sin_k ∫sin_k f).  A step function
+    (`values`) gives each integral through the block antiderivatives, a
+    trigonometric polynomial (`coeffs`) through orthogonality: ∫cos_k f is its
+    √2cos_k coordinate over √2, and zero past its order.
+    """
+    b = [float(v) for v in cosine_coeffs]
+    if hasattr(func, "values"):
+        mean = float(np.mean(func.values))
+        integrals = [_block_harmonic_integrals(func.values, k) for k in range(1, len(b) + 1)]
+    else:
+        mean, cos_coords, sin_coords = _harmonics(func.coeffs)
+        integrals = [(cos_coords[k] / math.sqrt(2.0), sin_coords[k] / math.sqrt(2.0))
+                     if k < len(cos_coords) else (0.0, 0.0) for k in range(len(b))]
+    # the √2cos_k coordinate of b_k cos_k(x) ∫cos_k f is b_k ∫cos_k f / √2
+    cos_out = [bk * c / math.sqrt(2.0) for bk, (c, _) in zip(b, integrals)]
+    sin_out = [bk * s / math.sqrt(2.0) for bk, (_, s) in zip(b, integrals)]
+    return np.array([float(constant) * mean] + cos_out + sin_out)
 
 
 def series_exponential_grid(kernel, t: float, m: int = 256,
@@ -136,7 +176,7 @@ def fourier_sweep_reference(eigenvalues, vectors, order: int):
 
     Column l of `vectors` holds the block values of the unit eigenfunction f_l
     of eigenvalues[l].  Its projection p_l onto harmonics 0..order takes its
-    amplitudes from the sin/cos antiderivatives across each block.  With
+    coordinates from the sin/cos antiderivatives across each block.  With
     E_m = sum_{l<m} λ_l f_l⊗f_l and A_m the same sum over the p_l, the squared
     L2 norm of a sum of weighted separable terms is the double sum of weight
     products times squared `exact_inner_product`s, taken pair by pair.  For
@@ -149,16 +189,11 @@ def fourier_sweep_reference(eigenvalues, vectors, order: int):
     steps = [SimpleNamespace(values=column) for column in vecs.T]
     polys = []
     for column in vecs.T:
-        cos_amps, sin_amps = [], []
-        for k in range(1, order + 1):
-            w = 2.0 * math.pi * k
-            # 2 <f, cos_k> and 2 <f, sin_k>: the amplitudes of the projection
-            cos_amps.append(2.0 * sum(v * (math.sin(w * (i + 1) / n) - math.sin(w * i / n)) / w
-                                      for i, v in enumerate(column)))
-            sin_amps.append(2.0 * sum(v * (math.cos(w * i / n) - math.cos(w * (i + 1) / n)) / w
-                                      for i, v in enumerate(column)))
-        polys.append(SimpleNamespace(constant=sum(column) / n, cos_amps=cos_amps,
-                                     sin_amps=sin_amps))
+        # <f, √2cos_k> and <f, √2sin_k>: the projection's coordinates
+        pairs = [_block_harmonic_integrals(column, k) for k in range(1, order + 1)]
+        polys.append(SimpleNamespace(coeffs=[sum(column) / n]
+                                     + [math.sqrt(2.0) * c for c, _ in pairs]
+                                     + [math.sqrt(2.0) * s for _, s in pairs]))
     funcs = steps + polys
     gram = [[exact_inner_product(f, g) for g in funcs] for f in funcs]
 

@@ -190,6 +190,18 @@ class TestSpectra:
         assert kernel_meta == {"n": 4, "family": "step",
                                "normalization": "max-abs"}
 
+    def test_symmetrize_flag_reaches_the_report(self, data_dir, tmp_path):
+        path = data_dir / "directed3.mtx"
+        assert main(["spectra", str(path), "--symmetrize", "--out", str(tmp_path)]) == 0
+        from graphonctl.netio import parse_matrix_market
+        adjacency = parse_matrix_market(path.read_text()).adjacency()
+        # the larger-magnitude orientation of each pair, as the kernel keeps it
+        symmetric = np.where(np.abs(adjacency) >= np.abs(adjacency.T), adjacency, adjacency.T)
+        _, rows = read_csv(tmp_path / "eigenvalues.csv")
+        np.testing.assert_array_equal(rows[:, 1], np.linalg.eigvalsh(symmetric)[::-1])
+        _, kernel = read_csv(tmp_path / "original_kernel.csv")
+        np.testing.assert_array_equal(kernel, symmetric / 3.0)
+
     def test_manifest_shape(self, data_dir, tmp_path):
         main(["spectra", str(data_dir / "k22.edges"), "--out", str(tmp_path)])
         manifest = json.loads((tmp_path / "manifest.json").read_text())

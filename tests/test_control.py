@@ -84,7 +84,7 @@ class TestGramianOperator:
     def test_apply_rejects_mixed_function_families(self, rng):
         sys = random_system(rng)
         with pytest.raises(IncompatibleOperandsError):
-            gramian(sys).apply(TrigPolynomial.constant_function(1.0))
+            gramian(sys).apply(TrigPolynomial([1.0]))
 
     def test_compose_matches_matrix_product(self, rng):
         sys = random_system(rng)
@@ -224,7 +224,7 @@ class TestMinEnergyControl:
     def test_sinusoidal_steering_via_variation_of_constants(self):
         kernel = SinusoidalGraphon(0.5, [0.3])
         sys = GraphonSystem(-0.2, 1.0, kernel, (0.5,), 1.0)
-        x0 = TrigPolynomial(1.0, [0.8], [0.0, 0.4])
+        x0 = TrigPolynomial([1.0, 0.8, 0.0, 0.0, 0.4])
         u, energy = min_energy_control(sys, x0)
         assert energy > 0.0
         t_final = sys.horizon
@@ -259,7 +259,7 @@ class TestMinEnergyControl:
             min_energy_control(sys, PiecewiseConstantFunction([1.0]))
 
     @pytest.mark.parametrize("kernel,x0", [
-        (StepGraphon([[0.5, 0.2], [0.2, 0.1]]), TrigPolynomial(1.0, [0.5])),
+        (StepGraphon([[0.5, 0.2], [0.2, 0.1]]), TrigPolynomial([1.0, 0.5, 0.0])),
         (SinusoidalGraphon(0.4, [0.3]), PiecewiseConstantFunction([1.0, -1.0])),
     ])
     def test_other_function_family_refused(self, kernel, x0):
@@ -332,7 +332,7 @@ class TestSimulate:
     def test_sinusoidal_kernel_refused(self):
         sys = GraphonSystem(0.0, 1.0, SinusoidalGraphon(0.5, []), (), 1.0)
         with pytest.raises(IncompatibleOperandsError, match="step kernel"):
-            simulate(sys, TrigPolynomial.constant_function(1.0))
+            simulate(sys, TrigPolynomial([1.0]))
 
     def test_final_state_accessor(self, rng):
         sys = random_system(rng)

@@ -313,6 +313,15 @@ class TestFeedbackTable:
         with pytest.raises(ValueError, match="another model"):
             simulate_nonlinear(model, np.full(model.num_nodes, 0.1), law, 50)
 
+    def test_foreign_solution_refused_by_the_finite_control(self):
+        contact = StepGraphon([[0.6, 0.3], [0.3, 0.5]])
+        model, other = (EpidemicModel(contact, **dict(BASELINE_REGULATOR, beta0=beta0), eta=0.5)
+                        for beta0 in (1.0, 0.2))
+        state = np.array([0.3, 0.1])
+        optimal_control_finite(model, solve_riccati_finite(model, 100), state, 0.0)
+        with pytest.raises(ValueError, match="another model"):
+            optimal_control_finite(model, solve_riccati_finite(other, 100), state, 0.0)
+
 
 class TestSimulation:
     @pytest.mark.parametrize("num_steps", [0, -3])

@@ -10,8 +10,8 @@ from graphonctl.functions import (
     TrigPolynomial,
     block_index,
     common_block_count,
+    fourier_block_integrals,
     inner_product,
-    trig_block_integrals,
 )
 
 import oracles
@@ -36,22 +36,24 @@ def test_common_block_count_caps_blowup():
         common_block_count(99991, 99989)
 
 
-def test_trig_block_integrals_against_quadrature():
+def test_fourier_block_integrals_against_quadrature():
     import scipy.integrate
 
-    for num_blocks, k in [(3, 1), (4, 2), (7, 5)]:
-        cos_ints, sin_ints = trig_block_integrals(num_blocks, [k])
-        for block in range(num_blocks):
-            lo, hi = block / num_blocks, (block + 1) / num_blocks
-            ref_c, _ = scipy.integrate.quad(
-                lambda x: math.cos(2 * math.pi * k * x), lo, hi)
-            ref_s, _ = scipy.integrate.quad(
-                lambda x: math.sin(2 * math.pi * k * x), lo, hi)
-            assert cos_ints[0, block] == pytest.approx(ref_c, abs=1e-14)
-            assert sin_ints[0, block] == pytest.approx(ref_s, abs=1e-14)
-        # whole-period integrals vanish
-        assert cos_ints.sum() == pytest.approx(0.0, abs=1e-14)
-        assert sin_ints.sum() == pytest.approx(0.0, abs=1e-14)
+    for num_blocks, order in [(3, 1), (4, 2), (7, 5)]:
+        ints = fourier_block_integrals(num_blocks, order)
+        assert ints.shape == (2 * order + 1, num_blocks)
+        for k in range(1, order + 1):
+            for block in range(num_blocks):
+                lo, hi = block / num_blocks, (block + 1) / num_blocks
+                ref_c, _ = scipy.integrate.quad(
+                    lambda x: math.sqrt(2) * math.cos(2 * math.pi * k * x), lo, hi)
+                ref_s, _ = scipy.integrate.quad(
+                    lambda x: math.sqrt(2) * math.sin(2 * math.pi * k * x), lo, hi)
+                assert ints[k, block] == pytest.approx(ref_c, abs=1e-14)
+                assert ints[order + k, block] == pytest.approx(ref_s, abs=1e-14)
+        # the constant integrates to the block width; whole-period integrals vanish
+        np.testing.assert_allclose(ints[0], 1.0 / num_blocks, rtol=1e-15)
+        np.testing.assert_allclose(ints[1:].sum(axis=1), 0.0, atol=1e-14)
 
 
 class TestPiecewiseConstant:
@@ -94,7 +96,7 @@ class TestPiecewiseConstant:
 
 class TestTrigPolynomial:
     def test_mode_constructors_are_orthonormal(self):
-        basis = [TrigPolynomial.constant_function(1.0),
+        basis = [TrigPolynomial([1.0]),
                  TrigPolynomial.cosine_mode(1), TrigPolynomial.sine_mode(1),
                  TrigPolynomial.cosine_mode(3), TrigPolynomial.sine_mode(2)]
         for i, f in enumerate(basis):
@@ -104,30 +106,42 @@ class TestTrigPolynomial:
                 assert oracles.quad_inner_product(f, g, m=4096) == pytest.approx(
                     expected, abs=1e-9)
 
-    def test_orthonormal_coefficient_round_trip(self):
-        p = TrigPolynomial.from_orthonormal(0.3, [0.1, -0.2], [0.5])
-        const, cos_coeffs, sin_coeffs = p.orthonormal_coefficients()
-        assert const == pytest.approx(0.3)
-        np.testing.assert_allclose(cos_coeffs, [0.1, -0.2])
-        np.testing.assert_allclose(sin_coeffs, [0.5, 0.0])
+    def test_coeffs_are_orthonormal_coefficients(self):
+        # coeffs[i] = <p, φ_i> for φ = [1, √2cos_1, √2cos_2, √2sin_1, √2sin_2]
+        p = TrigPolynomial([0.3, 0.1, -0.2, 0.5, 0.0])
+        assert p.order == 2
+        quad = [oracles.fourier_coefficient(p, 0, "const")]
+        quad += [oracles.fourier_coefficient(p, k, kind)
+                 for kind in ("cos", "sin") for k in (1, 2)]
+        np.testing.assert_allclose(quad, p.coeffs, atol=1e-12)
+
+    @pytest.mark.parametrize("coeffs", [[], [1.0, 2.0], 1.0, [[1.0, 2.0, 3.0]]])
+    def test_rejects_anything_but_an_odd_length_vector(self, coeffs):
+        with pytest.raises(ValueError, match="odd length"):
+            TrigPolynomial(coeffs)
+
+    def test_coeffs_are_immutable(self):
+        p = TrigPolynomial([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            p.coeffs[0] = 5.0
 
     def test_mixed_length_padding(self):
-        p = TrigPolynomial(0.0, cos_amps=[1.0], sin_amps=[0.0, 2.0])
+        p = TrigPolynomial([0.0, 1.0, 0.0]) + TrigPolynomial([0.0, 0.0, 0.0, 0.0, 2.0])
         assert p.order == 2
-        np.testing.assert_allclose(p.cos_amps, [1.0, 0.0])
+        np.testing.assert_array_equal(p.coeffs, [0.0, 1.0, 0.0, 0.0, 2.0])
 
     def test_l2_norm_matches_quadrature(self):
-        p = TrigPolynomial(0.4, [0.3, -0.1], [0.2])
+        p = TrigPolynomial([0.4, 0.3, -0.1, 0.2, 0.0])
         assert p.l2_norm() == pytest.approx(
             math.sqrt(oracles.quad_inner_product(p, p, m=4096)), rel=1e-9)
 
     def test_block_integrals_sum_to_mean(self):
-        p = TrigPolynomial(0.7, [0.3], [0.4, -0.2])
+        p = TrigPolynomial([0.7, 0.3, 0.0, 0.4, -0.2])
         assert p.block_integrals(5).sum() == pytest.approx(0.7, abs=1e-14)
 
     def test_arithmetic(self):
-        p = TrigPolynomial(1.0, [2.0], [0.0])
-        q = TrigPolynomial(0.5, [0.0, 1.0], [1.0])
+        p = TrigPolynomial([1.0, 2.0, 0.0])
+        q = TrigPolynomial([0.5, 0.0, 1.0, 1.0, 0.0])
         total = p + q
         xs = np.linspace(0.0, 1.0, 31)
         np.testing.assert_allclose(total(xs), p(xs) + q(xs), atol=1e-14)
@@ -144,7 +158,7 @@ class TestInnerProduct:
 
     def test_step_trig_pair_is_exact(self, rng):
         f = PiecewiseConstantFunction(rng.normal(size=5))
-        g = TrigPolynomial(0.2, [0.4, -0.3], [0.1, 0.0, 0.6])
+        g = TrigPolynomial([0.2, 0.4, -0.3, 0.0, 0.1, 0.0, 0.6])
         exact = inner_product(f, g)
         assert inner_product(g, f) == pytest.approx(exact, rel=1e-15)
         assert exact == pytest.approx(
@@ -172,8 +186,7 @@ class TestInnerProduct:
 
 def _mixed_functions(rng, block_counts, orders):
     funcs = ([PiecewiseConstantFunction(rng.normal(size=n)) for n in block_counts]
-             + [TrigPolynomial(rng.normal(), rng.normal(size=h), rng.normal(size=h))
-                for h in orders])
+             + [TrigPolynomial(rng.normal(size=2 * h + 1)) for h in orders])
     return [funcs[i] for i in rng.permutation(len(funcs))]
 
 
@@ -199,7 +212,7 @@ class TestGramMatrix:
 
     def test_unaffordable_refinement_raises(self):
         f, g = PiecewiseConstantFunction(np.ones(317)), PiecewiseConstantFunction(np.ones(331))
-        assert inner_product(f, TrigPolynomial(1.0)) == pytest.approx(1.0, rel=1e-12)
+        assert inner_product(f, TrigPolynomial([1.0])) == pytest.approx(1.0, rel=1e-12)
         with pytest.raises(PartitionMismatchError):
             inner_product(f, g)
 

@@ -73,6 +73,17 @@ class TestSinusoidalGraphon:
         assert g.value(y, x) == pytest.approx(expected, rel=1e-14)  # symmetric
 
 
+def random_sinusoid(rng, max_harmonics: int = 3) -> SinusoidalGraphon:
+    """Random valid sinusoidal kernel with 0..max_harmonics harmonics."""
+    raw = rng.uniform(-1.0, 1.0, int(rng.integers(0, max_harmonics + 1)) + 1)
+    raw = raw / max(1.0, np.abs(raw).sum())
+    return SinusoidalGraphon(raw[0], raw[1:])
+
+
+def random_trig(rng, max_order: int = 4) -> TrigPolynomial:
+    return TrigPolynomial(rng.normal(size=2 * int(rng.integers(0, max_order + 1)) + 1))
+
+
 class TestApply:
     def test_step_on_step_function(self, rng):
         for _ in range(5):
@@ -85,37 +96,44 @@ class TestApply:
                                        atol=1e-12)
 
     def test_step_on_trig(self, rng):
-        g = random_symmetric_graphon(rng)
-        f = TrigPolynomial(0.3, [0.5, -0.2], [0.1])
-        result = apply(g, f)
-        assert isinstance(result, PiecewiseConstantFunction)
-        m = 4096 * g.num_blocks // g.num_blocks  # smooth integrand, fine grid
-        xs = (np.arange(g.num_blocks) + 0.5) / g.num_blocks
-        np.testing.assert_allclose(result(xs),
-                                   oracles.quad_apply(g, f, 4096)
-                                   [np.floor(xs * 4096).astype(int)],
-                                   atol=1e-6)
+        for _ in range(5):
+            g = random_symmetric_graphon(rng)
+            f = random_trig(rng)
+            result = apply(g, f)
+            assert isinstance(result, PiecewiseConstantFunction)
+            # the oracle's exact integral of f over each block, one indicator at a time
+            block_integrals = [oracles.exact_inner_product(PiecewiseConstantFunction(e), f)
+                               for e in np.eye(g.num_blocks)]
+            np.testing.assert_allclose(result.values, g.coeffs @ block_integrals,
+                                       rtol=0.0, atol=1e-12)
 
-    def test_sinusoidal_on_trig_closed_form(self):
+    def test_sinusoidal_on_trig_closed_form(self, rng):
         g = SinusoidalGraphon(0.4, [0.3, 0.2])
-        f = TrigPolynomial(1.0, [1.0, 0.0, 5.0], [0.0, 2.0])
-        result = apply(g, f)
-        assert isinstance(result, TrigPolynomial)
+        f = TrigPolynomial([1.0, 1.0, 0.0, 5.0, 0.0, 2.0, 0.0])
         # eigen-action: constant -> a0, harmonic k -> b_k / 2; order truncates
-        assert result.constant == pytest.approx(0.4)
-        np.testing.assert_allclose(result.cos_amps, [0.15, 0.0])
-        np.testing.assert_allclose(result.sin_amps, [0.0, 0.2])
-        m = 2048
-        xs = (np.arange(m) + 0.5) / m
-        np.testing.assert_allclose(result(xs), oracles.quad_apply(g, f, m),
-                                   atol=1e-10)
+        np.testing.assert_allclose(apply(g, f).coeffs, [0.4, 0.15, 0.0, 0.0, 0.2])
+        for _ in range(8):
+            g, f = random_sinusoid(rng), random_trig(rng)
+            result = apply(g, f)
+            assert isinstance(result, TrigPolynomial)
+            np.testing.assert_allclose(
+                result.coeffs, oracles.sinusoidal_apply(g.constant, g.cosine_coeffs, f),
+                rtol=0.0, atol=1e-12)
+            m = 512
+            xs = (np.arange(m) + 0.5) / m
+            np.testing.assert_allclose(result(xs), oracles.quad_apply(g, f, m),
+                                       atol=1e-10)
 
     def test_sinusoidal_on_step_function(self, rng):
-        g = SinusoidalGraphon(0.3, [0.4, -0.1])
-        f = PiecewiseConstantFunction(rng.normal(size=3))
-        result = apply(g, f)
-        assert isinstance(result, TrigPolynomial)
-        m = 3 * 2048
+        for _ in range(8):
+            g = random_sinusoid(rng)
+            f = PiecewiseConstantFunction(rng.normal(size=int(rng.integers(1, 7))))
+            result = apply(g, f)
+            assert isinstance(result, TrigPolynomial)
+            np.testing.assert_allclose(
+                result.coeffs, oracles.sinusoidal_apply(g.constant, g.cosine_coeffs, f),
+                rtol=0.0, atol=1e-12)
+        m = f.num_blocks * 2048
         xs = (np.arange(m) + 0.5) / m
         np.testing.assert_allclose(result(xs), oracles.quad_apply(g, f, m),
                                    atol=1e-8)
