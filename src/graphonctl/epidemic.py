@@ -195,7 +195,8 @@ class RiccatiSolution:
 
     times ascend from 0 to the horizon; modes[k, l] is the l-th eigendirection
     value at times[k] and eigenvalues[l] the matching normalized eigenvalue.
-    `value_at` evaluates the closed form at any time, off the table's grid too.
+    `values` and `value_at` evaluate the closed form at any time, off the
+    table's grid too.
     """
 
     times: np.ndarray
@@ -204,9 +205,15 @@ class RiccatiSolution:
     eigenvalues: np.ndarray
     params: RegulatorParams
 
+    def values(self, t) -> np.ndarray:
+        """`_riccati_values` at `t`, auxiliary in column 0; on the table's own
+        grid the table is read instead, which holds the same floats."""
+        if np.array_equal(t, self.times):
+            return np.column_stack((self.auxiliary, self.modes))
+        return _riccati_values(self.params, np.concatenate(([0.0], self.eigenvalues)), t)
+
     def value_at(self, t: float) -> tuple[float, np.ndarray]:
-        values = _riccati_values(self.params,
-                                 np.concatenate(([0.0], self.eigenvalues)), t)
+        values = self.values(t)
         return float(values[0]), values[1:]
 
 
@@ -255,9 +262,11 @@ def solve_riccati_graphon(kernel: Graphon, params: RegulatorParams,
     return _solve_family(params, decompose(kernel).eigenvalues, num_steps)
 
 
-def _feedback_factors(params: RegulatorParams, lams: np.ndarray, t):
-    """The optimal control per unit state, -beta0 pi(t) / (lambda^2 - 2 lambda + 2)."""
-    return -params.beta0 * _riccati_values(params, lams, t) / (lams ** 2 - 2.0 * lams + 2.0)
+def _feedback_factors(sol: RiccatiSolution, t):
+    """The optimal control per unit state, -beta0 pi(t) / (lambda^2 - 2 lambda + 2),
+    complement in column 0."""
+    lams = np.concatenate(([0.0], sol.eigenvalues))
+    return -sol.params.beta0 * sol.values(t) / (lams ** 2 - 2.0 * lams + 2.0)
 
 
 def _modal_apply(basis: np.ndarray, factors: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -281,7 +290,7 @@ def optimal_control_finite(model: EpidemicModel, sol: RiccatiSolution,
     regulator.)  A `sol` of another model raises ValueError.
     """
     _require_own_solution(model, sol)
-    factors = _feedback_factors(sol.params, np.concatenate(([0.0], sol.eigenvalues)), t)
+    factors = _feedback_factors(sol, t)
     return _modal_apply(model.modes.basis, factors, np.asarray(state, dtype=float))
 
 
@@ -291,7 +300,7 @@ def optimal_control_graphon(kernel: Graphon, sol: RiccatiSolution,
     """Graphon-limit version of the feedback, acting on L2 functions."""
     if modes is None:
         modes = decompose(kernel)
-    factors = _feedback_factors(sol.params, np.concatenate(([0.0], sol.eigenvalues)), t)
+    factors = _feedback_factors(sol, t)
     return factors[0] * state + modes.combine((factors[1:] - factors[0])
                                               * modes.coordinates(state))
 
@@ -392,7 +401,7 @@ def simulate_linearized(model: EpidemicModel, p0: np.ndarray, control=None,
     states = _modal_sum(decay[:, 1:] * coords, decay[:, :1], basis, residual)
     controls = gains = None
     if law is not None:
-        gains = _feedback_factors(params, lams, times) * decay
+        gains = _feedback_factors(law.sol, times) * decay
         controls = _modal_sum(gains[:, 1:] * coords, gains[:, :1], basis, residual)
     return ModalTrajectory(times, states, controls, coordinates=coords,
                            residual=residual, decay=decay, gains=gains)
@@ -440,7 +449,7 @@ def simulate_nonlinear(model: EpidemicModel, p0: np.ndarray, control=None,
                                 range_warning=bool(states.min() < -0.1 or states.max() > 1.1))
         controls = None
         if law is not None:
-            controls = _modal_apply(basis, _feedback_factors(params, lams, times), states)
+            controls = _modal_apply(basis, _feedback_factors(law.sol, times), states)
         elif forcing is not None:
             controls = np.stack([forcing(t, p) for t, p in zip(times, states)])
     if trajectory.range_warning:

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import IncompatibleOperandsError, PartitionMismatchError
 from .functions import (
@@ -221,6 +220,8 @@ def exponential(graphon: Graphon, t: float) -> IdentityPlusGraphon:
     exponential of the block operator; for sinusoidal kernels it is exact.
     """
     if isinstance(graphon, StepGraphon):
+        import scipy.linalg  # only this branch needs scipy; keep it off start-up
+
         n = graphon.num_blocks
         expm = scipy.linalg.expm(graphon.coeffs * (t / n))
         return IdentityPlusGraphon(1.0, StepGraphon(n * (expm - np.eye(n)), validate=False))

@@ -180,15 +180,18 @@ def parse_matrix_market(data, name: str = "") -> NetworkDataset:
 
 
 def to_step_graphon(dataset: NetworkDataset, normalize: str = "max-abs",
-                    symmetrize: bool = False) -> StepGraphon:
+                    symmetrize: bool = False,
+                    adjacency: np.ndarray | None = None) -> StepGraphon:
     """Pixel picture of the dataset: block (i, j) carries the edge weight.
 
     normalize="max-abs" divides by the largest magnitude so values land in
     [-1, 1]; "none" keeps raw weights (unvalidated kernel, e.g. for stability
     thresholds on raw adjacencies).  Asymmetric data needs `symmetrize`, which
-    reads `dataset.symmetrized()`.
+    reads `dataset.symmetrized()`.  `adjacency` is the matrix these would
+    build, when the caller has built it already.
     """
-    mat = (dataset.symmetrized() if symmetrize else dataset).adjacency()
+    mat = ((dataset.symmetrized() if symmetrize else dataset).adjacency()
+           if adjacency is None else adjacency)
     if not np.array_equal(mat, mat.T):
         raise ValueError("dataset is asymmetric; pass symmetrize=True")
     if np.trace(np.abs(mat)) > 0.0:
@@ -278,7 +281,7 @@ class SpectralReport:
 
 
 def spectral_report(dataset: NetworkDataset, top_fraction: float = 0.10,
-                    bins: int = 50) -> SpectralReport:
+                    bins: int = 50, adjacency: np.ndarray | None = None) -> SpectralReport:
     """Adjacency spectrum with a histogram of magnitudes and a top-k error.
 
     The truncation error is the closed-form L2 error of keeping the top
@@ -286,10 +289,11 @@ def spectral_report(dataset: NetworkDataset, top_fraction: float = 0.10,
     graphon (capped at its nonzero rank).  That graphon's eigenvalues are the
     adjacency's divided by N * max|a_ij|, so its tail is read off the same
     spectrum, zeros dropped and ordered as `decompose` orders them.
+    `adjacency` is `dataset.adjacency()` when the caller has built it already.
     """
     if not 0.0 < top_fraction <= 1.0:
         raise ValueError("top_fraction must be in (0, 1]")
-    mat = dataset.adjacency()
+    mat = dataset.adjacency() if adjacency is None else adjacency
     if not np.array_equal(mat, mat.T):
         raise ValueError("spectral report requires a symmetric dataset")
     values = np.linalg.eigvalsh(mat)[::-1]

@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import graphonctl.cli as cli
+import graphonctl.epidemic as epidemic
+from graphonctl import netio
 from graphonctl.cli import main
 from graphonctl.errors import NumericsError
 import oracles
@@ -163,6 +169,35 @@ class TestSpectraDecomposesOnce:
                 "--normalize", normalize, "--top-fraction", "0.3"]
         assert main(argv + ["--out", str(tmp_path)]) == 0
         assert len(calls) == 1
+
+
+class TestSpectraBuildsTheAdjacencyOnce:
+    @pytest.mark.parametrize("name,flags,most", [("zero_diag8.edges", [], 1),
+                                                 ("directed3.mtx", ["--symmetrize"], 2)])
+    def test_adjacency_calls_and_bytes(self, data_dir, tmp_path, monkeypatch, name,
+                                       flags, most):
+        path = data_dir / name
+        dataset = cli.load_dataset(str(path))
+        if flags:
+            dataset = dataset.symmetrized()
+        # the artifacts a run writes when each reader builds its own matrix
+        report = netio.spectral_report(dataset, top_fraction=0.3)
+        kernel = netio.to_step_graphon(dataset)
+        calls = []
+        original = netio.NetworkDataset.adjacency
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(netio.NetworkDataset, "adjacency", counting)
+        assert main(["spectra", str(path), "--top-fraction", "0.3",
+                     "--out", str(tmp_path)] + flags) == 0
+        assert 1 <= len(calls) <= most
+        assert ((tmp_path / "spectral_report.json").read_text()
+                == json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        _, written = read_csv(tmp_path / "original_kernel.csv")
+        np.testing.assert_array_equal(written, kernel.coeffs)
 
 
 class TestSpectra:
@@ -452,6 +487,31 @@ class TestEpidemic:
         assert manifest["config"]["riccati_steps"] == num_steps
         assert tree_bytes(tmp_path / "default") == tree_bytes(tmp_path / "explicit")
 
+    @pytest.mark.parametrize("riccati_steps", ["50", "7", "2000"])
+    def test_simulations_read_the_table_on_their_grid(self, data_dir, tmp_path,
+                                                      monkeypatch, riccati_steps):
+        # the table holds the floats the closed form gives on the same grid, so
+        # where the grids match the simulations read it and evaluate nothing more
+        grids = []
+        original = epidemic._riccati_values
+
+        def counting(params, lams, t):
+            grids.append(np.size(t))
+            return original(params, lams, t)
+
+        argv = ["epidemic", str(data_dir / "k22.edges"), "--step", "0.02", "--nonlinear"]
+        assert main(argv + ["--out", str(tmp_path / "default")]) == 0
+        monkeypatch.setattr(epidemic, "_riccati_values", counting)
+        assert main(argv + ["--riccati-steps", riccati_steps,
+                            "--out", str(tmp_path / "explicit")]) == 0
+        # on the table's grid the table is that evaluation; else each simulation makes one
+        assert grids.count(51) == (1 if riccati_steps == "50" else 2)
+        default, explicit = tree_bytes(tmp_path / "default"), tree_bytes(tmp_path / "explicit")
+        for name in ("states.csv", "controls.csv", "eigenstates.csv", "eigencontrols.csv",
+                     "auxiliary.csv", "auxiliary_residual.csv", "nonlinear_states.csv",
+                     "cost.json"):
+            assert explicit[name] == default[name], name
+
     def test_explicit_riccati_steps_size_the_table(self, data_dir, tmp_path):
         assert main(["epidemic", str(data_dir / "k22.edges"), "--step", "0.02",
                      "--riccati-steps", "7", "--out", str(tmp_path)]) == 0
@@ -579,3 +639,41 @@ class TestDeterminismAndErrors:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+class TestImportsOnlyWhatARunUses:
+    """No module of the package imports scipy, at start-up or in a subcommand.
+    The check runs in a fresh interpreter: this test session imports scipy itself."""
+
+    SCRIPT = """
+import json, sys
+
+def check(stage):
+    loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+    assert not loaded, f"{stage}: {loaded[:5]}"
+
+import graphonctl
+check("import graphonctl")
+import graphonctl.cli as cli
+check("import graphonctl.cli")
+runs, out = json.loads(sys.argv[1]), sys.argv[2]
+for k, argv in enumerate(runs):
+    code = cli.main(argv + ["--out", f"{out}/{k}"])
+    assert code == 0, f"{argv}: exit {code}"
+    check(" ".join(argv[:1] + argv[2:]))
+print("no scipy")
+"""
+
+    def test_no_scipy_module_is_loaded(self, data_dir, tmp_path):
+        network = str(data_dir / "k22.edges")
+        runs = [["spectra", network], ["approx", network],
+                ["approx", network, "--fourier-order", "2"], ["gramian", network],
+                ["minenergy", network], ["epidemic", network],
+                ["epidemic", network, "--nonlinear"],
+                ["sample", "--kernel", network, "--num-nodes", "8"]]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(runs),
+                               str(tmp_path)], env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "no scipy"

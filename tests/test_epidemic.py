@@ -118,6 +118,19 @@ class TestRiccati:
         np.testing.assert_array_equal(finite.auxiliary, limit.auxiliary)
         np.testing.assert_array_equal(finite.modes, limit.modes)
 
+    def test_values_on_the_grid_are_the_table(self, rng):
+        model = random_model(rng)
+        sol = solve_riccati_finite(model, num_steps=40)
+        lams = np.concatenate(([0.0], sol.eigenvalues))
+        table = np.column_stack((sol.auxiliary, sol.modes))
+        np.testing.assert_array_equal(sol.values(sol.times), table)
+        np.testing.assert_array_equal(
+            epidemic._riccati_values(sol.params, lams, sol.times), table)
+        coarse = sol.times[::2]  # another grid: the closed form is evaluated there
+        np.testing.assert_array_equal(sol.values(coarse),
+                                      epidemic._riccati_values(sol.params, lams, coarse))
+        np.testing.assert_allclose(sol.values(coarse), table[::2], rtol=1e-14)
+
     def test_value_at_interpolates_grid(self, rng):
         model = random_model(rng)
         sol = solve_riccati_finite(model, num_steps=500)

@@ -96,6 +96,32 @@ class TestDecomposeStep:
         with pytest.raises(ValueError, match="asymmetric"):
             decompose(bad)
 
+    @pytest.mark.parametrize("gap,rejected", [(1e-9, True), (1e-11, False)])
+    def test_unvalidated_kernels_keep_the_symmetry_test(self, gap, rejected):
+        kernel = StepGraphon([[0.5, 0.2], [0.2 + gap, 0.1]], validate=False)
+        if rejected:
+            with pytest.raises(ValueError, match="cannot decompose an asymmetric kernel"):
+                decompose(kernel)
+        else:
+            assert decompose(kernel).rank == 2
+
+    def test_validated_kernel_is_checked_once(self, rng, monkeypatch):
+        # a validated kernel passed the stricter RANGE_TOL test on construction
+        kernel = random_symmetric_graphon(rng)
+        raw = StepGraphon(kernel.coeffs, validate=False)
+        calls = []
+        original = np.allclose
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np, "allclose", counting)
+        validated, unvalidated = decompose(kernel), decompose(raw)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(validated.eigenvalues, unvalidated.eigenvalues)
+        np.testing.assert_array_equal(validated.basis, unvalidated.basis)
+
 
 class TestDecomposeSinusoidal:
     def test_closed_form_spectrum(self):
