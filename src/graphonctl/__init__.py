@@ -52,6 +52,7 @@ from .graphons import (  # noqa: E402
 from .spectral import (  # noqa: E402
     FiniteRankKernel,
     SpectralDecomposition,
+    SpectralMultiplier,
     bound_for_exponential,
     bound_for_power,
     decompose,
@@ -64,7 +65,6 @@ from .spectral import (  # noqa: E402
     truncation_error,
 )
 from .control import (  # noqa: E402
-    GramianOperator,
     GraphonSystem,
     Trajectory,
     exact_controllability_check,
@@ -122,6 +122,7 @@ __all__ = [
     "operator_norm",
     "cut_norm",
     "SpectralDecomposition",
+    "SpectralMultiplier",
     "FiniteRankKernel",
     "decompose",
     "truncate",
@@ -134,7 +135,6 @@ __all__ = [
     "measured_function_discrepancy",
     "eigenvalue_convergence_experiment",
     "GraphonSystem",
-    "GramianOperator",
     "Trajectory",
     "simulate",
     "gramian",

@@ -189,11 +189,11 @@ def cmd_gramian(args):
     w = gramian(sys_)
     verdict = exact_controllability_check(sys_)
     payload = {
-        "scalar_part": w.scalar,
+        "scalar_part": float(w.values[0]),
         "directions": [
             {"eigenvalue": float(lam), "eta": float(eta), "coefficient": float(c)}
             for lam, eta, c in zip(sys_.modes.eigenvalues, sys_.mode_etas,
-                                   w.corrections)
+                                   w.values[1:] - w.values[0])
         ],
         "spectral_lower_bound": verdict.spectral_lower_bound,
         "controllable": verdict.controllable,

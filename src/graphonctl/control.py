@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ExactControllabilityError, IncompatibleOperandsError, NumericsError
 from .functions import Function, PiecewiseConstantFunction
 from .graphons import Graphon, StepGraphon, _refine_matrix
-from .spectral import SpectralDecomposition, decompose
+from .spectral import SpectralDecomposition, SpectralMultiplier, decompose
 
 # Below this magnitude the growth rate in exp-integrals is treated as zero.
 RATE_EPS = 1e-12
@@ -43,7 +43,9 @@ class GraphonSystem:
 
     `input_poly` holds the coefficients (beta_1, ..., beta_d) of the kernel
     polynomial part of the input operator; beta0 sits on the identity.  The
-    spectral decomposition of the kernel is computed once at construction.
+    spectral decomposition of the kernel and the input operator, `input_eta`
+    over the complemented spectrum (beta0 at 0), are computed once at
+    construction.
     """
 
     alpha0: float
@@ -52,6 +54,7 @@ class GraphonSystem:
     input_poly: tuple = ()
     horizon: float = 1.0
     modes: SpectralDecomposition = field(init=False, repr=False)
+    input_operator: SpectralMultiplier = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.horizon <= 0.0:
@@ -59,6 +62,8 @@ class GraphonSystem:
         object.__setattr__(self, "input_poly",
                            tuple(float(b) for b in self.input_poly))
         object.__setattr__(self, "modes", decompose(self.kernel))
+        object.__setattr__(self, "input_operator", SpectralMultiplier(
+            self.modes, [self.input_eta(lam) for lam in self.modes.spectrum]))
 
     def input_eta(self, eigenvalue: float) -> float:
         """Input-operator eigenvalue on an eigendirection: sum_k beta_k lambda^k."""
@@ -69,7 +74,7 @@ class GraphonSystem:
 
     @property
     def mode_etas(self) -> np.ndarray:
-        return np.array([self.input_eta(lam) for lam in self.modes.eigenvalues])
+        return self.input_operator.values[1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,20 +157,17 @@ def simulate(sys: GraphonSystem, x0: PiecewiseConstantFunction,
         raise ValueError(f"step must be positive, got {step}")
     times = np.linspace(0.0, sys.horizon, max(1, round(sys.horizon / step)) + 1)
 
-    rates = sys.alpha0 + np.concatenate(([0.0], sys.modes.eigenvalues))
+    rates = sys.alpha0 + sys.modes.spectrum
     if law is None:
-        coords = sys.modes.coordinates(x0)
-        residual = x0 - sys.modes.combine(coords)
+        coords, residual = sys.modes.split(x0)
         with np.errstate(over="ignore"):
             factors = np.exp(np.outer(times, rates))
     else:
         coords, residual = law.coords, law.residual
         factors = np.exp(np.outer(times, -np.abs(rates))) * _remaining_fraction(
             2.0 * np.abs(rates), times, sys.horizon)
-    basis = np.repeat(sys.modes.basis, residual.num_blocks // sys.modes.basis.shape[0],
-                      axis=0)
-    states = _modal_sum(factors[:, 1:] * coords, factors[:, :1], basis, residual.values)
-    controls = None if law is None else law.values_at(times, basis)
+    states = SpectralMultiplier(sys.modes, factors).apply_split(coords, residual.values)
+    controls = None if law is None else law.gains(times).apply_split(coords, residual.values)
     return Trajectory(times, states, controls)
 
 
@@ -182,91 +184,20 @@ def _remaining_fraction(rates: np.ndarray, times: np.ndarray, horizon: float) ->
     return np.where(small, remaining / horizon, fraction)
 
 
-def _modal_sum(mode_values: np.ndarray, complement: np.ndarray, basis: np.ndarray,
-               residual: np.ndarray) -> np.ndarray:
-    """Block-value rows sum_l mode_values[k, l] f_l + complement[k] * residual.
+def gramian(sys: GraphonSystem) -> SpectralMultiplier:
+    """Closed-form controllability Gramian over the horizon, a function of A.
 
-    Non-finite inputs leave non-finite rows, without a warning; `Trajectory`
-    rejects them.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return mode_values @ basis.T + complement * residual
-
-
-@dataclass(frozen=True, eq=False)
-class GramianOperator:
-    """Operator scalar*I + sum_l corrections[l] <., f_l> f_l (self-adjoint).
-
-    The f_l are the orthonormal eigenfunctions of `modes`, the directions
-    carrying the rank-one corrections; on their orthogonal complement the
-    operator is pure scaling.
-    """
-
-    scalar: float
-    corrections: np.ndarray
-    modes: SpectralDecomposition
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.array(self.corrections, dtype=float))
-        if c.size != self.modes.rank:
-            raise ValueError("one correction per eigenfunction required")
-        c.setflags(write=False)
-        object.__setattr__(self, "corrections", c)
-
-    @property
-    def direction_values(self) -> np.ndarray:
-        """Eigenvalues of the operator on the correction directions."""
-        return self.scalar + self.corrections
-
-    @property
-    def spectral_lower_bound(self) -> float:
-        values = self.direction_values
-        return float(min(self.scalar, values.min())) if values.size else self.scalar
-
-    def apply(self, z: Function) -> Function:
-        coeffs = self.corrections * self.modes.coordinates(z)
-        return self.scalar * z + self.modes.combine(coeffs)
-
-    def compose(self, other: "GramianOperator") -> "GramianOperator":
-        """Operator product of two operators over the same `modes`."""
-        if other.modes is not self.modes:
-            raise IncompatibleOperandsError("operators decompose over different modes")
-        mixed = (self.scalar * other.corrections + other.scalar * self.corrections
-                 + self.corrections * other.corrections)
-        return GramianOperator(self.scalar * other.scalar, mixed, self.modes)
-
-    def as_matrix(self) -> np.ndarray:
-        """Matrix acting on block-value vectors (step-kernel systems only)."""
-        if not isinstance(self.modes.source, StepGraphon):
-            raise IncompatibleOperandsError("matrix form needs piecewise-constant modes")
-        basis = self.modes.basis
-        n = basis.shape[0]
-        return self.scalar * np.eye(n) + (basis * (self.corrections / n)) @ basis.T
-
-    def identity_deviation(self) -> float:
-        dev = abs(self.scalar - 1.0)
-        if self.corrections.size:
-            dev = max(dev, float(np.abs(self.corrections).max()))
-        return dev
-
-
-def gramian(sys: GraphonSystem) -> GramianOperator:
-    """Closed-form controllability Gramian over the horizon.
-
-    Scalar part beta0^2 * integral of exp(2*alpha0*t); each eigendirection of
-    the kernel carries the correction eta^2 * integral of
-    exp(2*(alpha0+lambda)*t) minus the scalar part.
+    Its value at each lambda of the complemented spectrum is eta^2 times the
+    integral of exp(2*(alpha0+lambda)*t), with eta the input operator's value
+    there: beta0^2 * integral of exp(2*alpha0*t) on the complement.
     """
     t = sys.horizon
-    scalar = sys.beta0 ** 2 * growth_integral(2.0 * sys.alpha0, t)
-    lams = sys.modes.eigenvalues
-    etas = sys.mode_etas
-    direction = np.array([eta ** 2 * growth_integral(2.0 * (sys.alpha0 + lam), t)
-                          for lam, eta in zip(lams, etas)])
-    return GramianOperator(scalar, direction - scalar, sys.modes)
+    return SpectralMultiplier(sys.modes, [
+        eta ** 2 * growth_integral(2.0 * (sys.alpha0 + lam), t)
+        for lam, eta in zip(sys.modes.spectrum, sys.input_operator.values)])
 
 
-def _steerable_gramian(sys: GraphonSystem) -> GramianOperator:
+def _steerable_gramian(sys: GraphonSystem) -> SpectralMultiplier:
     """The Gramian, refused unless it is positive and finite on every direction.
 
     Requires beta0 != 0 (a compact input operator can never give exact
@@ -277,7 +208,7 @@ def _steerable_gramian(sys: GraphonSystem) -> GramianOperator:
         raise ExactControllabilityError(
             "beta0 = 0 leaves a compact input operator; the Gramian is not invertible")
     w = gramian(sys)
-    for idx, value in enumerate(w.direction_values):
+    for idx, value in enumerate(w.values[1:]):
         if value <= 0.0 or not np.isfinite(value):
             raise ExactControllabilityError(
                 f"Gramian vanishes on eigendirection {idx} "
@@ -286,15 +217,14 @@ def _steerable_gramian(sys: GraphonSystem) -> GramianOperator:
     return w
 
 
-def gramian_inverse(sys: GraphonSystem) -> GramianOperator:
+def gramian_inverse(sys: GraphonSystem) -> SpectralMultiplier:
     """Closed-form inverse Gramian; composition with the Gramian is checked.
 
     Refused as in `_steerable_gramian`.
     """
     w = _steerable_gramian(sys)
-    direction = w.direction_values
-    inv = GramianOperator(1.0 / w.scalar, 1.0 / direction - 1.0 / w.scalar, w.modes)
-    residual = w.compose(inv).identity_deviation()
+    inv = SpectralMultiplier(w.modes, 1.0 / w.values)
+    residual = float(np.abs(w.compose(inv).values - 1.0).max())
     if residual > 1e-8:
         raise NumericsError(f"inverse Gramian composition residual {residual:.3e}")
     return inv
@@ -313,7 +243,7 @@ class ControllabilityReport:
 def exact_controllability_check(sys: GraphonSystem,
                                 tolerance: float = 1e-12) -> ControllabilityReport:
     """Exact controllability via uniform positivity of the Gramian spectrum."""
-    bound = gramian(sys).spectral_lower_bound
+    bound = float(gramian(sys).values.min())
     nonzero_gain = sys.beta0 != 0.0
     return ControllabilityReport(bool(nonzero_gain and bound > tolerance),
                                  bound, nonzero_gain, sys.horizon)
@@ -323,39 +253,28 @@ def exact_controllability_check(sys: GraphonSystem,
 class MinEnergyControl:
     """The control t -> u(t) that `min_energy_control` returns, with its modal data.
 
-    u(t) = -B* exp(A*(T-t)) W^-1 exp(A*T) x0.  On eigendirection l its
-    coordinate is -etas[l] exp((alpha0 + lambda_l) (2T - t)) coords[l] /
-    directions[l], with coords the coordinates of x0 and directions the
-    Gramian's values there.  On the complement it is
-    -beta0 exp(alpha0 (2T - t)) / scalar times `residual`, the part of x0
-    orthogonal to every eigenfunction.
+    u(t) = -B* exp(A*(T-t)) W^-1 exp(A*T) x0 is `gains(t)` applied to x0, the
+    function -eta exp((alpha0 + lambda) (2T - t)) / w of A, with eta the input
+    operator's and w the Gramian's values.  `coords` and `residual` are x0
+    split over the eigenfunctions.
     """
 
     sys: GraphonSystem
     x0: Function
     coords: np.ndarray
     residual: Function
-    etas: np.ndarray
-    directions: np.ndarray
-    scalar: float
+    gramian: SpectralMultiplier
 
-    def _gains(self, lead):
-        """Eigendirection coordinates of u at the times 2T - lead (a scalar or a column)."""
-        rates = self.sys.alpha0 + self.sys.modes.eigenvalues
-        return -self.etas * np.exp(rates * lead) / self.directions * self.coords
+    def gains(self, times) -> SpectralMultiplier:
+        """The operator taking x0 to u(t), one row per time when `times` is an array."""
+        lead = 2.0 * self.sys.horizon - np.asarray(times, dtype=float)[..., None]
+        rates = self.sys.alpha0 + self.sys.modes.spectrum
+        return SpectralMultiplier(self.sys.modes, -self.sys.input_operator.values
+                                  * np.exp(rates * lead) / self.gramian.values)
 
     def __call__(self, t: float) -> Function:
-        lead = 2.0 * self.sys.horizon - t
-        return ((-self.sys.beta0 * math.exp(self.sys.alpha0 * lead) / self.scalar)
-                * self.residual + self.sys.modes.combine(self._gains(lead)))
-
-    def values_at(self, times: np.ndarray, basis: np.ndarray) -> np.ndarray:
-        """Block values of u at each of `times` (rows); `basis` is the modal
-        basis refined to the residual's partition."""
-        lead = 2.0 * self.sys.horizon - times
-        complement = -self.sys.beta0 * np.exp(self.sys.alpha0 * lead) / self.scalar
-        return _modal_sum(self._gains(lead[:, None]), complement[:, None], basis,
-                          self.residual.values)
+        values = self.gains(t).values
+        return float(values[0]) * self.residual + self.sys.modes.combine(values[1:] * self.coords)
 
 
 def min_energy_control(sys: GraphonSystem, x0: Function):
@@ -367,18 +286,13 @@ def min_energy_control(sys: GraphonSystem, x0: Function):
     energy of that control.  Refused as in `_steerable_gramian`.
     """
     w = _steerable_gramian(sys)
-    direction = w.direction_values
     t_final = sys.horizon
-    lams = sys.modes.eigenvalues
-    coords = sys.modes.coordinates(x0)
-    residual = x0 - sys.modes.combine(coords)
+    coords, residual = sys.modes.split(x0)
 
-    energy = (math.exp(2.0 * sys.alpha0 * t_final) * residual.l2_norm() ** 2 / w.scalar
-              + float(np.sum(np.exp(2.0 * (sys.alpha0 + lams) * t_final)
-                             * coords ** 2 / direction)))
-    control = MinEnergyControl(sys, x0, coords, residual, sys.mode_etas, direction,
-                               w.scalar)
-    return control, float(energy)
+    energy = (math.exp(2.0 * sys.alpha0 * t_final) * residual.l2_norm() ** 2 / w.values[0]
+              + float(np.sum(np.exp(2.0 * (sys.alpha0 + sys.modes.eigenvalues) * t_final)
+                             * coords ** 2 / w.values[1:])))
+    return MinEnergyControl(sys, x0, coords, residual, w), float(energy)
 
 
 def gramian_quadrature_matrix(sys: GraphonSystem, num_intervals: int = 2048) -> np.ndarray:

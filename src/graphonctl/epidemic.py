@@ -19,11 +19,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NumericsError
-from .functions import Function
+from .functions import Function, PiecewiseConstantFunction
 from .graphons import Graphon, StepGraphon
 from .integrate import lawson_rk4
-from .spectral import SpectralDecomposition, decompose
-from .control import RATE_EPS, Trajectory, _modal_sum
+from .spectral import SpectralDecomposition, SpectralMultiplier, decompose
+from .control import RATE_EPS, Trajectory
 
 
 @dataclass(frozen=True)
@@ -191,26 +191,39 @@ def _modal_transition(params: RegulatorParams, lams: np.ndarray, start, stop,
 
 @dataclass(frozen=True, eq=False)
 class RiccatiSolution:
-    """Riccati family tabulated in closed form: auxiliary plus one column per eigendirection.
+    """Riccati family tabulated in closed form, one column per member of `spectrum`.
 
-    times ascend from 0 to the horizon; modes[k, l] is the l-th eigendirection
-    value at times[k] and eigenvalues[l] the matching normalized eigenvalue.
-    `values` and `value_at` evaluate the closed form at any time, off the
-    table's grid too.
+    times ascend from 0 to the horizon; table[k, l] is the value at times[k]
+    for the normalized eigenvalue spectrum[l], the complemented spectrum
+    [0, lambda_1..lambda_r].  Column 0 is the auxiliary; `auxiliary`, `modes`
+    and `eigenvalues` read the table and the spectrum without it.  `values`
+    and `value_at` evaluate the closed form at any time, off the table's grid
+    too.
     """
 
     times: np.ndarray
-    auxiliary: np.ndarray
-    modes: np.ndarray
-    eigenvalues: np.ndarray
+    table: np.ndarray
+    spectrum: np.ndarray
     params: RegulatorParams
+
+    @property
+    def auxiliary(self) -> np.ndarray:
+        return self.table[:, 0]
+
+    @property
+    def modes(self) -> np.ndarray:
+        return self.table[:, 1:]
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self.spectrum[1:]
 
     def values(self, t) -> np.ndarray:
         """`_riccati_values` at `t`, auxiliary in column 0; on the table's own
         grid the table is read instead, which holds the same floats."""
         if np.array_equal(t, self.times):
-            return np.column_stack((self.auxiliary, self.modes))
-        return _riccati_values(self.params, np.concatenate(([0.0], self.eigenvalues)), t)
+            return self.table
+        return _riccati_values(self.params, self.spectrum, t)
 
     def value_at(self, t: float) -> tuple[float, np.ndarray]:
         values = self.values(t)
@@ -223,25 +236,23 @@ def _uniform_times(horizon: float, num_steps: int) -> np.ndarray:
     return np.linspace(0.0, horizon, num_steps + 1)
 
 
-def _solve_family(params: RegulatorParams, eigenvalues: np.ndarray,
+def _solve_family(params: RegulatorParams, spectrum: np.ndarray,
                   num_steps: int) -> RiccatiSolution:
-    """Riccati family on num_steps + 1 uniform times; index 0 is the auxiliary.
+    """Riccati family over the complemented spectrum on num_steps + 1 uniform times.
 
     Only a direction whose true solution exceeds the float range (zero control
     gain on a supercritical direction) leaves a non-finite column; it aborts.
     """
     times = _uniform_times(params.horizon, num_steps)
-    lams = np.concatenate(([0.0], eigenvalues))
-    table = _riccati_values(params, lams, times)
+    table = _riccati_values(params, spectrum, times)
     finite = np.isfinite(table).all(axis=0)
     if not finite.all():
         idx = int(np.argmin(finite))
         which = "auxiliary direction" if idx == 0 else \
-            f"eigendirection with eigenvalue {lams[idx]:.6g}"
+            f"eigendirection with eigenvalue {spectrum[idx]:.6g}"
         raise NumericsError(f"Riccati blow-up in the {which}")
-    return RiccatiSolution(times, np.ascontiguousarray(table[:, 0]),
-                           np.ascontiguousarray(table[:, 1:]),
-                           np.array(eigenvalues, dtype=float), params)
+    table.setflags(write=False)
+    return RiccatiSolution(times, table, spectrum, params)
 
 
 def solve_riccati_finite(model: EpidemicModel,
@@ -252,32 +263,21 @@ def solve_riccati_finite(model: EpidemicModel,
     graphon of the adjacency produces them, so this shares every float with
     `solve_riccati_graphon` on that graphon.
     """
-    return _solve_family(model.regulator_params(), model.modes.eigenvalues,
-                         num_steps)
+    return _solve_family(model.regulator_params(), model.modes.spectrum, num_steps)
 
 
 def solve_riccati_graphon(kernel: Graphon, params: RegulatorParams,
                           num_steps: int = 10_000) -> RiccatiSolution:
     """Riccati family for a graphon limit, one equation per nonzero eigenvalue."""
-    return _solve_family(params, decompose(kernel).eigenvalues, num_steps)
+    return _solve_family(params, decompose(kernel).spectrum, num_steps)
 
 
-def _feedback_factors(sol: RiccatiSolution, t):
-    """The optimal control per unit state, -beta0 pi(t) / (lambda^2 - 2 lambda + 2),
-    complement in column 0."""
-    lams = np.concatenate(([0.0], sol.eigenvalues))
-    return -sol.params.beta0 * sol.values(t) / (lams ** 2 - 2.0 * lams + 2.0)
-
-
-def _modal_apply(basis: np.ndarray, factors: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """rows scaled by factors[..., 0] on the complement and by factors[..., l] along mode l.
-
-    `basis` holds the eigendirections as columns of Euclidean norm sqrt(N), so
-    each projector carries 1/N.  rows is one state or a stack of them;
-    factors is one vector for all rows, or one row of factors per row.
-    """
-    lead = factors[..., :1]
-    return (rows @ basis / basis.shape[0] * (factors[..., 1:] - lead)) @ basis.T + lead * rows
+def _feedback(modes: SpectralDecomposition, sol: RiccatiSolution, t) -> SpectralMultiplier:
+    """The optimal control per unit state at `t`, the function
+    -beta0 pi(t) / (lambda^2 - 2 lambda + 2) of the contact operator."""
+    lams = sol.spectrum
+    return SpectralMultiplier(
+        modes, -sol.params.beta0 * sol.values(t) / (lams ** 2 - 2.0 * lams + 2.0))
 
 
 def optimal_control_finite(model: EpidemicModel, sol: RiccatiSolution,
@@ -290,19 +290,19 @@ def optimal_control_finite(model: EpidemicModel, sol: RiccatiSolution,
     regulator.)  A `sol` of another model raises ValueError.
     """
     _require_own_solution(model, sol)
-    factors = _feedback_factors(sol, t)
-    return _modal_apply(model.modes.basis, factors, np.asarray(state, dtype=float))
+    return _feedback(model.modes, sol, t).apply(np.asarray(state, dtype=float))
 
 
 def optimal_control_graphon(kernel: Graphon, sol: RiccatiSolution,
-                            state: Function, t: float,
-                            modes: SpectralDecomposition | None = None) -> Function:
-    """Graphon-limit version of the feedback, acting on L2 functions."""
-    if modes is None:
-        modes = decompose(kernel)
-    factors = _feedback_factors(sol, t)
-    return factors[0] * state + modes.combine((factors[1:] - factors[0])
-                                              * modes.coordinates(state))
+                            state: Function, t: float) -> Function:
+    """Graphon-limit version of the feedback, acting on L2 functions.
+
+    A `sol` solved for another spectrum than the kernel's raises ValueError.
+    """
+    modes = decompose(kernel)
+    if not np.array_equal(sol.eigenvalues, modes.eigenvalues):
+        raise ValueError("the Riccati solution belongs to another kernel")
+    return _feedback(modes, sol, t).apply(state)
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,21 +390,27 @@ def simulate_linearized(model: EpidemicModel, p0: np.ndarray, control=None,
     law = _own_law(model, control)
     if control is not None and law is None:
         raise TypeError("control must be None or a linear_feedback law for this model")
-    params = model.regulator_params()
+    modes = model.modes
     times = _uniform_times(model.horizon, num_steps)
-    p0 = np.asarray(p0, dtype=float)
-    basis = model.modes.basis
-    coords = basis.T @ p0 / model.num_nodes
-    residual = p0 - basis @ coords
-    lams = np.concatenate(([0.0], model.modes.eigenvalues))
-    decay = _modal_transition(params, lams, 0.0, times, law is not None)
-    states = _modal_sum(decay[:, 1:] * coords, decay[:, :1], basis, residual)
+    coords, residual = _split(model, p0)
+    decay = SpectralMultiplier(modes, _modal_transition(
+        model.regulator_params(), modes.spectrum, 0.0, times, law is not None))
+    states = decay.apply_split(coords, residual)
     controls = gains = None
     if law is not None:
-        gains = _feedback_factors(law.sol, times) * decay
-        controls = _modal_sum(gains[:, 1:] * coords, gains[:, :1], basis, residual)
+        closed = _feedback(modes, law.sol, times).compose(decay)
+        controls, gains = closed.apply_split(coords, residual), closed.values
     return ModalTrajectory(times, states, controls, coordinates=coords,
-                           residual=residual, decay=decay, gains=gains)
+                           residual=residual, decay=decay.values, gains=gains)
+
+
+def _split(model: EpidemicModel, p0) -> tuple[np.ndarray, np.ndarray]:
+    """`modes.split` of p0, one value per node (else ValueError), the residual as node values."""
+    p0 = np.asarray(p0, dtype=float)
+    if p0.shape != (model.num_nodes,):
+        raise ValueError(f"p0 has shape {p0.shape}; the network has {model.num_nodes} nodes")
+    coords, residual = model.modes.split(PiecewiseConstantFunction(p0))
+    return coords, residual.values
 
 
 def simulate_nonlinear(model: EpidemicModel, p0: np.ndarray, control=None,
@@ -425,31 +431,32 @@ def simulate_nonlinear(model: EpidemicModel, p0: np.ndarray, control=None,
         raise ValueError("initial infected fractions must lie in [0, 1]")
     law = _own_law(model, control)
     forcing = None if law is not None else control
-    params = model.regulator_params()
+    params, modes = model.regulator_params(), model.modes
     times = _uniform_times(model.horizon, num_steps)
     step = model.horizon / num_steps
     mids = times[:-1] + 0.5 * step
-    lams = np.concatenate(([0.0], model.modes.eigenvalues))
-    basis, adjacency = model.modes.basis, model.adjacency
+    adjacency = model.adjacency
 
     def nonlinear(k, t, p):
         rate = -model.eta * p * (adjacency @ p)
-        rate = rate + _modal_apply(basis, growth[k], p) if grows[k] else rate
+        rate = rate + growth.apply(p, k) if grows[k] else rate
         return rate if forcing is None else rate + model.beta0 * forcing(t, p)
 
     with np.errstate(over="ignore", invalid="ignore"):  # Trajectory reports a non-finite state
-        halves = (_modal_transition(params, lams, times[:-1], mids, law is not None),
-                  _modal_transition(params, lams, mids, times[1:], law is not None))
-        growth = np.log(np.maximum(halves[0] * halves[1], 1.0)) / step
-        halves = [factors * np.exp(-0.5 * step * growth) for factors in halves]
-        grows = growth.any(axis=1)
-        states = lawson_rk4(lambda k, half, pair: _modal_apply(basis, halves[half][k], pair),
+        # one table per half-step transition, read by row in every RK stage
+        halves = (_modal_transition(params, modes.spectrum, times[:-1], mids, law is not None),
+                  _modal_transition(params, modes.spectrum, mids, times[1:], law is not None))
+        rates = np.log(np.maximum(halves[0] * halves[1], 1.0)) / step
+        halves = [SpectralMultiplier(modes, factors * np.exp(-0.5 * step * rates))
+                  for factors in halves]
+        growth, grows = SpectralMultiplier(modes, rates), rates.any(axis=1)
+        states = lawson_rk4(lambda k, half, pair: halves[half].apply(pair, k),
                             nonlinear, times, p0)
         trajectory = Trajectory(times, states,
                                 range_warning=bool(states.min() < -0.1 or states.max() > 1.1))
         controls = None
         if law is not None:
-            controls = _modal_apply(basis, _feedback_factors(law.sol, times), states)
+            controls = _feedback(modes, law.sol, times).apply(states)
         elif forcing is not None:
             controls = np.stack([forcing(t, p) for t, p in zip(times, states)])
     if trajectory.range_warning:
@@ -472,11 +479,9 @@ def linear_costs(model: EpidemicModel, p0: np.ndarray) -> tuple[float, float]:
     """
     params = model.regulator_params()
     q, q_terminal, horizon = params.state_weight, params.terminal_weight, params.horizon
-    p0, basis = np.asarray(p0, dtype=float), model.modes.basis
-    coords = basis.T @ p0 / model.num_nodes
-    residual = p0 - basis @ coords
+    coords, residual = _split(model, p0)
     weights = np.concatenate(([residual @ residual], model.num_nodes * coords ** 2))
-    lams = np.concatenate(([0.0], model.modes.eigenvalues))
+    lams = model.modes.spectrum
     rate = -2.0 * _riccati_coefficients(params, lams)[0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         growth = np.where(np.abs(rate) < RATE_EPS, horizon, np.expm1(rate * horizon) / rate)

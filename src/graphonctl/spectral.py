@@ -112,6 +112,86 @@ class SpectralDecomposition:
             return PiecewiseConstantFunction(column)
         return TrigPolynomial(column)
 
+    @property
+    def spectrum(self) -> np.ndarray:
+        """The complemented spectrum [0, λ_1..λ_r]: the operator's value on the
+        orthogonal complement of the eigenfunctions, then along each f_l."""
+        return np.pad(self.eigenvalues, (1, 0))
+
+    def split(self, func: Function) -> tuple[np.ndarray, Function]:
+        """(c, r): the coordinates c_l = <func, f_l> and the residual
+        r = func - sum_l c_l f_l, the part of func orthogonal to every f_l."""
+        coords = self.coordinates(func)
+        return coords, func - self.combine(coords)
+
+
+@dataclass(frozen=True, eq=False)
+class SpectralMultiplier:
+    """The operator f(A) for a function f of the decomposed operator A.
+
+    f(A) acts as f(0) on the orthogonal complement of the eigenfunctions of
+    `modes` and as f(λ_l) along each f_l, so it is the vector `values` of f
+    over `modes.spectrum`; a 2-D `values` holds one such row per time.  Over
+    a step source it also acts on block values, where each unit-L2 f_l is a
+    basis column of Euclidean norm sqrt(n).
+    """
+
+    modes: SpectralDecomposition
+    values: np.ndarray
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float).view()  # large tables are not copied
+        if values.ndim not in (1, 2) or values.shape[-1] != self.modes.rank + 1:
+            raise ValueError(f"{self.modes.rank + 1} values per row required, one per "
+                             f"member of the complemented spectrum; got shape {values.shape}")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+
+    def _block_basis(self) -> np.ndarray:
+        if not isinstance(self.modes.source, StepGraphon):
+            raise IncompatibleOperandsError("block values need piecewise-constant modes")
+        return self.modes.basis
+
+    def apply(self, x, row: int | None = None):
+        """f(A) x, with the values of 1-D `values` or of row `row` of a table.
+
+        x is a Function of the source's family, or block-value rows; without
+        `row`, a table applies its row k to x[k].
+        """
+        values = self.values if row is None else self.values[row]
+        lead = values[..., :1]
+        if not isinstance(x, np.ndarray):
+            return float(lead[0]) * x + self.modes.combine(
+                (values[1:] - lead) * self.modes.coordinates(x))
+        basis = self._block_basis()
+        return (x @ basis / basis.shape[0] * (values[..., 1:] - lead)) @ basis.T + lead * x
+
+    def apply_split(self, coords: np.ndarray, residual: np.ndarray) -> np.ndarray:
+        """Block-value rows of f(A) x for x split by `SpectralDecomposition.split`:
+        sum_l values[..., l + 1] coords[l] f_l + values[..., 0] residual.
+
+        `residual` holds block values on the modes' partition or a refinement
+        of it.  Non-finite values leave non-finite rows, without a warning.
+        """
+        basis = self._block_basis()
+        if residual.shape[-1] != basis.shape[0]:
+            basis = np.repeat(basis, residual.shape[-1] // basis.shape[0], axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (self.values[..., 1:] * coords) @ basis.T + self.values[..., :1] * residual
+
+    def compose(self, other: "SpectralMultiplier") -> "SpectralMultiplier":
+        """f(A) g(A), the multiplier of the product f g over the same `modes`."""
+        if other.modes is not self.modes:
+            raise IncompatibleOperandsError("multipliers over different modes")
+        return SpectralMultiplier(self.modes, self.values * other.values)
+
+    def as_matrix(self) -> np.ndarray:
+        """Matrix of f(A) on block values of a step source's partition (1-D values)."""
+        basis = self._block_basis()
+        n = basis.shape[0]
+        lead = self.values[0]
+        return lead * np.eye(n) + (basis * ((self.values[1:] - lead) / n)) @ basis.T
+
 
 def decompose(graphon: Graphon) -> SpectralDecomposition:
     """Eigenvalues and orthonormal eigenfunctions of the integral operator.

@@ -8,7 +8,6 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
 from graphonctl.control import (
-    GramianOperator,
     GraphonSystem,
     exact_controllability_check,
     gramian,
@@ -25,7 +24,6 @@ from graphonctl.errors import (
 )
 from graphonctl.functions import PiecewiseConstantFunction, TrigPolynomial, inner_product
 from graphonctl.graphons import SinusoidalGraphon, StepGraphon
-from graphonctl.spectral import decompose
 
 import oracles
 from conftest import random_symmetric_graphon
@@ -64,6 +62,16 @@ class TestGraphonSystem:
         assert sys.input_eta(lam) == pytest.approx(2.0 + 0.3 * lam - 0.1 * lam**2)
         np.testing.assert_allclose(sys.mode_etas, [sys.input_eta(0.5)])
 
+    def test_input_operator_is_evaluated_once(self, monkeypatch):
+        sys = GraphonSystem(0.0, 2.0, StepGraphon([[0.5, 0.1], [0.1, -0.3]]), (0.3, -0.1), 1.0)
+        assert sys.input_operator.values[0] == 2.0
+        np.testing.assert_array_equal(
+            sys.mode_etas, [sys.input_eta(lam) for lam in sys.modes.eigenvalues])
+        monkeypatch.setattr(GraphonSystem, "input_eta", None)  # later reads must not call it
+        gramian(sys)
+        min_energy_control(sys, PiecewiseConstantFunction([1.0, -1.0]))
+        assert sys.mode_etas.size == 2
+
     def test_horizon_must_be_positive(self):
         with pytest.raises(ValueError):
             GraphonSystem(0.0, 1.0, StepGraphon([[0.5]]), (), 0.0)
@@ -74,13 +82,6 @@ class TestGraphonSystem:
 
 
 class TestGramianOperator:
-    def test_apply_matches_matrix_form(self, rng):
-        sys = random_system(rng)
-        w = gramian(sys)
-        mat = w.as_matrix()
-        z = PiecewiseConstantFunction(rng.normal(size=sys.kernel.num_blocks))
-        np.testing.assert_allclose(w.apply(z).values, mat @ z.values, atol=1e-12)
-
     def test_apply_rejects_mixed_function_families(self, rng):
         sys = random_system(rng)
         with pytest.raises(IncompatibleOperandsError):
@@ -100,18 +101,12 @@ class TestGramianOperator:
             gramian(a).compose(gramian(b))
 
     def test_spectral_lower_bound_is_min_direction(self):
-        modes = decompose(StepGraphon([[1.0]]))
-        w = GramianOperator(2.0, np.array([-0.5]), modes)
-        assert w.direction_values[0] == pytest.approx(1.5)
-        assert w.spectral_lower_bound == pytest.approx(1.5)
-        assert GramianOperator(2.0, np.array([1.0]), modes).spectral_lower_bound == 2.0
-
-    def test_rank_zero_matrix_acts_on_every_block(self):
-        sys = GraphonSystem(0.3, 1.0, StepGraphon(np.zeros((3, 3))), (), 1.0)
-        w = gramian(sys)
-        assert sys.modes.rank == 0
-        assert w.as_matrix().shape == (3, 3)
-        np.testing.assert_array_equal(w.as_matrix(), w.scalar * np.eye(3))
+        # a negative eigenvalue pulls its direction below the complement, a positive one not
+        for kernel, lowest in (([[-1.0]], 1), ([[1.0]], 0)):
+            sys = GraphonSystem(0.0, 1.0, StepGraphon(kernel), (), 1.0)
+            values = gramian(sys).values
+            assert values[0] == 1.0
+            assert exact_controllability_check(sys).spectral_lower_bound == values[lowest]
 
 
 class TestGramian:
@@ -135,7 +130,7 @@ class TestGramian:
                         * growth_integral(2.0 * (sys.alpha0 + lam), sys.horizon))
             np.testing.assert_allclose(image.values, expected * func.values,
                                        atol=1e-12)
-            assert w.direction_values[idx] == pytest.approx(expected, rel=1e-12)
+            assert w.values[idx + 1] == pytest.approx(expected, rel=1e-12)
 
     def test_sinusoidal_system_scalar_action_off_modes(self):
         kernel = SinusoidalGraphon(0.4, [0.3])
@@ -144,7 +139,7 @@ class TestGramian:
         off_mode = TrigPolynomial.sine_mode(5)  # orthogonal to all kernel modes
         image = w.apply(off_mode)
         xs = np.linspace(0.0, 1.0, 33)
-        np.testing.assert_allclose(image(xs), w.scalar * off_mode(xs), atol=1e-12)
+        np.testing.assert_allclose(image(xs), w.values[0] * off_mode(xs), atol=1e-12)
 
 
 class TestGramianInverse:

@@ -253,7 +253,7 @@ class TestFeedbackAgainstMatrixOracle:
         state = rng.normal(size=model.num_nodes)
         finite = optimal_control_finite(model, sol, state, 0.3)
         graphon_u = optimal_control_graphon(
-            model.contact, sol, PiecewiseConstantFunction(state), 0.3, modes=model.modes)
+            model.contact, sol, PiecewiseConstantFunction(state), 0.3)
         np.testing.assert_allclose(graphon_u.values, finite, atol=1e-12)
 
 
@@ -334,6 +334,15 @@ class TestFeedbackTable:
         optimal_control_finite(model, solve_riccati_finite(model, 100), state, 0.0)
         with pytest.raises(ValueError, match="another model"):
             optimal_control_finite(model, solve_riccati_finite(other, 100), state, 0.0)
+
+    def test_foreign_solution_refused_by_the_graphon_control(self):
+        kernel = StepGraphon([[0.2, 0.8], [0.8, 0.2]])
+        params = RegulatorParams(0.5, 1.0, 1.0)
+        state = PiecewiseConstantFunction([0.3, 0.1])
+        optimal_control_graphon(kernel, solve_riccati_graphon(kernel, params, 100), state, 0.0)
+        foreign = solve_riccati_graphon(StepGraphon([[0.5, 0.1], [0.1, 0.5]]), params, 100)
+        with pytest.raises(ValueError, match="another kernel"):
+            optimal_control_graphon(kernel, foreign, state, 0.0)
 
 
 class TestSimulation:

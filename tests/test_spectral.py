@@ -19,6 +19,7 @@ from graphonctl.graphons import (
 )
 from graphonctl.spectral import (
     FiniteRankKernel,
+    SpectralMultiplier,
     bound_for_exponential,
     bound_for_power,
     decompose,
@@ -169,6 +170,56 @@ class TestBasis:
             np.testing.assert_allclose(decomp.coordinates(func), coeffs, atol=1e-12)
             for l, (_, f) in enumerate(eigenpairs(decomp)):
                 assert inner_product(func, f) == pytest.approx(coeffs[l], abs=1e-12)
+
+
+def _multiplier_modes(family, rng):
+    if family == "step":
+        return decompose(random_symmetric_graphon(rng))
+    if family == "sinusoidal":
+        return decompose(SinusoidalGraphon(0.4, [0.3, -0.2]))
+    return decompose(StepGraphon(np.zeros((3, 3))))
+
+
+class TestSpectralMultiplier:
+    @pytest.mark.parametrize("family", ["step", "sinusoidal", "rank-zero"])
+    def test_forms_agree(self, rng, family):
+        modes = _multiplier_modes(family, rng)
+        f, g = rng.normal(size=(2, modes.rank + 1))
+        op = SpectralMultiplier(modes, f)
+        # the third harmonic lies outside the sinusoidal kernel's modes
+        x = (TrigPolynomial(rng.normal(size=7)) if family == "sinusoidal"
+             else PiecewiseConstantFunction(rng.normal(size=modes.basis.shape[0])))
+        coords, residual = modes.split(x)
+        assert (modes.combine(coords) + residual - x).l2_norm() < 1e-12
+        for _, eigenfunction in eigenpairs(modes):
+            assert inner_product(residual, eigenfunction) == pytest.approx(0.0, abs=1e-12)
+        image = op.apply(x)
+        image_coords, image_residual = modes.split(image)
+        np.testing.assert_allclose(image_coords, f[1:] * coords, atol=1e-12)
+        assert (image_residual - f[0] * residual).l2_norm() < 1e-12
+        np.testing.assert_array_equal(op.compose(SpectralMultiplier(modes, g)).values, f * g)
+        if family == "sinusoidal":  # no block values
+            for block_form in (op.as_matrix, lambda: op.apply(np.ones(5)),
+                               lambda: op.apply_split(coords, np.ones(5))):
+                with pytest.raises(IncompatibleOperandsError):
+                    block_form()
+            return
+        np.testing.assert_allclose(op.as_matrix() @ x.values, image.values, atol=1e-12)
+        np.testing.assert_allclose(op.apply_split(coords, residual.values), image.values,
+                                   atol=1e-12)
+        rows = np.stack((x.values, -2.0 * x.values))
+        np.testing.assert_allclose(op.apply(rows), [image.values, -2.0 * image.values],
+                                   atol=1e-12)
+        # a table applies its row k to rows[k], or one chosen row to every row
+        table = SpectralMultiplier(modes, np.stack((f, g)))
+        np.testing.assert_array_equal(table.apply(rows, 0), op.apply(rows))
+        np.testing.assert_allclose(table.apply(rows)[0], image.values, atol=1e-12)
+
+    def test_one_value_per_member_of_the_complemented_spectrum(self):
+        modes = decompose(StepGraphon([[0.6, 0.2], [0.2, 0.4]]))
+        np.testing.assert_array_equal(modes.spectrum, np.append(0.0, modes.eigenvalues))
+        with pytest.raises(ValueError, match="3 values per row"):
+            SpectralMultiplier(modes, modes.eigenvalues)
 
 
 class TestTruncation:
