@@ -143,13 +143,11 @@ def cmd_spectra(args):
     ds = load_dataset(args.network, args.degree_sort)
     if args.symmetrize:  # the report and the kernel read the same symmetric graph
         ds = ds.symmetrized()
-    adjacency = ds.adjacency()  # and the same dense matrix, built once
-    report = netio.spectral_report(ds, top_fraction=args.top_fraction, adjacency=adjacency)
+    report = netio.spectral_report(ds, top_fraction=args.top_fraction)
     write_json(out / "spectral_report.json", report.to_json_dict())
     write_csv(out / "eigenvalues.csv", ["index", "eigenvalue"],
               np.arange(report.eigenvalues.size), report.eigenvalues)
-    kernel = netio.to_step_graphon(ds, normalize=args.normalize, adjacency=adjacency)
-    del adjacency  # the kernel holds its own copy; free this one before the eigensolve
+    kernel = netio.to_step_graphon(ds, normalize=args.normalize)
     write_kernel_csv(out, "original_kernel", kernel.coeffs, "step", args.normalize)
     decomp = decompose(kernel)
     rank = min(report.top_k, decomp.rank)

@@ -68,8 +68,8 @@ def _fourier_layout(coeffs: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
-def _readonly_vector(values) -> np.ndarray:
-    arr = np.atleast_1d(np.array(values, dtype=float))
+def _readonly_vector(values, dtype=float) -> np.ndarray:
+    arr = np.atleast_1d(np.array(values, dtype=dtype))
     arr.setflags(write=False)
     return arr
 

@@ -1,10 +1,10 @@
 """Network data ingestion, graph sampling from kernels, and spectral reports.
 
-Datasets stay in sparse edge-list form until a pixel-picture step graphon or a
-dense adjacency is requested.  Sampling uses the exchangeable-graph generative
-model: i.i.d. uniform latents per node, then independent edges with kernel
-probabilities.  All randomness flows through numpy's seeded default generator
-(PCG64), which is stable across platforms for a fixed 64-bit seed.
+A dataset is three arrays, one entry per edge line, until a pixel-picture step
+graphon or a dense adjacency is requested.  Sampling uses the exchangeable-graph
+generative model: i.i.d. uniform latents per node, then independent edges with
+kernel probabilities.  All randomness flows through numpy's seeded default
+generator (PCG64), which is stable across platforms for a fixed 64-bit seed.
 """
 
 from __future__ import annotations
@@ -16,21 +16,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError
+from .functions import _readonly_vector
 from .graphons import Graphon, SinusoidalGraphon, StepGraphon
 from .spectral import _nonzero_ordered
 
 
 @dataclass(frozen=True, eq=False)
 class NetworkDataset:
-    """Weighted graph as an edge list with 0-based node indices.
+    """Weighted graph as read-only edge arrays with 0-based node indices.
 
     Undirected datasets list each edge once (either orientation); directed
-    ones are taken literally.  Self-loops are kept and only flagged when a
-    kernel is built.
+    ones are taken literally, and the last entry of a repeated pair sets its
+    weight.  Self-loops are kept and only flagged when a kernel is built.
     """
 
     num_nodes: int
-    edges: tuple  # of (i: int, j: int, weight: float)
+    rows: np.ndarray  # int64
+    cols: np.ndarray  # int64
+    weights: np.ndarray  # float64
     name: str = ""
     source: str = ""
     directed: bool = False
@@ -38,25 +41,39 @@ class NetworkDataset:
     def __post_init__(self):
         if self.num_nodes < 1:
             raise ValueError("num_nodes must be >= 1")
-        for i, j, _ in self.edges:
-            if not (0 <= i < self.num_nodes and 0 <= j < self.num_nodes):
-                raise ValueError(f"edge ({i}, {j}) outside 0..{self.num_nodes - 1}")
+        for field, dtype in (("rows", np.int64), ("cols", np.int64), ("weights", float)):
+            object.__setattr__(self, field, _readonly_vector(getattr(self, field), dtype))
+        if not self.rows.shape == self.cols.shape == self.weights.shape == (self.num_edges,):
+            raise ValueError("rows, cols and weights must be vectors of one length")
+        outside = ((np.minimum(self.rows, self.cols) < 0)
+                   | (np.maximum(self.rows, self.cols) >= self.num_nodes))
+        if outside.any():
+            at = np.argmax(outside)
+            raise ValueError(f"edge ({self.rows[at]}, {self.cols[at]}) "
+                             f"outside 0..{self.num_nodes - 1}")
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return self.weights.size
 
     @property
     def has_self_loops(self) -> bool:
-        return any(i == j for i, j, _ in self.edges)
+        return bool(np.any(self.rows == self.cols))
 
     def adjacency(self) -> np.ndarray:
         """Dense weight matrix; undirected edges fill both orientations."""
         mat = np.zeros((self.num_nodes, self.num_nodes))
-        for i, j, weight in self.edges:
-            mat[i, j] = weight
-            if not self.directed:
-                mat[j, i] = weight
+        rows, cols = self.rows, self.cols
+        if not self.directed:  # an undirected pair as (lower, higher) node
+            rows, cols = np.minimum(rows, cols), np.maximum(rows, cols)
+        # numpy leaves the winner among repeated targets unspecified, but ufunc.at
+        # takes every entry in turn: each pair keeps the number of its last entry
+        order = np.arange(1.0, self.num_edges + 1)
+        np.maximum.at(mat, (rows, cols), order)
+        latest = mat[rows, cols] == order
+        mat[rows[latest], cols[latest]] = self.weights[latest]
+        if not self.directed:
+            mat[cols[latest], rows[latest]] = self.weights[latest]
         return mat
 
     def symmetrized(self) -> "NetworkDataset":
@@ -66,23 +83,50 @@ class NetworkDataset:
             return self
         mat = self.adjacency()
         mat = np.triu(np.where(np.abs(mat) >= np.abs(mat.T), mat, mat.T))
-        edges = tuple((int(i), int(j), float(mat[i, j])) for i, j in zip(*np.nonzero(mat)))
-        return NetworkDataset(self.num_nodes, edges, self.name, self.source)
+        rows, cols = np.nonzero(mat)
+        return NetworkDataset(self.num_nodes, rows, cols, mat[rows, cols], self.name, self.source)
 
     def degree_sorted(self) -> "NetworkDataset":
         """Relabel nodes by descending weighted degree (ties keep input order)."""
         mat = np.abs(self.adjacency())
         degrees = mat.sum(axis=0) + mat.sum(axis=1)
-        order = np.argsort(-degrees, kind="stable")
-        relabel = np.empty(self.num_nodes, dtype=int)
-        relabel[order] = np.arange(self.num_nodes)
-        edges = tuple((int(relabel[i]), int(relabel[j]), w) for i, j, w in self.edges)
-        return NetworkDataset(self.num_nodes, edges, self.name, self.source,
-                              self.directed)
+        relabel = np.argsort(np.argsort(-degrees, kind="stable"))  # the order's inverse
+        return NetworkDataset(self.num_nodes, relabel[self.rows], relabel[self.cols],
+                              self.weights, self.name, self.source, self.directed)
 
 
-def _decoded(data) -> str:
-    return data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
+def _lines(data, comments: str) -> tuple:
+    """Lines of a text or UTF-8 bytes, and the 1-based numbers of those not blank or comments."""
+    lines = (data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data).splitlines()
+    return lines, [n for n, ln in enumerate(lines, start=1)
+                   if ln.strip() and ln.lstrip()[0] not in comments]
+
+
+def _tokenize(lines: list, numbers: list, widths: tuple, usage: str, low: int, high,
+              outside: str) -> tuple:
+    """int64 rows and cols and float64 weights (1.0 when absent) of the lines `numbers`.
+    Each needs a field count in `widths` (else `usage`), indices in low..high (else
+    `outside`, naming {i} and {j}) and below 2**63, and a finite weight, or it raises."""
+    entries = []
+    for lineno in numbers:
+        fields = lines[lineno - 1].split()
+        try:  # every rule a line breaks lands in the except clause
+            if len(fields) not in widths:
+                raise ValueError(usage.format(lines[lineno - 1].strip()))
+            i, j = int(fields[0]), int(fields[1])
+            weight = float(fields[2]) if len(fields) == 3 else 1.0
+            if not (low <= i <= high and low <= j <= high):
+                raise ValueError(outside.format(i=i, j=j))
+            problem = "" if math.isfinite(weight) else "non-finite weight"
+            if problem or i >= 2**63 or j >= 2**63:
+                raise ValueError(problem or "node index beyond int64")
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        entries.append((i, j, weight))
+    table = np.array(entries, dtype=[("i", np.int64), ("j", np.int64), ("w", float)])
+    if (table["w"] < 0.0).any():
+        warnings.warn("negative edge weights present; kernel will be signed")
+    return table["i"], table["j"], table["w"]
 
 
 def parse_edge_list(data, name: str = "") -> NetworkDataset:
@@ -90,44 +134,25 @@ def parse_edge_list(data, name: str = "") -> NetworkDataset:
 
     Indexing base is auto-detected from the minimum index (1-based when no 0
     appears); missing weights default to 1.0.  Negative weights are legal for
-    signed kernels and only warned about.
+    signed kernels and only warned about; non-finite ones are rejected.
     """
-    raw_edges = []
-    for lineno, line in enumerate(_decoded(data).splitlines(), start=1):
-        text = line.strip()
-        if not text or text[0] in "%#":
-            continue
-        fields = text.split()
-        if len(fields) not in (2, 3):
-            raise ParseError(f"line {lineno}: expected 'i j [weight]', got {text!r}")
-        try:
-            i, j = int(fields[0]), int(fields[1])
-            weight = float(fields[2]) if len(fields) == 3 else 1.0
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        if i < 0 or j < 0:
-            raise ParseError(f"line {lineno}: negative node index")
-        if not math.isfinite(weight):
-            raise ParseError(f"line {lineno}: non-finite weight")
-        raw_edges.append((i, j, weight))
-    if not raw_edges:
+    lines, body = _lines(data, "%#")
+    if not body:
         raise ParseError("no edges found in input")
-    base = min(min(i, j) for i, j, _ in raw_edges)
-    base = 1 if base >= 1 else 0
-    edges = tuple((i - base, j - base, w) for i, j, w in raw_edges)
-    if any(w < 0.0 for _, _, w in edges):
-        warnings.warn("negative edge weights present; kernel will be signed")
-    num_nodes = 1 + max(max(i, j) for i, j, _ in edges)
-    return NetworkDataset(num_nodes, edges, name=name, source="edge-list")
+    rows, cols, weights = _tokenize(lines, body, (2, 3), "expected 'i j [weight]', got {!r}",
+                                    0, math.inf, "negative node index")
+    base = 1 if min(rows.min(), cols.min()) >= 1 else 0
+    return NetworkDataset(1 + int(max(rows.max(), cols.max())) - base, rows - base,
+                          cols - base, weights, name=name, source="edge-list")
 
 
 def parse_matrix_market(data, name: str = "") -> NetworkDataset:
     """MatrixMarket coordinate format, real/integer/pattern, general/symmetric.
 
-    Indices are 1-based by definition of the format.  Dense 'array' files and
-    complex/skew symmetries are rejected as unsupported.
+    Indices are 1-based by definition of the format, and weights finite.  Dense
+    'array' files and complex/skew symmetries are rejected as unsupported.
     """
-    lines = _decoded(data).splitlines()
+    lines, body = _lines(data, "%")  # the banner is a comment line too
     if not lines or not lines[0].startswith("%%MatrixMarket"):
         raise ParseError("missing %%MatrixMarket banner")
     banner = lines[0].split()
@@ -143,55 +168,37 @@ def parse_matrix_market(data, name: str = "") -> NetworkDataset:
     if symmetry not in ("general", "symmetric"):
         raise ParseError(f"unsupported symmetry {symmetry!r}")
 
-    body = [(n, ln.strip()) for n, ln in enumerate(lines[1:], start=2)
-            if ln.strip() and not ln.lstrip().startswith("%")]
     if not body:
         raise ParseError("missing size line")
-    size_fields = body[0][1].split()
+    size_fields = lines[body[0] - 1].split()
     if len(size_fields) != 3:
-        raise ParseError(f"line {body[0][0]}: expected 'rows cols nnz'")
+        raise ParseError(f"line {body[0]}: expected 'rows cols nnz'")
     try:
-        rows, cols, nnz = (int(fld) for fld in size_fields)
+        size, num_cols, nnz = (int(fld) for fld in size_fields)
     except ValueError:
-        raise ParseError(f"line {body[0][0]}: non-integer size entry") from None
-    if rows != cols:
-        raise ParseError(f"adjacency must be square, got {rows}x{cols}")
+        raise ParseError(f"line {body[0]}: non-integer size entry") from None
+    if size != num_cols:
+        raise ParseError(f"adjacency must be square, got {size}x{num_cols}")
     if len(body) - 1 != nnz:
         raise ParseError(f"entry count {len(body) - 1} does not match header {nnz}")
 
     expected = 2 if field == "pattern" else 3
-    edges = []
-    for lineno, text in body[1:]:
-        fields = text.split()
-        if len(fields) != expected:
-            raise ParseError(f"line {lineno}: expected {expected} fields")
-        try:
-            i, j = int(fields[0]), int(fields[1])
-            weight = float(fields[2]) if expected == 3 else 1.0
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        if not (1 <= i <= rows and 1 <= j <= rows):
-            raise ParseError(f"line {lineno}: index ({i}, {j}) outside 1..{rows}")
-        edges.append((i - 1, j - 1, weight))
-    if any(w < 0.0 for _, _, w in edges):
-        warnings.warn("negative edge weights present; kernel will be signed")
-    return NetworkDataset(rows, tuple(edges), name=name, source="matrix-market",
-                          directed=(symmetry == "general"))
+    rows, cols, weights = _tokenize(lines, body[1:], (expected,), f"expected {expected} fields",
+                                    1, size, f"index ({{i}}, {{j}}) outside 1..{size}")
+    return NetworkDataset(size, rows - 1, cols - 1, weights, name=name,
+                          source="matrix-market", directed=(symmetry == "general"))
 
 
 def to_step_graphon(dataset: NetworkDataset, normalize: str = "max-abs",
-                    symmetrize: bool = False,
-                    adjacency: np.ndarray | None = None) -> StepGraphon:
+                    symmetrize: bool = False) -> StepGraphon:
     """Pixel picture of the dataset: block (i, j) carries the edge weight.
 
     normalize="max-abs" divides by the largest magnitude so values land in
     [-1, 1]; "none" keeps raw weights (unvalidated kernel, e.g. for stability
     thresholds on raw adjacencies).  Asymmetric data needs `symmetrize`, which
-    reads `dataset.symmetrized()`.  `adjacency` is the matrix these would
-    build, when the caller has built it already.
+    reads `dataset.symmetrized()`.
     """
-    mat = ((dataset.symmetrized() if symmetrize else dataset).adjacency()
-           if adjacency is None else adjacency)
+    mat = (dataset.symmetrized() if symmetrize else dataset).adjacency()
     if not np.array_equal(mat, mat.T):
         raise ValueError("dataset is asymmetric; pass symmetrize=True")
     if np.trace(np.abs(mat)) > 0.0:
@@ -234,21 +241,17 @@ def sample_graph(graphon: Graphon, num_nodes: int, seed: int) -> NetworkDataset:
     latents = rng.random(num_nodes)
     thresholds = rng.random((num_nodes, num_nodes))
     probs = graphon.value(latents[:, None], latents[None, :])
-    upper_i, upper_j = np.triu_indices(num_nodes, k=1)
-    present = thresholds[upper_i, upper_j] < np.asarray(probs)[upper_i, upper_j]
-    edges = tuple((int(i), int(j), 1.0)
-                  for i, j in zip(upper_i[present], upper_j[present]))
-    return NetworkDataset(num_nodes, edges, name=f"sample_n{num_nodes}_seed{seed}",
-                          source="sample")
+    rows, cols = np.nonzero(np.triu(thresholds < np.asarray(probs), k=1))
+    return NetworkDataset(num_nodes, rows, cols, np.ones(rows.size),
+                          name=f"sample_n{num_nodes}_seed{seed}", source="sample")
 
 
 def write_edge_list(dataset: NetworkDataset) -> str:
     """Serialize as 1-based "i j weight" lines (stable, round-trippable)."""
-    lines = [f"# {dataset.name or 'network'}: {dataset.num_nodes} nodes, "
-             f"{dataset.num_edges} edges"]
-    for i, j, weight in dataset.edges:
-        lines.append(f"{i + 1} {j + 1} {weight:.17g}")
-    return "\n".join(lines) + "\n"
+    # Python ints and floats, one % over them all: the bytes of f"{i + 1} {j + 1} {w:.17g}"
+    table = np.column_stack([dataset.rows + 1, dataset.cols + 1, dataset.weights.astype(object)])
+    return (f"# {dataset.name or 'network'}: {dataset.num_nodes} nodes, {len(table)} edges\n"
+            + ("%d %d %.17g\n" * len(table)) % tuple(table.ravel()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,7 +284,7 @@ class SpectralReport:
 
 
 def spectral_report(dataset: NetworkDataset, top_fraction: float = 0.10,
-                    bins: int = 50, adjacency: np.ndarray | None = None) -> SpectralReport:
+                    bins: int = 50) -> SpectralReport:
     """Adjacency spectrum with a histogram of magnitudes and a top-k error.
 
     The truncation error is the closed-form L2 error of keeping the top
@@ -289,11 +292,10 @@ def spectral_report(dataset: NetworkDataset, top_fraction: float = 0.10,
     graphon (capped at its nonzero rank).  That graphon's eigenvalues are the
     adjacency's divided by N * max|a_ij|, so its tail is read off the same
     spectrum, zeros dropped and ordered as `decompose` orders them.
-    `adjacency` is `dataset.adjacency()` when the caller has built it already.
     """
     if not 0.0 < top_fraction <= 1.0:
         raise ValueError("top_fraction must be in (0, 1]")
-    mat = dataset.adjacency() if adjacency is None else adjacency
+    mat = dataset.adjacency()
     if not np.array_equal(mat, mat.T):
         raise ValueError("spectral report requires a symmetric dataset")
     values = np.linalg.eigvalsh(mat)[::-1]

@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from graphonctl.cli import main
 from graphonctl.errors import ParseError
 from graphonctl.graphons import SinusoidalGraphon, StepGraphon
 from graphonctl.netio import (
@@ -17,6 +19,24 @@ from graphonctl.netio import (
 )
 
 
+def entries(ds):
+    """The dataset's (row, col, weight) entries as Python values, in order."""
+    return list(zip(ds.rows.tolist(), ds.cols.tolist(), ds.weights.tolist()))
+
+
+def looped_adjacency(ds):
+    """The dense matrix by one assignment per entry, in order: the last one wins."""
+    mat = np.zeros((ds.num_nodes, ds.num_nodes))
+    for i, j, weight in entries(ds):
+        mat[i, j] = weight
+        if not ds.directed:
+            mat[j, i] = weight
+    return mat
+
+
+MTX_GENERAL = "%%MatrixMarket matrix coordinate real general\n"
+
+
 class TestParseEdgeList:
     def test_bipartite_fixture(self, data_dir):
         ds = parse_edge_list((data_dir / "k22.edges").read_text(), name="k22")
@@ -24,7 +44,9 @@ class TestParseEdgeList:
         assert ds.num_edges == 4
         assert not ds.directed
         # percent-comment line skipped, 1-based indices shifted down
-        assert ds.edges[0] == (0, 2, 1.0)
+        assert entries(ds)[0] == (0, 2, 1.0)
+        assert ds.rows.dtype == ds.cols.dtype == np.int64
+        assert ds.weights.dtype == np.float64
         eigs = np.linalg.eigvalsh(ds.adjacency())
         np.testing.assert_allclose(sorted(eigs), [-2.0, 0.0, 0.0, 2.0],
                                    atol=1e-12)
@@ -38,11 +60,11 @@ class TestParseEdgeList:
     def test_zero_based_input_kept_verbatim(self):
         ds = parse_edge_list("0 1\n1 2\n")
         assert ds.num_nodes == 3
-        assert ds.edges == ((0, 1, 1.0), (1, 2, 1.0))
+        assert entries(ds) == [(0, 1, 1.0), (1, 2, 1.0)]
 
     def test_accepts_bytes(self):
         ds = parse_edge_list(b"# header\n1 2 0.5\n")
-        assert ds.edges == ((0, 1, 0.5),)
+        assert entries(ds) == [(0, 1, 0.5)]
 
     def test_line_numbers_in_errors(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -56,10 +78,29 @@ class TestParseEdgeList:
         with pytest.raises(ParseError, match="no edges"):
             parse_edge_list("# only comments\n\n")
 
+    def test_first_bad_line_wins(self):
+        # a rule break on line 1 comes before a malformed line 2
+        with pytest.raises(ParseError, match="^line 1: negative node index$"):
+            parse_edge_list("-1 2\n1 2 3 4\n")
+        with pytest.raises(ParseError, match="^line 2: non-finite weight$"):
+            parse_edge_list("1 2\n1 3 inf\n-1 2\n")
+        # on one line, the index is checked before the weight
+        with pytest.raises(ParseError, match="^line 1: negative node index$"):
+            parse_edge_list("-1 2 nan\n")
+        with pytest.raises(ParseError, match="^line 3: expected 'i j"):
+            parse_edge_list("1 2\n\n1 2 3 4\n-1 2\n")
+
+    def test_last_weight_of_a_repeated_pair_wins(self):
+        ds = parse_edge_list("1 2 0.5\n2 1 0.25\n1 2 0.75\n")
+        mat = ds.adjacency()
+        assert mat[0, 1] == mat[1, 0] == 0.75
+        ds = parse_edge_list("1 2 0.5\n2 1 0.25\n")
+        assert ds.adjacency()[0, 1] == ds.adjacency()[1, 0] == 0.25
+
     def test_negative_weights_warn_but_parse(self):
         with pytest.warns(UserWarning, match="signed"):
             ds = parse_edge_list("1 2 -0.5\n")
-        assert ds.edges == ((0, 1, -0.5),)
+        assert entries(ds) == [(0, 1, -0.5)]
 
 
 class TestParseMatrixMarket:
@@ -67,7 +108,7 @@ class TestParseMatrixMarket:
         ds = parse_matrix_market((data_dir / "two_cycle.mtx").read_text())
         assert ds.num_nodes == 2
         assert not ds.directed
-        assert ds.edges == ((1, 0, 1.0),)
+        assert entries(ds) == [(1, 0, 1.0)]
         np.testing.assert_array_equal(ds.adjacency(),
                                       [[0.0, 1.0], [1.0, 0.0]])
 
@@ -109,20 +150,105 @@ class TestParseMatrixMarket:
             parse_matrix_market(
                 "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 3 1.0\n")
 
+    def test_header_count_comes_before_entry_lines(self):
+        with pytest.raises(ParseError, match="does not match"):
+            parse_matrix_market(MTX_GENERAL + "2 2 3\n1 2 x\n1 3 1.0\n")
+        with pytest.raises(ParseError, match="^line 3: index \\(1, 3\\) outside 1..2$"):
+            parse_matrix_market(MTX_GENERAL + "2 2 2\n1 3 1.0\n1 2 3 4\n")
+
+    def test_last_weight_of_a_repeated_pair_wins(self):
+        with pytest.warns(UserWarning, match="signed"):
+            ds = parse_matrix_market(MTX_GENERAL + "2 2 2\n1 2 3\n1 2 -4\n")
+        np.testing.assert_array_equal(ds.adjacency(), [[0.0, -4.0], [0.0, 0.0]])
+        ds = parse_matrix_market("%%MatrixMarket matrix coordinate real symmetric\n"
+                                 "2 2 3\n2 1 0.5\n1 2 0.25\n2 1 0.75\n")
+        np.testing.assert_array_equal(ds.adjacency(), [[0.0, 0.75], [0.75, 0.0]])
+
+
+class TestParserRules:
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("matrix_market", [False, True])
+    def test_non_finite_weights_rejected(self, text, matrix_market):
+        with pytest.raises(ParseError, match="^line 4: non-finite weight$"):
+            if matrix_market:
+                parse_matrix_market(MTX_GENERAL + f"3 3 2\n1 2 1.0\n2 3 {text}\n")
+            else:
+                parse_edge_list(f"# header\n\n1 2 1.0\n2 3 {text}\n")
+
+    @pytest.mark.parametrize("text", [
+        "1 2\n9223372036854775808 1\n",
+        "1 2\n2 18446744073709551616 1.0\n",
+        MTX_GENERAL + "9223372036854775809 9223372036854775809 1\n9223372036854775808 1 1\n",
+        MTX_GENERAL + "3 3 1\n1 9223372036854775808 1\n",
+    ])
+    def test_index_beyond_int64_names_its_line(self, text):
+        parse = parse_matrix_market if text.startswith("%%") else parse_edge_list
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="^line [23]: "):
+                parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # nothing sized by the index is allocated
+
+    def test_index_beyond_int64_exits_two(self, tmp_path):
+        path = tmp_path / "big.edges"
+        path.write_text("1 9223372036854775808\n")
+        out = tmp_path / "out"
+        assert main(["spectra", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_largest_int64_index_parses(self):
+        ds = parse_edge_list("0 9223372036854775806\n")
+        assert ds.num_nodes == 2**63 - 1
+        assert ds.cols[0] == 2**63 - 2
+
 
 class TestNetworkDataset:
     def test_edge_range_validated(self):
+        with pytest.raises(ValueError, match=r"edge \(0, 2\) outside 0..1"):
+            NetworkDataset(2, [0, 0], [1, 2], [1.0, 1.0])
         with pytest.raises(ValueError, match="outside"):
-            NetworkDataset(2, ((0, 2, 1.0),))
+            NetworkDataset(2, [-1], [0], [1.0])
         with pytest.raises(ValueError, match="num_nodes"):
-            NetworkDataset(0, ())
+            NetworkDataset(0, [], [], [])
+        with pytest.raises(ValueError, match="one length"):
+            NetworkDataset(2, [0, 1], [1], [1.0, 1.0])
+
+    def test_arrays_are_read_only_copies(self):
+        rows = np.array([0, 1])
+        ds = NetworkDataset(3, rows, [1, 2], [0.5, 2.0])
+        rows[0] = 2
+        assert ds.rows.tolist() == [0, 1]
+        assert ds.num_edges == 2
+        for array in (ds.rows, ds.cols, ds.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
 
     def test_self_loop_flag(self):
-        assert NetworkDataset(2, ((0, 0, 1.0),)).has_self_loops
-        assert not NetworkDataset(2, ((0, 1, 1.0),)).has_self_loops
+        assert NetworkDataset(2, [0], [0], [1.0]).has_self_loops
+        assert not NetworkDataset(2, [0], [1], [1.0]).has_self_loops
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_adjacency_matches_entry_by_entry_assignment(self, rng, directed):
+        # few nodes and many entries: most pairs repeat, in both orientations
+        n, m = 5, 60
+        ds = NetworkDataset(n, rng.integers(0, n, m), rng.integers(0, n, m),
+                            rng.choice([-0.0, 0.0, 0.5, -1.5, 2.0], m), directed=directed)
+        np.testing.assert_array_equal(ds.adjacency(), looped_adjacency(ds))
+        assert np.array_equal(np.signbit(ds.adjacency()), np.signbit(looped_adjacency(ds)))
+
+    def test_symmetrized_keeps_the_larger_orientation(self):
+        ds = NetworkDataset(3, [0, 1, 0, 2, 0], [1, 0, 2, 0, 1], [1.0, -3.0, 2.0, 2.0, 5.0],
+                            directed=True)
+        sym = ds.symmetrized()
+        assert not sym.directed
+        # row-major upper triangle; 0 -> 1 ends at 5.0, and the 2.0 tie keeps 0 -> 2
+        assert entries(sym) == [(0, 1, 5.0), (0, 2, 2.0)]
 
     def test_degree_sorted_puts_hub_first(self):
-        star = NetworkDataset(4, ((0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)))
+        star = NetworkDataset(4, [0, 1, 2], [2, 2, 3], [1.0, 1.0, 1.0])
         relabeled = star.degree_sorted()
         degrees = relabeled.adjacency().sum(axis=0)
         assert degrees[0] == degrees.max()
@@ -131,6 +257,8 @@ class TestNetworkDataset:
         np.testing.assert_allclose(
             np.linalg.eigvalsh(relabeled.adjacency()),
             np.linalg.eigvalsh(star.adjacency()), atol=1e-12)
+        # hub 2 becomes node 0, and the rest keep their input order
+        assert entries(relabeled) == [(1, 0, 1.0), (2, 0, 1.0), (0, 3, 1.0)]
 
 
 class TestToStepGraphon:
@@ -162,7 +290,7 @@ class TestToStepGraphon:
         np.testing.assert_array_equal(g.coeffs, expected)
 
     def test_self_loops_warn(self):
-        ds = NetworkDataset(2, ((0, 0, 1.0), (0, 1, 0.5)))
+        ds = NetworkDataset(2, [0, 0], [0, 1], [1.0, 0.5])
         with pytest.warns(UserWarning, match="trace"):
             to_step_graphon(ds)
 
@@ -176,12 +304,12 @@ class TestSampleGraph:
         latents = gen.random(30)
         thresholds = gen.random((30, 30))
         probs = kernel.value(latents[:, None], latents[None, :])
-        expected = tuple(
+        expected = [
             (i, j, 1.0) for i in range(30) for j in range(i + 1, 30)
-            if thresholds[i, j] < probs[i, j])
-        assert ds.edges == expected
+            if thresholds[i, j] < probs[i, j]]
+        assert entries(ds) == expected
         assert ds.name == "sample_n30_seed7"
-        assert sample_graph(kernel, 30, seed=7).edges == ds.edges
+        assert entries(sample_graph(kernel, 30, seed=7)) == expected
 
     def test_extreme_kernels(self):
         full = sample_graph(StepGraphon([[1.0]]), 6, seed=0)
@@ -217,12 +345,19 @@ class TestWriteEdgeList:
         assert text.startswith("# ring: 8 nodes, 12 edges\n")
         back = parse_edge_list(text, name="ring")
         assert back.num_nodes == ds.num_nodes
-        assert back.edges == ds.edges
+        assert entries(back) == entries(ds)
 
     def test_seventeen_digits_survive(self):
-        ds = NetworkDataset(2, ((0, 1, 0.1),))
+        ds = NetworkDataset(2, [0], [1], [0.1])
         back = parse_edge_list(write_edge_list(ds))
-        assert back.edges[0][2] == 0.1
+        assert back.weights[0] == 0.1
+
+    def test_lines_are_formatted_one_by_one(self):
+        ds = NetworkDataset(4, [0, 3, 2], [1, 0, 2], [0.1, -2.5, 1e-300], name="x")
+        assert write_edge_list(ds) == (
+            "# x: 4 nodes, 3 edges\n"
+            + "".join(f"{i + 1} {j + 1} {w:.17g}\n" for i, j, w in entries(ds)))
+        assert write_edge_list(NetworkDataset(1, [], [], [])) == "# network: 1 nodes, 0 edges\n"
 
 
 class TestSpectralReport:
@@ -276,7 +411,7 @@ class TestSpectralReport:
         assert report.truncation_error == pytest.approx(tail, rel=1e-12, abs=1e-15)
 
     def test_zero_weight_network(self):
-        report = spectral_report(NetworkDataset(3, ((0, 1, 0.0),)))
+        report = spectral_report(NetworkDataset(3, [0], [1], [0.0]))
         assert report.truncation_error == 0.0
         assert report.histogram_edges[-1] == 1.0
 
