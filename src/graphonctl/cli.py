@@ -1,11 +1,12 @@
 """Command-line front end: reproducible spectral / control runs on network files.
 
-Every subcommand writes its artifacts plus a manifest.json capturing the full
-configuration, seed and package version (no timestamps).  A rerun with the
-same manifest, the same numpy, scipy and BLAS build and the same BLAS thread
-count reproduces every artifact byte for byte; the thread count alone can move
-eigensolver and matrix-product digits.  Files are written to a temporary
-sibling and renamed, never partially.
+A subcommand computes its artifacts, file name to content, and `main` writes
+them once it has finished, then a manifest.json capturing the full configuration,
+seed and package version (no timestamps); a refused or failed run writes nothing.
+A rerun with the same manifest, the same numpy, scipy and BLAS build and the
+same BLAS thread count reproduces every artifact byte for byte; the thread count
+alone can move eigensolver and matrix-product digits.  Files are written to a
+temporary sibling and renamed, never partially.
 """
 
 from __future__ import annotations
@@ -82,20 +83,21 @@ def write_json(path: Path, payload: dict):
     _atomic_write(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
-def write_kernel_csv(out: Path, stem: str, coeffs: np.ndarray, family: str,
-                     normalization: str):
-    n = coeffs.shape[0]
-    write_csv(out / f"{stem}.csv", [f"c{j}" for j in range(n)], coeffs)
-    write_json(out / f"{stem}.json",
-               {"n": n, "family": family, "normalization": normalization})
-
-
-def write_manifest(out: Path, command: str, args: argparse.Namespace):
+def write_artifacts(out: Path, artifacts: dict, args: argparse.Namespace):
+    """Write a subcommand's artifacts in order, then manifest.json: a JSON payload
+    for a .json name, (header, *columns) for a .csv name, text for any other."""
+    for name, content in artifacts.items():
+        if name.endswith(".json"):
+            write_json(out / name, content)
+        elif name.endswith(".csv"):
+            write_csv(out / name, *content)
+        else:
+            _atomic_write(out / name, [content])
     # the output directory is where the manifest lives, not part of the run
     config = {k: v for k, v in sorted(vars(args).items())
               if k not in ("handler", "out")}
     write_json(out / "manifest.json",
-               {"command": command, "config": config,
+               {"command": args.command, "config": config,
                 "seed": config.get("seed"), "version": __version__})
 
 
@@ -130,59 +132,58 @@ def parse_kernel_spec(spec: str):
     return netio.to_step_graphon(load_dataset(spec))
 
 
-def _contact_graphon(args) -> StepGraphon:
+def _network(args) -> netio.NetworkDataset:
+    """The network file, degree-sorted under --degree-sort, then symmetrized under --symmetrize."""
     ds = load_dataset(args.network, getattr(args, "degree_sort", False))
-    return netio.to_step_graphon(ds, normalize=args.normalize,
-                                 symmetrize=args.symmetrize)
+    return ds.symmetrized() if args.symmetrize else ds
 
 
 # -- subcommands -----------------------------------------------------------------
 
-def cmd_spectra(args):
-    out = Path(args.out)
-    ds = load_dataset(args.network, args.degree_sort)
-    if args.symmetrize:  # the report and the kernel read the same symmetric graph
-        ds = ds.symmetrized()
+def cmd_spectra(args) -> dict:
+    ds = _network(args)  # the report and the kernel read the same graph
     report = netio.spectral_report(ds, top_fraction=args.top_fraction)
-    write_json(out / "spectral_report.json", report.to_json_dict())
-    write_csv(out / "eigenvalues.csv", ["index", "eigenvalue"],
-              np.arange(report.eigenvalues.size), report.eigenvalues)
     kernel = netio.to_step_graphon(ds, normalize=args.normalize)
-    write_kernel_csv(out, "original_kernel", kernel.coeffs, "step", args.normalize)
     decomp = decompose(kernel)
     rank = min(report.top_k, decomp.rank)
     approx = (truncate(decomp, rank).coeffs if rank
               else np.zeros_like(kernel.coeffs))
-    write_kernel_csv(out, "approx_kernel", approx, "step", args.normalize)
-    write_manifest(out, "spectra", args)
+    columns = [f"c{j}" for j in range(kernel.num_blocks)]
+    sidecar = {"n": kernel.num_blocks, "family": "step", "normalization": args.normalize}
+    return {
+        "spectral_report.json": report.to_json_dict(),
+        "eigenvalues.csv": (["index", "eigenvalue"],
+                            np.arange(report.eigenvalues.size), report.eigenvalues),
+        "original_kernel.csv": (columns, kernel.coeffs),
+        "original_kernel.json": sidecar,
+        "approx_kernel.csv": (columns, approx),
+        "approx_kernel.json": sidecar,
+    }
 
 
-def cmd_approx(args):
-    out = Path(args.out)
-    kernel = _contact_graphon(args)
-    decomp = decompose(kernel)
+def cmd_approx(args) -> dict:
+    decomp = decompose(netio.to_step_graphon(_network(args), args.normalize))
     ranks = range(decomp.rank + 1)
     if args.rank is not None:
         if not 0 <= args.rank <= decomp.rank:
             raise ValueError(f"--rank must be in [0, {decomp.rank}]")
         ranks = [args.rank]
+    errors = [truncation_error(decomp, m) for m in ranks]  # the bound's tails again
+    artifacts = {"truncation_curve.csv": (["rank", "truncation_error"], ranks, errors)}
     if args.fourier_order is not None:
         bound, measured = fourier_bounds(decomp, args.fourier_order)
-        write_csv(out / "fourier_bounds.csv", ["rank", "bound", "measured"],
-                  ranks, bound[ranks], measured[ranks])
-    write_csv(out / "truncation_curve.csv", ["rank", "truncation_error"],
-              ranks, [truncation_error(decomp, m) for m in ranks])  # the bound's tails again
-    write_manifest(out, "approx", args)
+        artifacts["fourier_bounds.csv"] = (["rank", "bound", "measured"],
+                                           ranks, bound[ranks], measured[ranks])
+    return artifacts
 
 
 def _system_from_args(args) -> GraphonSystem:
     poly = tuple(float(v) for v in args.b_poly.split(",")) if args.b_poly else ()
-    return GraphonSystem(args.alpha0, args.beta0, _contact_graphon(args),
-                         poly, args.horizon)
+    kernel = netio.to_step_graphon(_network(args), args.normalize)
+    return GraphonSystem(args.alpha0, args.beta0, kernel, poly, args.horizon)
 
 
-def cmd_gramian(args):
-    out = Path(args.out)
+def cmd_gramian(args) -> dict:
     sys_ = _system_from_args(args)
     w = gramian(sys_)
     verdict = exact_controllability_check(sys_)
@@ -203,12 +204,10 @@ def cmd_gramian(args):
         closed = w.as_matrix()
         payload["oracle_relative_error"] = float(
             np.linalg.norm(closed - reference) / max(np.linalg.norm(reference), 1e-300))
-    write_json(out / "gramian.json", payload)
-    write_manifest(out, "gramian", args)
+    return {"gramian.json": payload}
 
 
-def cmd_minenergy(args):
-    out = Path(args.out)
+def cmd_minenergy(args) -> dict:
     sys_ = _system_from_args(args)
     n = sys_.kernel.num_blocks
     x0 = PiecewiseConstantFunction(load_vector(args.x0) if args.x0 else np.ones(n))
@@ -217,20 +216,19 @@ def cmd_minenergy(args):
     norms = trajectory.state_norms()
     control_norms = (np.linalg.norm(trajectory.controls, axis=1)
                      / np.sqrt(trajectory.num_blocks))
-    write_csv(out / "minenergy_trajectory.csv",
-              ["time", "state_norm", "control_norm"],
-              trajectory.times, norms, control_norms)
-    write_json(out / "minenergy.json", {
-        "energy": energy,
-        "initial_norm": float(norms[0]),
-        "final_norm": float(norms[-1]),
-    })
-    write_manifest(out, "minenergy", args)
+    return {
+        "minenergy_trajectory.csv": (["time", "state_norm", "control_norm"],
+                                     trajectory.times, norms, control_norms),
+        "minenergy.json": {
+            "energy": energy,
+            "initial_norm": float(norms[0]),
+            "final_norm": float(norms[-1]),
+        },
+    }
 
 
-def cmd_epidemic(args):
-    out = Path(args.out)
-    contact = _contact_graphon(args)
+def cmd_epidemic(args) -> dict:
+    contact = netio.to_step_graphon(_network(args), args.normalize)
     model = EpidemicModel(contact, alpha=args.alpha0, beta0=args.beta0,
                           eta=args.eta, state_weight=args.qt,
                           terminal_weight=args.qT, horizon=args.horizon)
@@ -246,7 +244,9 @@ def cmd_epidemic(args):
 
     if args.riccati_steps is None:
         args.riccati_steps = num_steps  # so the manifest records the count used
-    sol = solve_riccati_finite(model, num_steps=args.riccati_steps)
+    sol = solve_riccati_finite(model, num_steps=num_steps)  # read on the simulations' grid
+    riccati = (sol if args.riccati_steps == num_steps
+               else solve_riccati_finite(model, num_steps=args.riccati_steps))
     feedback = linear_feedback(model, sol)
     controlled = simulate_linearized(model, p0, feedback, num_steps)
     optimal, zero_control = linear_costs(model, p0)
@@ -257,31 +257,26 @@ def cmd_epidemic(args):
         costs["nonlinear_range_warning"] = nonlinear.range_warning
 
     mode_names = [f"mode{j}" for j in range(sol.eigenvalues.size)]
-    write_csv(out / "riccati.csv", ["time", "auxiliary"] + mode_names,
-              sol.times, sol.auxiliary, sol.modes)
     node_names = [f"node{i}" for i in range(n)]
-    write_csv(out / "states.csv", ["time"] + node_names,
-              controlled.times, controlled.states)
-    write_csv(out / "controls.csv", ["time"] + node_names,
-              controlled.times, controlled.controls)
-    write_csv(out / "eigenstates.csv", ["time"] + mode_names,
-              controlled.times, controlled.eigenstates)
-    write_csv(out / "eigencontrols.csv", ["time"] + mode_names,
-              controlled.times, controlled.eigencontrols)
-    # the complement trajectory is rank one: these two columns times the residual
-    write_csv(out / "auxiliary.csv", ["time", "state", "control"],
-              controlled.times, controlled.decay[:, 0], controlled.gains[:, 0])
-    write_csv(out / "auxiliary_residual.csv", ["node", "residual"],
-              np.arange(n), controlled.residual)
+    artifacts = {
+        "riccati.csv": (["time", "auxiliary"] + mode_names, riccati.times, riccati.table),
+        "states.csv": (["time"] + node_names, controlled.times, controlled.states),
+        "controls.csv": (["time"] + node_names, controlled.times, controlled.controls),
+        "eigenstates.csv": (["time"] + mode_names, controlled.times, controlled.eigenstates),
+        "eigencontrols.csv": (["time"] + mode_names, controlled.times, controlled.eigencontrols),
+        # the complement trajectory is rank one: these two columns times the residual
+        "auxiliary.csv": (["time", "state", "control"],
+                          controlled.times, controlled.decay[:, 0], controlled.gains[:, 0]),
+        "auxiliary_residual.csv": (["node", "residual"], np.arange(n), controlled.residual),
+    }
     if args.nonlinear:
-        write_csv(out / "nonlinear_states.csv", ["time"] + node_names,
-                  nonlinear.times, nonlinear.states)
-    write_json(out / "cost.json", costs)
-    write_manifest(out, "epidemic", args)
+        artifacts["nonlinear_states.csv"] = (["time"] + node_names,
+                                             nonlinear.times, nonlinear.states)
+    artifacts["cost.json"] = costs
+    return artifacts
 
 
-def cmd_sample(args):
-    out = Path(args.out)
+def cmd_sample(args) -> dict:
     kernel = parse_kernel_spec(args.kernel)
     if args.converge:
         if not args.sizes:
@@ -301,12 +296,9 @@ def cmd_sample(args):
         header = (["size", "seed", "max_error"]
                   + [f"scaled{i}" for i in range(k)]
                   + [f"limit{i}" for i in range(k)])
-        write_csv(out / "convergence.csv", header,
-                  [row[:2] for row in rows], [row[2:] for row in rows])
-    else:
-        ds = netio.sample_graph(kernel, args.num_nodes, args.seed)
-        _atomic_write(out / f"{ds.name}.edges", [netio.write_edge_list(ds)])
-    write_manifest(out, "sample", args)
+        return {"convergence.csv": (header, [row[:2] for row in rows], [row[2:] for row in rows])}
+    ds = netio.sample_graph(kernel, args.num_nodes, args.seed)
+    return {f"{ds.name}.edges": netio.write_edge_list(ds)}
 
 
 # -- parser ----------------------------------------------------------------------
@@ -403,11 +395,8 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return 2
     try:
-        handler(args)
-    except NumericsError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
-    except np.linalg.LinAlgError as exc:
+        write_artifacts(Path(args.out), handler(args), args)
+    except (NumericsError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (ParseError, ExactControllabilityError, GraphonError,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ExactControllabilityError, IncompatibleOperandsError, NumericsError
 from .functions import Function, PiecewiseConstantFunction
-from .graphons import Graphon, StepGraphon, _refine_matrix
+from .graphons import Graphon, StepGraphon
 from .spectral import SpectralDecomposition, SpectralMultiplier, decompose
 
 # Below this magnitude the growth rate in exp-integrals is treated as zero.
@@ -113,9 +113,10 @@ class Trajectory:
         return np.linalg.norm(self.states, axis=1) / np.sqrt(self.num_blocks)
 
 
-def _system_matrices(sys: GraphonSystem, num_blocks: int) -> tuple[np.ndarray, np.ndarray]:
-    """State and input matrices acting on block values of a partition refining the kernel's."""
-    a_op = _refine_matrix(sys.kernel.coeffs, num_blocks // sys.kernel.num_blocks) / num_blocks
+def _system_matrices(sys: GraphonSystem) -> tuple[np.ndarray, np.ndarray]:
+    """State and input matrices acting on the block values of the kernel's partition."""
+    num_blocks = sys.kernel.num_blocks
+    a_op = sys.kernel.coeffs / num_blocks
     state_mat = sys.alpha0 * np.eye(num_blocks) + a_op
     input_mat = sys.beta0 * np.eye(num_blocks)
     power = np.eye(num_blocks)
@@ -306,7 +307,7 @@ def gramian_quadrature_matrix(sys: GraphonSystem, num_intervals: int = 2048) -> 
     if num_intervals % 2:
         num_intervals += 1
     n = sys.kernel.num_blocks
-    state_mat, input_mat = _system_matrices(sys, n)
+    state_mat, input_mat = _system_matrices(sys)
     rates, basis = np.linalg.eigh(state_mat)
     bbt_eig = basis.T @ (input_mat @ input_mat.T) @ basis
 

@@ -106,6 +106,13 @@ class SinusoidalGraphon:
         return self.cosine_coeffs.size
 
     @property
+    def probability_kernel(self) -> bool:
+        """True when all values lie in [0, 1]; they span constant -/+ sum |b_k|."""
+        spread = np.abs(self.cosine_coeffs).sum()
+        return bool(self.constant - spread >= -RANGE_TOL
+                    and self.constant + spread <= 1.0 + RANGE_TOL)
+
+    @property
     def fourier_weights(self) -> np.ndarray:
         """The operator's diagonal [a0, b/2, b/2] over φ = [1, sqrt(2)cos_1..H, sqrt(2)sin_1..H]."""
         half = 0.5 * self.cosine_coeffs

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParseError
 from .functions import _readonly_vector
-from .graphons import Graphon, SinusoidalGraphon, StepGraphon
+from .graphons import Graphon, StepGraphon
 from .spectral import _nonzero_ordered
 
 
@@ -189,18 +189,17 @@ def parse_matrix_market(data, name: str = "") -> NetworkDataset:
                           source="matrix-market", directed=(symmetry == "general"))
 
 
-def to_step_graphon(dataset: NetworkDataset, normalize: str = "max-abs",
-                    symmetrize: bool = False) -> StepGraphon:
+def to_step_graphon(dataset: NetworkDataset, normalize: str = "max-abs") -> StepGraphon:
     """Pixel picture of the dataset: block (i, j) carries the edge weight.
 
     normalize="max-abs" divides by the largest magnitude so values land in
     [-1, 1]; "none" keeps raw weights (unvalidated kernel, e.g. for stability
-    thresholds on raw adjacencies).  Asymmetric data needs `symmetrize`, which
-    reads `dataset.symmetrized()`.
+    thresholds on raw adjacencies).  Asymmetric data is refused: pass
+    `dataset.symmetrized()` instead.
     """
-    mat = (dataset.symmetrized() if symmetrize else dataset).adjacency()
+    mat = dataset.adjacency()
     if not np.array_equal(mat, mat.T):
-        raise ValueError("dataset is asymmetric; pass symmetrize=True")
+        raise ValueError("dataset is asymmetric; symmetrize it (--symmetrize)")
     if np.trace(np.abs(mat)) > 0.0:
         warnings.warn("self-loops present: diagonal is nonzero and so is the trace")
     if normalize == "max-abs":
@@ -215,16 +214,9 @@ def to_step_graphon(dataset: NetworkDataset, normalize: str = "max-abs",
 
 
 def _probability_check(graphon: Graphon):
-    if isinstance(graphon, StepGraphon):
-        if graphon.probability_kernel:
-            return
-    elif isinstance(graphon, SinusoidalGraphon):
-        # the kernel range is [a0 - sum|b_k|, a0 + sum|b_k|]
-        spread = np.abs(graphon.cosine_coeffs).sum()
-        if graphon.constant - spread >= -1e-12 and graphon.constant + spread <= 1.0 + 1e-12:
-            return
-    raise ValueError("kernel takes values outside [0, 1]; cannot be used "
-                     "as an edge-probability model")
+    if not graphon.probability_kernel:
+        raise ValueError("kernel takes values outside [0, 1]; cannot be used "
+                         "as an edge-probability model")
 
 
 def sample_graph(graphon: Graphon, num_nodes: int, seed: int) -> NetworkDataset:

@@ -170,13 +170,24 @@ class TestSpectraDecomposesOnce:
         assert main(argv + ["--out", str(tmp_path)]) == 0
         assert len(calls) == 1
 
+    def test_failed_eigensolve_writes_nothing(self, data_dir, tmp_path, monkeypatch, capsys):
+        # the report's eigensolve has succeeded by then: every artifact waits for the run
+        def failing(kernel):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-class TestSpectraBuildsTheAdjacencyOnce:
+        monkeypatch.setattr(cli, "decompose", failing)
+        out = tmp_path / "out"
+        assert main(["spectra", str(data_dir / "k22.edges"), "--out", str(out)]) == 3
+        assert "numeric failure" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSpectraReadsOneGraph:
     # each reader builds its own dense matrix from the dataset's arrays; the report
     # and the kernel must still read one graph, the symmetrized one under --symmetrize
     @pytest.mark.parametrize("name,flags", [("zero_diag8.edges", []),
                                             ("directed3.mtx", ["--symmetrize"])])
-    def test_adjacency_calls_and_bytes(self, data_dir, tmp_path, name, flags):
+    def test_report_and_kernel_bytes(self, data_dir, tmp_path, name, flags):
         path = data_dir / name
         dataset = cli.load_dataset(str(path))
         if flags:
@@ -495,8 +506,8 @@ class TestEpidemic:
         monkeypatch.setattr(epidemic, "_riccati_values", counting)
         assert main(argv + ["--riccati-steps", riccati_steps,
                             "--out", str(tmp_path / "explicit")]) == 0
-        # on the table's grid the table is that evaluation; else each simulation makes one
-        assert grids.count(51) == (1 if riccati_steps == "50" else 2)
+        # one table on the simulation grid, whatever grid riccati.csv asks for
+        assert grids.count(51) == 1
         default, explicit = tree_bytes(tmp_path / "default"), tree_bytes(tmp_path / "explicit")
         for name in ("states.csv", "controls.csv", "eigenstates.csv", "eigencontrols.csv",
                      "auxiliary.csv", "auxiliary_residual.csv", "nonlinear_states.csv",

@@ -39,6 +39,8 @@ class TestStepGraphon:
     def test_probability_kernel_flag(self):
         assert StepGraphon([[0.0, 1.0], [1.0, 0.5]]).probability_kernel
         assert not StepGraphon([[-0.5]]).probability_kernel
+        assert SinusoidalGraphon(0.5, [0.25, -0.25]).probability_kernel
+        assert not SinusoidalGraphon(0.2, [0.5]).probability_kernel
 
     def test_pixel_indexing(self):
         g = StepGraphon([[0.1, 0.2], [0.2, 0.4]])

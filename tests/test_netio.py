@@ -283,7 +283,7 @@ class TestToStepGraphon:
         ds = parse_matrix_market((data_dir / "directed3.mtx").read_text())
         with pytest.raises(ValueError, match="symmetrize"):
             to_step_graphon(ds)
-        g = to_step_graphon(ds, symmetrize=True)
+        g = to_step_graphon(ds.symmetrized())
         # the larger-magnitude orientation wins each pair
         expected = np.array([[0.0, 3.0, 2.0], [3.0, 0.0, 0.0],
                              [2.0, 0.0, 0.0]]) / 3.0
@@ -326,6 +326,10 @@ class TestSampleGraph:
             sample_graph(SinusoidalGraphon(0.2, [0.5]), 4, seed=0)
         with pytest.raises(ValueError, match="probability"):
             sample_graph(StepGraphon(np.full((3, 3), 1.2), validate=False), 4, seed=0)
+        # a sinusoidal kernel spans constant -/+ sum|b_k|: [0, 1] exactly is a probability
+        assert sample_graph(SinusoidalGraphon(0.5, [0.5]), 4, seed=0).num_nodes == 4
+        with pytest.raises(ValueError, match="probability"):
+            sample_graph(SinusoidalGraphon(0.5, [0.5 + 1e-9], validate=False), 4, seed=0)
         with pytest.raises(ValueError, match="num_nodes"):
             sample_graph(StepGraphon([[0.5]]), 0, seed=0)
 
