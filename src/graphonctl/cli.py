@@ -62,21 +62,67 @@ def _atomic_write(path: Path, chunks):
     os.replace(tmp, path)
 
 
+_CHUNK_CELLS = 2**16
+
+
 def write_csv(path: Path, header: list, *columns):
-    """Stream equal-length columns (1-D, or 2-D blocks) as CSV, one % per row, stacking
-    256 rows at a time rather than copying the whole table: integer and bool columns as
-    %d, the rest as %.17g (the bytes of str(int(v)) and f"{float(v):.17g}")."""
-    columns = [np.asarray(c) for c in columns]
-    fmt = ",".join("%d" if c.dtype.kind in "biu" else "%.17g"
-                   for c in columns for _ in range(1 if c.ndim == 1 else c.shape[1])) + "\n"
-    if len({c.dtype for c in columns}) > 1:
-        # Python scalars keep each column's own type through the stacking
-        columns = [c.astype(object) for c in columns]
-    tables = (np.column_stack([c[i:i + 256] for c in columns])  # a ragged column fails here
-              for i in range(0, max(map(len, columns)), 256))
+    """Stream equal-length columns (1-D, or 2-D blocks) as CSV: integer and bool columns
+    as %d, the rest as %.17g (the bytes of str(int(v)) and f"{float(v):.17g}").
+
+    The table is formatted about _CHUNK_CELLS cells at a time, never copied whole.  A
+    chunk in which at most half the cells are distinct, as in the trajectories and
+    pixel kernels of block-structured networks, formats each distinct value once and
+    indexes into those strings; any other chunk is formatted one % per row, since
+    there the formatting is all the work.  Either way each cell gets the same bytes.
+    Values are distinct by their bit patterns within one column block, so -0.0 and
+    0.0 (or an int and a float of equal bits) keep their own strings.  The count sorts
+    the bits: numpy 2.4's hash-based np.unique takes about twenty times as long as the
+    sort on a chunk, enough to slow tables whose values are all distinct."""
+    blocks = [np.asarray(c) for c in columns]
+    blocks = [b[:, None] if b.ndim == 1 else b for b in blocks]
+    if len({len(b) for b in blocks}) > 1:
+        raise ValueError(f"columns of unequal length {[len(b) for b in blocks]}")
+    formats = ["%d" if b.dtype.kind in "biu" else "%.17g" for b in blocks]
+    row_format = ",".join(f for f, b in zip(formats, blocks) for _ in range(b.shape[1])) + "\n"
+    mixed = len({b.dtype for b in blocks}) > 1
+    step = max(1, _CHUNK_CELLS // max(1, sum(b.shape[1] for b in blocks)))
+
+    def chunk_lines(chunk):
+        lines = _repeated_chunk_lines(chunk, formats)
+        if lines is not None:
+            return lines
+        if mixed:  # Python scalars keep each column's own type through the stacking
+            chunk = [b.astype(object) for b in chunk]
+        return (row_format % tuple(row.tolist()) for row in np.hstack(chunk))
+
     _atomic_write(path, itertools.chain(
         [",".join(header) + "\n"],
-        (fmt % tuple(row.tolist()) for table in tables for row in table)))
+        itertools.chain.from_iterable(chunk_lines([b[i:i + step] for b in blocks])
+                                      for i in range(0, len(blocks[0]), step))))
+
+
+def _repeated_chunk_lines(chunk: list, formats: list):
+    """The CSV lines of a chunk of column blocks, formatted one distinct value at a
+    time, or None when more than half its cells are distinct (or a block is not numeric)."""
+    if any(b.dtype.kind not in "biuf" or b.dtype.itemsize > 8 for b in chunk):
+        return None  # object cells, or no unsigned integer as wide as an item
+    keys = [b.view(f"u{b.dtype.itemsize}") for b in chunk]
+    distinct = []
+    for key in keys:
+        ordered = np.sort(key, axis=None)
+        first = np.ones(ordered.size, dtype=bool)
+        first[1:] = ordered[1:] != ordered[:-1]
+        distinct.append(ordered[first])
+    if 2 * sum(d.size for d in distinct) > sum(key.size for key in keys):
+        return None
+    values = itertools.chain.from_iterable(
+        d.view(b.dtype).tolist() for d, b in zip(distinct, chunk))
+    strings = np.array(("".join((f + "\n") * d.size for f, d in zip(formats, distinct))
+                        % tuple(values)).split("\n"), dtype=object)
+    offsets = np.cumsum([0] + [d.size for d in distinct])
+    index = np.hstack([np.searchsorted(d, key) + offset
+                       for d, key, offset in zip(distinct, keys, offsets)])
+    return (",".join(row.tolist()) + "\n" for row in strings[index])
 
 
 def write_json(path: Path, payload: dict):
@@ -129,7 +175,11 @@ def parse_kernel_spec(spec: str):
     if spec.startswith("sinusoidal:"):
         parts = [float(v) for v in spec.partition(":")[2].split(",")]
         return SinusoidalGraphon(parts[0], parts[1:])
-    return netio.to_step_graphon(load_dataset(spec))
+    ds = load_dataset(spec)
+    adjacency = ds.adjacency()
+    if not np.array_equal(adjacency, adjacency.T):  # sample has no --symmetrize to name
+        raise ValueError(f"kernel network {spec} is asymmetric; a kernel must be symmetric")
+    return netio.to_step_graphon(ds)
 
 
 def _network(args) -> netio.NetworkDataset:

@@ -69,10 +69,11 @@ class TestWriter:
             ["t", "a", "b", "c"], rows)
 
     def test_rows_past_one_stack(self, tmp_path):
-        # write_csv stacks 256 rows at a time; 600 rows cross two seams
-        ints = np.arange(600) - 300
-        floats = np.linspace(-1.0, 1.0, 600) / 3.0
-        block = np.sin(np.arange(1200.0)).reshape(600, 2)
+        # write_csv formats 2**16 cells at a time, 16384 rows of these four columns;
+        # 33000 rows cross two seams
+        ints = np.arange(33000) - 300
+        floats = np.linspace(-1.0, 1.0, 33000) / 3.0
+        block = np.sin(np.arange(66000.0)).reshape(33000, 2)
         cli.write_csv(tmp_path / "l.csv", ["i", "x", "a", "b"], ints, floats, block)
         rows = [(i, x, *row) for i, x, row in zip(ints.tolist(), floats, block)]
         assert (tmp_path / "l.csv").read_text() == reference_csv(["i", "x", "a", "b"], rows)
@@ -86,7 +87,63 @@ class TestWriter:
     def test_header_only(self, tmp_path):
         cli.write_csv(tmp_path / "e.csv", ["size", "seed", "x"],
                       [], np.zeros(0, dtype=int), np.zeros((0, 1)))
-        assert (tmp_path / "e.csv").read_text() == "size,seed,x\n"
+        text = (tmp_path / "e.csv").read_text()
+        assert text == reference_csv(["size", "seed", "x"], []) == "size,seed,x\n"
+
+    @staticmethod
+    def spy_routes(monkeypatch):
+        """The route of every chunk write_csv formats: "repeat" or "row"."""
+        routes = []
+        original = cli._repeated_chunk_lines
+
+        def spying(chunk, formats):
+            lines = original(chunk, formats)
+            routes.append("row" if lines is None else "repeat")
+            return lines
+
+        monkeypatch.setattr(cli, "_repeated_chunk_lines", spying)
+        return routes
+
+    def test_repeated_special_values(self, tmp_path, monkeypatch):
+        # -0.0 and 0.0, and the two NaNs, have different bits: each keeps its own string
+        nans = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(float)
+        values = np.array([-0.0, 0.0, *nans, np.inf, -np.inf, 5e-324])
+        block = np.resize(values, (40, 5))
+        routes = self.spy_routes(monkeypatch)
+        cli.write_csv(tmp_path / "s.csv", list("abcde"), block)
+        assert routes == ["repeat"]
+        assert (tmp_path / "s.csv").read_text() == reference_csv(list("abcde"), block.tolist())
+
+    def test_int_with_a_floats_bits(self, tmp_path, monkeypatch):
+        ints = np.full(10, 4607182418800017408, dtype=np.int64)
+        assert (ints.view(float) == 1.0).all()
+        ones = np.ones(10)
+        routes = self.spy_routes(monkeypatch)
+        cli.write_csv(tmp_path / "i.csv", ["i", "x"], ints, ones)
+        assert routes == ["repeat"]
+        assert (tmp_path / "i.csv").read_text() == reference_csv(
+            ["i", "x"], zip(ints.tolist(), ones))
+
+    def test_bool_block(self, tmp_path, monkeypatch):
+        flags = np.array([[True, False, True]] * 6)
+        routes = self.spy_routes(monkeypatch)
+        cli.write_csv(tmp_path / "b.csv", ["p", "q", "r"], flags)
+        assert routes == ["repeat"]
+        assert (tmp_path / "b.csv").read_text() == reference_csv(["p", "q", "r"], flags.tolist())
+
+    def test_route_switches_at_the_seam(self, tmp_path, monkeypatch):
+        # 128 columns make 512-row chunks: the first repeats four values, the second
+        # holds 1024 distinct ones
+        rng = np.random.default_rng(5)
+        block = np.vstack([rng.choice([0.25, -1.0 / 3.0, 7.0, 1e300], size=(512, 128)),
+                           rng.standard_normal((8, 128))])
+        routes = self.spy_routes(monkeypatch)
+        header = [f"c{j}" for j in range(128)]
+        cli.write_csv(tmp_path / "m.csv", header, block)
+        assert routes == ["repeat", "row"]
+        text, expected = (tmp_path / "m.csv").read_text(), reference_csv(header, block.tolist())
+        assert text.splitlines() == expected.splitlines()  # reports the first bad row quickly
+        assert text == expected
 
     def test_failure_midway_leaves_no_file(self, tmp_path):
         def lines():
@@ -132,7 +189,9 @@ class TestArtifactFormat:
             assert len(cells) == len(header), f"{path.name}: ragged row"
             rows.append([int(c) if name in self.INT_COLUMNS else float(c)
                          for name, c in zip(header, cells)])
-        assert text == reference_csv(header, rows), path.name
+        expected = reference_csv(header, rows)
+        assert lines == expected.splitlines(), path.name  # reports the first bad row quickly
+        assert text == expected, path.name
 
     def test_every_csv_is_canonical(self, data_dir, tmp_path):
         network = str(data_dir / "k22.edges")
@@ -150,6 +209,24 @@ class TestArtifactFormat:
             assert main(argv + ["--out", str(tmp_path / name)]) == 0
             written += sorted((tmp_path / name).glob("*.csv"))
         assert len(written) == 15
+        for path in written:
+            self.assert_canonical(path)
+
+    def test_block_structured_csv_is_canonical(self, tmp_path, monkeypatch):
+        # complete 4-partite graph, parts 2, 4, 6 and 8: its kernel and trajectories
+        # repeat a few values, so write_csv formats them one distinct value at a time
+        part = np.repeat(np.arange(4), [2, 4, 6, 8])
+        network = tmp_path / "multipartite.edges"
+        network.write_text("".join(f"{i} {j}\n" for i in range(20) for j in range(i)
+                                   if part[i] != part[j]))
+        routes = TestWriter.spy_routes(monkeypatch)
+        written = []
+        for name, argv in {"spectra": ["spectra", str(network)],
+                           "epidemic": ["epidemic", str(network), "--nonlinear"]}.items():
+            assert main(argv + ["--out", str(tmp_path / name)]) == 0
+            written += sorted((tmp_path / name).glob("*.csv"))
+        assert len(written) == 11
+        assert "repeat" in routes
         for path in written:
             self.assert_canonical(path)
 
@@ -559,6 +636,26 @@ class TestSample:
     def test_invalid_kernel_spec(self, tmp_path):
         assert main(["sample", "--kernel", "sinusoidal:0.9,0.5",
                      "--out", str(tmp_path)]) == 2
+
+    def test_asymmetric_kernel_file_names_no_flag(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sample", "--kernel", str(data_dir / "directed3.mtx"),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "asymmetric" in err and "--symmetrize" not in err
+        assert not out.exists()
+        # a general file whose entries are symmetric is a kernel all the same
+        general = tmp_path / "general.mtx"
+        general.write_text("%%MatrixMarket matrix coordinate real general\n"
+                           "3 3 4\n1 2 1\n2 1 1\n2 3 0.5\n3 2 0.5\n")
+        assert main(["sample", "--kernel", str(general), "--num-nodes", "12",
+                     "--out", str(out)]) == 0
+
+    def test_network_subcommands_name_symmetrize(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["approx", str(data_dir / "directed3.mtx"), "--out", str(out)]) == 2
+        assert "symmetrize it (--symmetrize)" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDeterminismAndErrors:
