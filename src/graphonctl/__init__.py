@@ -41,11 +41,8 @@ from .graphons import (  # noqa: E402
     SinusoidalGraphon,
     StepGraphon,
     apply,
-    compose,
-    cut_norm,
     exponential,
     l2_norm,
-    operator_norm,
     power,
     subtract,
 )
@@ -114,13 +111,10 @@ __all__ = [
     "StepGraphon",
     "SinusoidalGraphon",
     "apply",
-    "compose",
     "power",
     "exponential",
     "subtract",
     "l2_norm",
-    "operator_norm",
-    "cut_norm",
     "SpectralDecomposition",
     "SpectralMultiplier",
     "FiniteRankKernel",

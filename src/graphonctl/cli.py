@@ -149,6 +149,15 @@ def write_artifacts(out: Path, artifacts: dict, args: argparse.Namespace):
 
 # -- input plumbing -------------------------------------------------------------
 
+def finite_float(text: str) -> float:
+    """A number from the command line: a float flag, a --b-poly coefficient or a
+    kernel spec's entry.  float() reads nan and inf as well; they are refused."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def load_dataset(path_text: str, degree_sort: bool = False) -> netio.NetworkDataset:
     path = Path(path_text)
     data = path.read_bytes()
@@ -171,9 +180,9 @@ def load_vector(path_text: str) -> np.ndarray:
 def parse_kernel_spec(spec: str):
     """Kernel argument: 'constant:c', 'sinusoidal:a0[,b1,...]', or a network file."""
     if spec.startswith("constant:"):
-        return StepGraphon([[float(spec.partition(":")[2])]])
+        return StepGraphon([[finite_float(spec.partition(":")[2])]])
     if spec.startswith("sinusoidal:"):
-        parts = [float(v) for v in spec.partition(":")[2].split(",")]
+        parts = [finite_float(v) for v in spec.partition(":")[2].split(",")]
         return SinusoidalGraphon(parts[0], parts[1:])
     ds = load_dataset(spec)
     adjacency = ds.adjacency()
@@ -228,7 +237,7 @@ def cmd_approx(args) -> dict:
 
 
 def _system_from_args(args) -> GraphonSystem:
-    poly = tuple(float(v) for v in args.b_poly.split(",")) if args.b_poly else ()
+    poly = tuple(finite_float(v) for v in args.b_poly.split(",")) if args.b_poly else ()
     kernel = netio.to_step_graphon(_network(args), args.normalize)
     return GraphonSystem(args.alpha0, args.beta0, kernel, poly, args.horizon)
 
@@ -327,6 +336,8 @@ def cmd_epidemic(args) -> dict:
 
 
 def cmd_sample(args) -> dict:
+    if args.num_seeds < 1:
+        raise ValueError(f"--num-seeds must be at least 1, got {args.num_seeds}")
     kernel = parse_kernel_spec(args.kernel)
     if args.converge:
         if not args.sizes:
@@ -364,11 +375,11 @@ def _add_io_flags(sub, network: bool = True):
 
 
 def _add_system_flags(sub):
-    sub.add_argument("--alpha0", type=float, default=0.0, help="identity drift")
-    sub.add_argument("--beta0", type=float, default=1.0, help="identity input gain")
+    sub.add_argument("--alpha0", type=finite_float, default=0.0, help="identity drift")
+    sub.add_argument("--beta0", type=finite_float, default=1.0, help="identity input gain")
     sub.add_argument("--b-poly", default="",
                      help="comma-separated kernel-polynomial input coefficients")
-    sub.add_argument("--horizon", type=float, default=1.0)
+    sub.add_argument("--horizon", type=finite_float, default=1.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("spectra", help="eigenvalue report and low-rank kernel")
     _add_io_flags(sp)
-    sp.add_argument("--top-fraction", type=float, default=0.10)
+    sp.add_argument("--top-fraction", type=finite_float, default=0.10)
     sp.add_argument("--degree-sort", action="store_true",
                     help="relabel nodes by descending degree first")
     sp.set_defaults(handler=cmd_spectra)
@@ -403,18 +414,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(me)
     _add_system_flags(me)
     me.add_argument("--x0", default=None, help="file of initial block values")
-    me.add_argument("--step", type=float, default=None, help="integration step")
+    me.add_argument("--step", type=finite_float, default=None, help="integration step")
     me.set_defaults(handler=cmd_minenergy)
 
     ep = subs.add_parser("epidemic", help="spectral LQR for the linearized spread")
     _add_io_flags(ep)
-    ep.add_argument("--alpha0", type=float, default=-0.5, help="recovery rate")
-    ep.add_argument("--beta0", type=float, default=1.0)
-    ep.add_argument("--eta", type=float, default=1.5, help="per-pair infection strength")
-    ep.add_argument("--qt", type=float, default=2.0, help="running state weight")
-    ep.add_argument("--qT", type=float, default=4.0, help="terminal state weight")
-    ep.add_argument("--horizon", type=float, default=1.0)
-    ep.add_argument("--step", type=float, default=None, help="simulation step")
+    ep.add_argument("--alpha0", type=finite_float, default=-0.5, help="recovery rate")
+    ep.add_argument("--beta0", type=finite_float, default=1.0)
+    ep.add_argument("--eta", type=finite_float, default=1.5, help="per-pair infection strength")
+    ep.add_argument("--qt", type=finite_float, default=2.0, help="running state weight")
+    ep.add_argument("--qT", type=finite_float, default=4.0, help="terminal state weight")
+    ep.add_argument("--horizon", type=finite_float, default=1.0)
+    ep.add_argument("--step", type=finite_float, default=None, help="simulation step")
     ep.add_argument("--riccati-steps", type=int, default=None,
                     help="uniform time steps of riccati.csv (one row more); "
                          "default: the simulation's")

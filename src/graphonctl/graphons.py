@@ -8,8 +8,8 @@ Two kernel families, each with an exact spectral representation:
 * ``SinusoidalGraphon`` -- diagonally constant trigonometric kernels
   ``constant + sum_k b_k cos(2*pi*k*(x - y))`` with finitely many harmonics.
 
-All operations (`apply`, `compose`, `power`, `exponential`, norms) are exact
-within each family; nothing in this module integrates numerically.
+All operations (`apply`, `power`, `exponential`, `subtract`, `l2_norm`) are
+exact within each family; nothing in this module integrates numerically.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompatibleOperandsError, PartitionMismatchError
+from .errors import IncompatibleOperandsError
 from .functions import (
     Function,
     PiecewiseConstantFunction,
@@ -139,13 +139,6 @@ def _refine_matrix(coeffs: np.ndarray, factor: int) -> np.ndarray:
     return np.repeat(np.repeat(coeffs, factor, axis=0), factor, axis=1)
 
 
-def _merged_coeffs(g, h) -> tuple[np.ndarray, np.ndarray, int]:
-    merged = common_block_count(g.num_blocks, h.num_blocks)
-    return (_refine_matrix(g.coeffs, merged // g.num_blocks),
-            _refine_matrix(h.coeffs, merged // h.num_blocks),
-            merged)
-
-
 def apply(graphon: Graphon, f):
     """Integral-operator action: x -> integral of A(x, y) f(y) dy, exact per family."""
     if isinstance(graphon, StepGraphon):
@@ -163,25 +156,6 @@ def apply(graphon: Graphon, f):
         return TrigPolynomial(graphon.fourier_weights * _phi_coordinates(f, graphon.harmonics))
     raise IncompatibleOperandsError(
         f"cannot apply {type(graphon).__name__} to {type(f).__name__}")
-
-
-def compose(g: Graphon, h: Graphon) -> Graphon:
-    """Operator product as a kernel: (x, y) -> integral of g(x, z) h(z, y) dz.
-
-    Note the result of composing two distinct kernels need not be symmetric;
-    it is returned unvalidated.
-    """
-    if isinstance(g, StepGraphon) and isinstance(h, StepGraphon):
-        cg, ch, merged = _merged_coeffs(g, h)
-        return StepGraphon(cg @ ch / merged, validate=False)
-    if isinstance(g, SinusoidalGraphon) and isinstance(h, SinusoidalGraphon):
-        order = max(g.harmonics, h.harmonics)
-        bg = np.pad(g.cosine_coeffs, (0, order - g.harmonics))
-        bh = np.pad(h.cosine_coeffs, (0, order - h.harmonics))
-        return SinusoidalGraphon(g.constant * h.constant, 0.5 * bg * bh, validate=False)
-    raise IncompatibleOperandsError(
-        f"cannot compose {type(g).__name__} with {type(h).__name__}; "
-        "sample both onto a common grid first")
 
 
 def power(graphon: Graphon, exponent: int) -> Graphon:
@@ -249,23 +223,13 @@ def l2_norm(graphon: Graphon) -> float:
     raise IncompatibleOperandsError(f"no L2 norm for {type(graphon).__name__}")
 
 
-def operator_norm(graphon: Graphon) -> float:
-    """Operator norm of the induced integral operator (largest singular value)."""
-    if isinstance(graphon, StepGraphon):
-        return float(np.linalg.norm(graphon.coeffs, 2) / graphon.num_blocks)
-    if isinstance(graphon, SinusoidalGraphon):
-        candidates = [abs(graphon.constant)]
-        if graphon.harmonics:
-            candidates.append(0.5 * np.abs(graphon.cosine_coeffs).max())
-        return float(max(candidates))
-    raise IncompatibleOperandsError(f"no operator norm for {type(graphon).__name__}")
-
-
 def subtract(g: Graphon, h: Graphon) -> Graphon:
     """Kernel difference g - h within a family (unvalidated result)."""
     if isinstance(g, StepGraphon) and isinstance(h, StepGraphon):
-        cg, ch, _ = _merged_coeffs(g, h)
-        return StepGraphon(cg - ch, validate=False)
+        merged = common_block_count(g.num_blocks, h.num_blocks)
+        return StepGraphon(_refine_matrix(g.coeffs, merged // g.num_blocks)
+                           - _refine_matrix(h.coeffs, merged // h.num_blocks),
+                           validate=False)
     if isinstance(g, SinusoidalGraphon) and isinstance(h, SinusoidalGraphon):
         order = max(g.harmonics, h.harmonics)
         bg = np.pad(g.cosine_coeffs, (0, order - g.harmonics))
@@ -274,70 +238,3 @@ def subtract(g: Graphon, h: Graphon) -> Graphon:
     raise IncompatibleOperandsError(
         f"cannot subtract {type(h).__name__} from {type(g).__name__}")
 
-
-# -- cut norm -----------------------------------------------------------------
-
-def _cut_norm_exact(coeffs: np.ndarray) -> float:
-    """Max over vertex sets S, T of |sum_{i in S, j in T} coeffs[i, j]|.
-
-    The objective is bilinear in the indicators, so for each S the best T picks
-    exactly the columns whose S-restricted sums share a sign; enumerating all
-    2^N choices of S is therefore exhaustive.
-    """
-    n = coeffs.shape[0]
-    total = 1 << n
-    bit_positions = np.arange(n, dtype=np.uint64)
-    best = 0.0
-    chunk = 1 << 14
-    for start in range(0, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        subsets = ((masks[:, None] >> bit_positions) & 1).astype(float)
-        col_sums = subsets @ coeffs
-        pos = np.where(col_sums > 0.0, col_sums, 0.0).sum(axis=1)
-        neg = np.where(col_sums < 0.0, col_sums, 0.0).sum(axis=1)
-        best = max(best, float(pos.max(initial=0.0)), float(-neg.min(initial=0.0)))
-    return best
-
-
-def _cut_norm_heuristic(coeffs: np.ndarray, restarts: int, seed: int) -> float:
-    """Alternating maximization over S and T; a lower bound only."""
-    n = coeffs.shape[0]
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(restarts):
-        start = rng.integers(0, 2, size=n).astype(float)
-        for sense in (1.0, -1.0):
-            s = start.copy()
-            t = np.zeros(n)
-            for _ in range(200):
-                t_new = (sense * (coeffs.T @ s) > 0.0).astype(float)
-                s_new = (sense * (coeffs @ t_new) > 0.0).astype(float)
-                if np.array_equal(s_new, s) and np.array_equal(t_new, t):
-                    break
-                s, t = s_new, t_new
-            best = max(best, abs(float(s @ coeffs @ t)))
-    return best
-
-
-def cut_norm(graphon: Graphon, exact_max_blocks: int = 20,
-             heuristic_restarts: int = 32, seed: int = 0):
-    """Cut norm sup_{S,T} |integral of the kernel over S x T|.
-
-    Exact (by vertex-set enumeration) up to `exact_max_blocks` blocks; beyond
-    that returns a (lower, upper) bracket combining an alternating-maximization
-    lower bound with the operator-norm sandwich
-    ||A||_op^2 / (8 sup|A|) <= ||A||_cut <= ||A||_op.
-    """
-    if not isinstance(graphon, StepGraphon):
-        raise IncompatibleOperandsError("cut norm is implemented for step kernels only")
-    n = graphon.num_blocks
-    scale = float(n) ** 2
-    if n <= exact_max_blocks:
-        return _cut_norm_exact(graphon.coeffs) / scale
-    sup = float(np.abs(graphon.coeffs).max())
-    if sup == 0.0:
-        return 0.0, 0.0
-    op = operator_norm(graphon)
-    lower = max(_cut_norm_heuristic(graphon.coeffs, heuristic_restarts, seed) / scale,
-                op ** 2 / (8.0 * sup), 0.0)
-    return lower, op

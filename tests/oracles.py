@@ -1,33 +1,18 @@
 """Independent reference computations for the test suite.
 
 Everything here is written from mathematical definitions using different
-algorithms than the package (double enumeration, generic quadrature, repeated
-matrix exponentials, full-matrix Riccati integration, fine-step RK4, implicit
-Radau), so agreement between the two routes is evidence, not tautology.
+algorithms than the package (generic quadrature, repeated grid products,
+repeated matrix exponentials, full-matrix Riccati integration, fine-step RK4,
+implicit Radau), so agreement between the two routes is evidence, not tautology.
 Nothing here imports graphonctl.
 """
 
-import itertools
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import scipy.integrate
 import scipy.linalg
-
-
-# -- cut norm -------------------------------------------------------------------
-
-def brute_cut_norm(matrix) -> float:
-    """max over all S, T of |sum_{i in S, j in T} c_ij| / N^2, both sets enumerated."""
-    mat = np.asarray(matrix, dtype=float)
-    n = mat.shape[0]
-    best = 0.0
-    for s_bits in itertools.product((False, True), repeat=n):
-        rows = mat[np.array(s_bits), :]
-        for t_bits in itertools.product((False, True), repeat=n):
-            best = max(best, abs(rows[:, np.array(t_bits)].sum()))
-    return best / n**2
 
 
 # -- quadrature for kernels and functions ----------------------------------------
@@ -39,10 +24,6 @@ def midpoint_grid(kernel, m: int) -> np.ndarray:
 
 def quad_l2_norm(kernel, m: int = 1024) -> float:
     return float(np.sqrt(np.mean(midpoint_grid(kernel, m) ** 2)))
-
-
-def quad_operator_norm(kernel, m: int = 1024) -> float:
-    return float(np.linalg.norm(midpoint_grid(kernel, m), 2) / m)
 
 
 def quad_eigenvalues(kernel, m: int = 1024) -> np.ndarray:
@@ -135,6 +116,19 @@ def sinusoidal_apply(constant: float, cosine_coeffs, func) -> np.ndarray:
     cos_out = [bk * c / math.sqrt(2.0) for bk, (c, _) in zip(b, integrals)]
     sin_out = [bk * s / math.sqrt(2.0) for bk, (_, s) in zip(b, integrals)]
     return np.array([float(constant) * mean] + cos_out + sin_out)
+
+
+def grid_power(kernel, exponent: int, m: int) -> np.ndarray:
+    """Grid values of the kernel of A^exponent, one operator product at a time.
+
+    Operator products on the midpoint grid are G @ G / m; no matrix power and no
+    closed-form spectrum is involved.
+    """
+    grid = midpoint_grid(kernel, m)
+    out = grid
+    for _ in range(exponent - 1):
+        out = out @ grid / m
+    return out
 
 
 def series_exponential_grid(kernel, t: float, m: int = 256,

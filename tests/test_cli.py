@@ -637,6 +637,14 @@ class TestSample:
         assert main(["sample", "--kernel", "sinusoidal:0.9,0.5",
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("num_seeds", ["0", "-2"])
+    def test_num_seeds_below_one_exits_two(self, tmp_path, capsys, num_seeds):
+        out = tmp_path / "out"
+        assert main(["sample", "--kernel", "constant:0.5", "--converge", "--sizes", "8,12",
+                     "--num-seeds", num_seeds, "--out", str(out)]) == 2
+        assert f"--num-seeds must be at least 1, got {num_seeds}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_asymmetric_kernel_file_names_no_flag(self, data_dir, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["sample", "--kernel", str(data_dir / "directed3.mtx"),
@@ -704,6 +712,39 @@ class TestDeterminismAndErrors:
         assert f"error: {vector}: non-finite value" in capsys.readouterr().err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("spectra", "--top-fraction", "nan"),
+        ("gramian", "--alpha0", "nan"),
+        ("gramian", "--beta0", "inf"),
+        ("gramian", "--horizon", "inf"),
+        ("gramian", "--b-poly", "nan"),
+        ("minenergy", "--b-poly", "0.5,-inf"),
+        ("minenergy", "--step", "nan"),
+        ("epidemic", "--alpha0", "-inf"),
+        ("epidemic", "--beta0", "nan"),
+        ("epidemic", "--eta", "nan"),
+        ("epidemic", "--qt", "nan"),
+        ("epidemic", "--qT", "inf"),
+        ("epidemic", "--horizon", "nan"),
+        ("epidemic", "--step", "inf"),
+        ("sample", "--kernel", "constant:nan"),
+        ("sample", "--kernel", "sinusoidal:0.5,inf"),
+    ])
+    def test_non_finite_number_exits_two(self, data_dir, tmp_path, capsys,
+                                         command, flag, value):
+        network = [] if command == "sample" else [str(data_dir / "k22.edges")]
+        out = tmp_path / "out"
+        try:  # --flag=value: a separate "-inf" would read as an option
+            code = main([command] + network + [f"{flag}={value}", "--out", str(out)])
+        except SystemExit as exc:  # argparse refuses a float flag's value itself
+            code = exc.code
+        assert code == 2
+        bad = value.rpartition(":")[2].rpartition(",")[2]
+        err = capsys.readouterr().err
+        assert f"invalid finite_float value: '{bad}'" in err \
+            or f"error: '{bad}' is not a finite number" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,flag,line", [("epidemic", "--p0", "nan"),
                                                    ("minenergy", "--x0", "inf"),
