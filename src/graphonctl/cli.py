@@ -3,10 +3,11 @@
 A subcommand computes its artifacts, file name to content, and `main` writes
 them once it has finished, then a manifest.json capturing the full configuration,
 seed and package version (no timestamps); a refused or failed run writes nothing.
-A rerun with the same manifest, the same numpy, scipy and BLAS build and the
-same BLAS thread count reproduces every artifact byte for byte; the thread count
-alone can move eigensolver and matrix-product digits.  Files are written to a
-temporary sibling and renamed, never partially.
+A rerun with the same manifest, the same numpy, scipy and BLAS build, the same
+BLAS thread count and the same CPU kernels that OpenBLAS and numpy dispatch to
+reproduces every artifact byte for byte; the thread count or the kernel choice
+alone can move eigensolver, matrix-product and ufunc digits.  Files are written
+to a temporary sibling and renamed, never partially.
 """
 
 from __future__ import annotations

@@ -189,6 +189,14 @@ def parse_matrix_market(data, name: str = "") -> NetworkDataset:
                           source="matrix-market", directed=(symmetry == "general"))
 
 
+def _symmetric_adjacency(dataset: NetworkDataset) -> np.ndarray:
+    """The dense adjacency, refused when it is asymmetric."""
+    mat = dataset.adjacency()
+    if not np.array_equal(mat, mat.T):
+        raise ValueError("dataset is asymmetric; symmetrize it (--symmetrize)")
+    return mat
+
+
 def to_step_graphon(dataset: NetworkDataset, normalize: str = "max-abs") -> StepGraphon:
     """Pixel picture of the dataset: block (i, j) carries the edge weight.
 
@@ -197,9 +205,7 @@ def to_step_graphon(dataset: NetworkDataset, normalize: str = "max-abs") -> Step
     thresholds on raw adjacencies).  Asymmetric data is refused: pass
     `dataset.symmetrized()` instead.
     """
-    mat = dataset.adjacency()
-    if not np.array_equal(mat, mat.T):
-        raise ValueError("dataset is asymmetric; symmetrize it (--symmetrize)")
+    mat = _symmetric_adjacency(dataset)
     if np.trace(np.abs(mat)) > 0.0:
         warnings.warn("self-loops present: diagonal is nonzero and so is the trace")
     if normalize == "max-abs":
@@ -287,9 +293,7 @@ def spectral_report(dataset: NetworkDataset, top_fraction: float = 0.10,
     """
     if not 0.0 < top_fraction <= 1.0:
         raise ValueError("top_fraction must be in (0, 1]")
-    mat = dataset.adjacency()
-    if not np.array_equal(mat, mat.T):
-        raise ValueError("spectral report requires a symmetric dataset")
+    mat = _symmetric_adjacency(dataset)
     values = np.linalg.eigvalsh(mat)[::-1]
     magnitudes = np.abs(values)
     peak = float(magnitudes.max())

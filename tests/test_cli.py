@@ -659,9 +659,10 @@ class TestSample:
         assert main(["sample", "--kernel", str(general), "--num-nodes", "12",
                      "--out", str(out)]) == 0
 
-    def test_network_subcommands_name_symmetrize(self, data_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["spectra", "approx", "gramian", "minenergy", "epidemic"])
+    def test_network_subcommands_name_symmetrize(self, data_dir, tmp_path, capsys, command):
         out = tmp_path / "out"
-        assert main(["approx", str(data_dir / "directed3.mtx"), "--out", str(out)]) == 2
+        assert main([command, str(data_dir / "directed3.mtx"), "--out", str(out)]) == 2
         assert "symmetrize it (--symmetrize)" in capsys.readouterr().err
         assert not out.exists()
 

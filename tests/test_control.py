@@ -162,6 +162,19 @@ class TestGramianInverse:
         with pytest.raises(ExactControllabilityError, match="eigendirection"):
             gramian_inverse(sys)
 
+    def test_first_refused_eigendirection_is_named(self):
+        # eta = 1 - 24 lambda + 128 lambda^2 is 3, 0, 0 on lambda = 1/4, 1/8, 1/16
+        kernel = StepGraphon(np.diag([1.0, 0.5, 0.25, 0.0]))
+        sys = GraphonSystem(0.0, 1.0, kernel, (-24.0, 128.0), 1.0)
+        with pytest.raises(ExactControllabilityError, match=r"^Gramian vanishes on "
+                           r"eigendirection 1 \(lambda=0\.125, eta=0\)$"):
+            gramian_inverse(sys)
+        # eta^2 overflows to inf on both directions, and the first is named
+        sys = GraphonSystem(0.0, 1.0, StepGraphon(np.diag([1.0, 0.5])), (1e200,), 1.0)
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
+                ExactControllabilityError, match=r"eigendirection 0 \(lambda=0\.5,"):
+            gramian_inverse(sys)
+
 
 class TestControllabilityCheck:
     def test_positive_verdict(self, rng):
@@ -385,6 +398,18 @@ class TestClosedFormTrajectory:
 
 
 class TestQuadratureGramian:
+    @pytest.mark.parametrize("degree", range(4))
+    def test_matches_expm_stepped_simpson(self, rng, degree):
+        # the same rule on nodes built by repeated expm steps, with no eigensolve
+        kernel = random_symmetric_graphon(rng)
+        poly = tuple(rng.uniform(-0.5, 0.5, degree).tolist())
+        sys = GraphonSystem(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.3, 1.5)),
+                            kernel, poly, float(rng.uniform(0.4, 2.0)))
+        state, inp = oracles.system_matrices(kernel.coeffs, sys.alpha0, sys.beta0, poly)
+        reference = oracles.simpson_gramian(state, inp, sys.horizon, 512)
+        quadrature = gramian_quadrature_matrix(sys, num_intervals=512)
+        assert np.linalg.norm(quadrature - reference) <= 1e-10 * np.linalg.norm(reference)
+
     def test_odd_interval_count_rounds_up(self, rng):
         sys = random_system(rng)
         a = gramian_quadrature_matrix(sys, num_intervals=255)
