@@ -186,9 +186,10 @@ def parse_kernel_spec(spec: str):
         parts = [finite_float(v) for v in spec.partition(":")[2].split(",")]
         return SinusoidalGraphon(parts[0], parts[1:])
     ds = load_dataset(spec)
-    adjacency = ds.adjacency()
-    if not np.array_equal(adjacency, adjacency.T):  # sample has no --symmetrize to name
-        raise ValueError(f"kernel network {spec} is asymmetric; a kernel must be symmetric")
+    if ds.directed:  # an undirected file is symmetric by construction
+        adjacency = ds.adjacency()
+        if not np.array_equal(adjacency, adjacency.T):  # sample has no --symmetrize to name
+            raise ValueError(f"kernel network {spec} is asymmetric; a kernel must be symmetric")
     return netio.to_step_graphon(ds)
 
 

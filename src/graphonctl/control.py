@@ -4,13 +4,12 @@ A system pairs the state operator alpha0*I + A with the input operator
 beta0*I + B where B is constrained to be a polynomial in the coupling kernel
 A.  Under that constraint the controllability Gramian, its inverse and the
 minimum-energy steering control all have closed forms over the spectral
-decomposition of A; the only numerics left are scalar exponentials.
+decomposition of A, each one array expression over its complemented spectrum.
 """
 
 from __future__ import annotations
 
 import inspect
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,17 +23,16 @@ from .spectral import SpectralDecomposition, SpectralMultiplier, decompose
 RATE_EPS = 1e-12
 
 
-def growth_integral(rate: float, horizon: float) -> float:
-    """Exact value of the integral of exp(rate * t) over [0, horizon].
+def growth_integral(rate, horizon):
+    """G(rate, horizon), the integral of exp(rate * t) over [0, horizon], elementwise.
 
-    A value beyond the float range raises NumericsError.
+    The arguments broadcast.  Where |rate| < RATE_EPS the value is the horizon;
+    a value beyond the float range is inf, without a warning.
     """
-    if abs(rate) < RATE_EPS:
-        return horizon
-    try:
-        return math.expm1(rate * horizon) / rate
-    except OverflowError:
-        raise NumericsError(f"exp({rate * horizon:.6g}) exceeds the float range") from None
+    small = np.abs(rate) < RATE_EPS
+    with np.errstate(over="ignore"):
+        growth = np.expm1(rate * horizon) / np.where(small, 1.0, rate)
+    return np.where(small, horizon, growth)[()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,13 +61,14 @@ class GraphonSystem:
                            tuple(float(b) for b in self.input_poly))
         object.__setattr__(self, "modes", decompose(self.kernel))
         object.__setattr__(self, "input_operator", SpectralMultiplier(
-            self.modes, [self.input_eta(lam) for lam in self.modes.spectrum]))
+            self.modes, self.input_eta(self.modes.spectrum)))
 
-    def input_eta(self, eigenvalue: float) -> float:
-        """Input-operator eigenvalue on an eigendirection: sum_k beta_k lambda^k."""
-        eta = self.beta0
-        for k, beta in enumerate(self.input_poly, start=1):
-            eta += beta * eigenvalue ** k
+    def input_eta(self, eigenvalue):
+        """Input-operator eigenvalue, elementwise: beta0 + sum_k beta_k lambda^k."""
+        eta = np.full(np.shape(eigenvalue), self.beta0)
+        with np.errstate(over="ignore", invalid="ignore"):  # `gramian` refuses an overflow
+            for k, beta in enumerate(self.input_poly, start=1):
+                eta = eta + beta * eigenvalue ** k
         return eta
 
     @property
@@ -152,24 +151,13 @@ def simulate(sys: GraphonSystem, x0: PiecewiseConstantFunction,
             factors = np.exp(np.outer(times, rates))
     else:
         coords, residual = law.coords, law.residual
-        factors = np.exp(np.outer(times, -np.abs(rates))) * _remaining_fraction(
-            2.0 * np.abs(rates), times, sys.horizon)
+        decay = -np.abs(rates)
+        factors = np.exp(np.outer(times, decay)) * (
+            growth_integral(2.0 * decay, (sys.horizon - times)[:, None])
+            / growth_integral(2.0 * decay, sys.horizon))
     states = SpectralMultiplier(sys.modes, factors).apply_split(coords, residual.values)
     controls = None if law is None else law.gains(times).apply_split(coords, residual.values)
     return Trajectory(times, states, controls)
-
-
-def _remaining_fraction(rates: np.ndarray, times: np.ndarray, horizon: float) -> np.ndarray:
-    """G(-rate, horizon - t) / G(-rate, horizon) per time (rows) and rate (columns).
-
-    Rates are nonnegative, so every factor lies in [0, 1] and the value at the
-    horizon is exactly 0.
-    """
-    remaining = (horizon - times)[:, None]
-    small = rates < RATE_EPS
-    safe = np.where(small, 1.0, rates)
-    fraction = np.expm1(-safe * remaining) / np.expm1(-safe * horizon)
-    return np.where(small, remaining / horizon, fraction)
 
 
 def gramian(sys: GraphonSystem) -> SpectralMultiplier:
@@ -177,16 +165,27 @@ def gramian(sys: GraphonSystem) -> SpectralMultiplier:
 
     Its value at each lambda of the complemented spectrum is eta^2 times the
     integral of exp(2*(alpha0+lambda)*t), with eta the input operator's value
-    there: beta0^2 * integral of exp(2*alpha0*t) on the complement.
+    there: beta0^2 * integral of exp(2*alpha0*t) on the complement.  A value
+    beyond the float range raises NumericsError naming its first direction.
     """
-    t = sys.horizon
-    return SpectralMultiplier(sys.modes, [
-        eta ** 2 * growth_integral(2.0 * (sys.alpha0 + lam), t)
-        for lam, eta in zip(sys.modes.spectrum, sys.input_operator.values)])
+    spectrum, etas = sys.modes.spectrum, sys.input_operator.values
+    rates = 2.0 * (sys.alpha0 + spectrum)
+    growth = growth_integral(rates, sys.horizon)
+    if not np.isfinite(growth).all():
+        idx = int(np.argmin(np.isfinite(growth)))
+        raise NumericsError(f"exp({rates[idx] * sys.horizon:.6g}) exceeds the float range")
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = etas ** 2 * growth
+    if not np.isfinite(values).all():
+        idx = int(np.argmin(np.isfinite(values)))
+        name = "the complement" if idx == 0 else f"eigendirection {idx - 1}"
+        raise NumericsError(f"Gramian exceeds the float range on {name} "
+                            f"(lambda={spectrum[idx]:.6g}, eta={etas[idx]:.6g})")
+    return SpectralMultiplier(sys.modes, values)
 
 
 def _steerable_gramian(sys: GraphonSystem) -> SpectralMultiplier:
-    """The Gramian, refused unless it is positive and finite on every direction.
+    """The Gramian, refused unless it is positive on every direction.
 
     Requires beta0 != 0 (a compact input operator can never give exact
     controllability over a finite horizon) and every eigendirection excited
@@ -196,7 +195,7 @@ def _steerable_gramian(sys: GraphonSystem) -> SpectralMultiplier:
         raise ExactControllabilityError(
             "beta0 = 0 leaves a compact input operator; the Gramian is not invertible")
     w = gramian(sys)
-    failing = ~(np.isfinite(w.values[1:]) & (w.values[1:] > 0.0))
+    failing = ~(w.values[1:] > 0.0)
     if failing.any():
         idx = int(np.argmax(failing))
         raise ExactControllabilityError(
@@ -275,12 +274,10 @@ def min_energy_control(sys: GraphonSystem, x0: Function):
     energy of that control.  Refused as in `_steerable_gramian`.
     """
     w = _steerable_gramian(sys)
-    t_final = sys.horizon
     coords, residual = sys.modes.split(x0)
-
-    energy = (math.exp(2.0 * sys.alpha0 * t_final) * residual.l2_norm() ** 2 / w.values[0]
-              + float(np.sum(np.exp(2.0 * (sys.alpha0 + sys.modes.eigenvalues) * t_final)
-                             * coords ** 2 / w.values[1:])))
+    weights = np.concatenate(([residual.l2_norm() ** 2], coords ** 2))
+    energy = np.sum(np.exp(2.0 * (sys.alpha0 + sys.modes.spectrum) * sys.horizon)
+                    * weights / w.values)
     return MinEnergyControl(sys, x0, coords, residual, w), float(energy)
 
 

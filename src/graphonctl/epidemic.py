@@ -23,7 +23,7 @@ from .functions import Function, PiecewiseConstantFunction
 from .graphons import Graphon, StepGraphon
 from .integrate import lawson_rk4
 from .spectral import SpectralDecomposition, SpectralMultiplier, decompose
-from .control import RATE_EPS, Trajectory
+from .control import Trajectory, growth_integral
 
 
 @dataclass(frozen=True)
@@ -473,9 +473,9 @@ def linear_costs(model: EpidemicModel, p0: np.ndarray) -> tuple[float, float]:
     r = p0 - basis @ c.  Under the optimal feedback the scalar is the value
     pi(0) of `_riccati_values`, so the sum is p0' Pi(0) p0.  Without control
     each direction decays as exp(-h t), and the scalar is
-    q G(-2h, T) + q_T exp(-2h T), G(a, T) the integral of exp(a t) over
-    [0, T].  A zero weight, q or q_T adds exactly 0; an overflowing sum is
-    inf, without a warning.
+    q G(-2h, T) + q_T exp(-2h T), with G(a, T) = `growth_integral`, the
+    integral of exp(a t) over [0, T].  A zero weight, q or q_T adds exactly
+    0; an overflowing sum is inf, without a warning.
     """
     params = model.regulator_params()
     q, q_terminal, horizon = params.state_weight, params.terminal_weight, params.horizon
@@ -484,8 +484,7 @@ def linear_costs(model: EpidemicModel, p0: np.ndarray) -> tuple[float, float]:
     lams = model.modes.spectrum
     rate = -2.0 * _riccati_coefficients(params, lams)[0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        growth = np.where(np.abs(rate) < RATE_EPS, horizon, np.expm1(rate * horizon) / rate)
-        idle = ((q * growth if q else 0.0)
+        idle = ((q * growth_integral(rate, horizon) if q else 0.0)
                 + (q_terminal * np.exp(rate * horizon) if q_terminal else 0.0))
         scalars = np.stack(np.broadcast_arrays(_riccati_values(params, lams, 0.0), idle))
         terms = np.where((weights == 0.0) | (scalars == 0.0), 0.0, weights * scalars)

@@ -190,9 +190,9 @@ def parse_matrix_market(data, name: str = "") -> NetworkDataset:
 
 
 def _symmetric_adjacency(dataset: NetworkDataset) -> np.ndarray:
-    """The dense adjacency, refused when it is asymmetric."""
+    """The dense adjacency, refused when asymmetric (undirected data never is)."""
     mat = dataset.adjacency()
-    if not np.array_equal(mat, mat.T):
+    if dataset.directed and not np.array_equal(mat, mat.T):
         raise ValueError("dataset is asymmetric; symmetrize it (--symmetrize)")
     return mat
 

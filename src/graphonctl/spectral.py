@@ -102,8 +102,8 @@ class SpectralDecomposition:
         if sinusoidal:
             return _fourier_layout(func.coeffs, (n - 1) // 2) @ self.basis
         merged = common_block_count(n, func.num_blocks)
-        return (np.repeat(func.values, merged // func.num_blocks)
-                @ np.repeat(self.basis, merged // n, axis=0) / merged)
+        basis = self.basis if merged == n else np.repeat(self.basis, merged // n, axis=0)
+        return np.repeat(func.values, merged // func.num_blocks) @ basis / merged
 
     def combine(self, coeffs) -> Function:
         """The function sum_l coeffs[l] f_l."""

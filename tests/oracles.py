@@ -7,6 +7,7 @@ implicit Radau), so agreement between the two routes is evidence, not tautology.
 Nothing here imports graphonctl.
 """
 
+import decimal
 import math
 from types import SimpleNamespace
 
@@ -220,6 +221,28 @@ def system_matrices(coeffs: np.ndarray, alpha0: float, beta0: float,
         power = power @ op
         inp = inp + coeff * power
     return state, inp
+
+
+def decimal_growth_integral(rate: float, horizon: float, digits: int = 50) -> float:
+    """∫₀ᵀ e^{rt} dt in `digits`-digit decimal arithmetic, rounded once to a float.
+
+    From the exact decimal values of the float arguments: the series
+    T Σ_k (rT)^k / (k+1)! while |rT| < 1, which has no cancellation, and
+    (e^{rT} − 1) / r beyond.  A value beyond the float range rounds to inf.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        r, t = decimal.Decimal(rate), decimal.Decimal(horizon)
+        x = r * t
+        if abs(x) >= 1:
+            return float((x.exp() - 1) / r)
+        total = term = t
+        k = 1
+        while term and abs(term) > abs(total).scaleb(-digits - 2):
+            term = term * x / (k + 1)
+            total += term
+            k += 1
+        return float(total)
 
 
 def simpson_gramian(state: np.ndarray, inp: np.ndarray, horizon: float,

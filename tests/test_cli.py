@@ -659,6 +659,19 @@ class TestSample:
         assert main(["sample", "--kernel", str(general), "--num-nodes", "12",
                      "--out", str(out)]) == 0
 
+    def test_undirected_kernel_file_builds_one_adjacency(self, data_dir, tmp_path, monkeypatch):
+        built = []
+        adjacency = netio.NetworkDataset.adjacency
+
+        def counting(ds):
+            built.append(ds)
+            return adjacency(ds)
+
+        monkeypatch.setattr(netio.NetworkDataset, "adjacency", counting)
+        assert main(["sample", "--kernel", str(data_dir / "k22.edges"), "--num-nodes", "12",
+                     "--out", str(tmp_path)]) == 0
+        assert len(built) == 1
+
     @pytest.mark.parametrize("command", ["spectra", "approx", "gramian", "minenergy", "epidemic"])
     def test_network_subcommands_name_symmetrize(self, data_dir, tmp_path, capsys, command):
         out = tmp_path / "out"
@@ -693,6 +706,15 @@ class TestDeterminismAndErrors:
                      "--out", str(tmp_path)]) == 3
         assert "numeric failure: exp(800) exceeds the float range" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gramian", "minenergy"])
+    def test_gramian_overflowing_through_eta_exits_three(self, data_dir, tmp_path, capsys,
+                                                         command):
+        out = tmp_path / "out"
+        assert main([command, str(data_dir / "k22.edges"), "--b-poly", "1e200",
+                     "--out", str(out)]) == 3
+        assert "float range" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_p0_length_must_match_the_network(self, data_dir, tmp_path, capsys):
         p0 = tmp_path / "p0.txt"

@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
 from graphonctl.control import (
+    RATE_EPS,
     GraphonSystem,
     exact_controllability_check,
     gramian,
@@ -50,9 +52,66 @@ class TestGrowthIntegral:
         assert growth_integral(1e-15, 0.7) == pytest.approx(0.7, rel=1e-12)
 
     def test_overflow_is_a_numeric_failure(self):
-        with pytest.raises(NumericsError, match="float range"):
-            growth_integral(800.0, 1.0)
+        # G itself is inf beyond the float range; the Gramian refuses it
+        assert growth_integral(800.0, 1.0) == np.inf
         assert growth_integral(-800.0, 1.0) == pytest.approx(1.0 / 800.0)
+        sys = GraphonSystem(400.0, 1.0, StepGraphon([[0.5]]), (), 1.0)
+        with pytest.raises(NumericsError, match=r"^exp\(800\) exceeds the float range$"):
+            gramian(sys)
+
+
+def assert_within_ulps(got, want, ulps=2):
+    got, want = np.broadcast_arrays(got, want)
+    off = np.abs(got - want) > ulps * np.spacing(np.abs(want))
+    assert not off.any(), (got[off][:5], want[off][:5])
+
+
+class TestGrowthIntegralOracle:
+    """The array G against a 50-digit decimal route, to within 2 ulp."""
+
+    def check(self, rates, horizons):
+        got = growth_integral(rates, horizons)
+        want = np.vectorize(oracles.decimal_growth_integral)(rates, horizons)
+        assert got.shape == want.shape
+        assert_within_ulps(got, want)
+
+    def test_rates_below_the_cutoff(self):
+        # |rate| < RATE_EPS gives the horizon: within 2 ulp while |rate T| stays below an ulp
+        rates = np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e-20, -3e-17, 1.1e-16])
+        assert (np.abs(rates) < RATE_EPS).all()
+        self.check(rates, 0.7)
+        self.check(rates[:, None], np.array([1e-3, 0.05, 1.0, 2.5]))
+
+    def test_cutoff_error_is_bounded_by_rate_times_horizon(self):
+        rates = np.array([0.99e-12, -0.99e-12, 3e-13])
+        got = growth_integral(rates, 1.5)
+        want = np.vectorize(oracles.decimal_growth_integral)(rates, 1.5)
+        np.testing.assert_array_equal(got, 1.5)
+        assert (np.abs(got - want) <= np.abs(rates) * 1.5 * want).all()
+        self.check(np.array([1.01e-12, -1.01e-12]), 1.5)  # just above the cutoff
+
+    def test_exponent_near_the_float_range(self):
+        # power-of-two horizons keep rate * T exact: a rounded exponent near 700
+        # moves e^x by hundreds of ulps whatever evaluates it
+        for horizon in (0.0625, 1.0, 4.0):
+            products = np.array([-709.9, -700.0, -699.5, 1.0, 699.5, 700.0, 705.3, 709.7])
+            self.check(products / horizon, horizon)
+
+    def test_rates_by_remaining_horizons(self):
+        # the steered simulation's table: rates -2|a| by remaining horizons T - t
+        decay = -2.0 * np.abs([0.0, 1e-18, 0.3, -2.5, 40.0, 355.0])
+        horizon = 1.3
+        remaining = (horizon - np.linspace(0.0, horizon, 51))[:, None]
+        self.check(decay, remaining)
+        assert (growth_integral(decay, remaining)[-1] == 0.0).all()
+
+    def test_overflow_is_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = growth_integral(np.array([[800.0], [-800.0], [709.0]]), np.array([1.0, 2.0]))
+        assert values.shape == (3, 2)
+        assert np.isinf(values[0]).all() and np.isinf(values[2, 1])
+        assert np.isfinite(values[1]).all() and np.isfinite(values[2, 0])
 
 
 class TestGraphonSystem:
@@ -142,6 +201,19 @@ class TestGramian:
         np.testing.assert_allclose(image(xs), w.values[0] * off_mode(xs), atol=1e-12)
 
 
+    def test_overflow_through_eta_names_its_direction(self):
+        kernel = StepGraphon(np.diag([1.0, 0.5]))
+        with pytest.raises(NumericsError, match=r"^Gramian exceeds the float range on the "
+                           r"complement \(lambda=0, eta=1e\+200\)$"):
+            gramian(GraphonSystem(0.0, 1e200, kernel, (), 1.0))
+        with pytest.raises(NumericsError, match=r"^Gramian exceeds the float range on "
+                           r"eigendirection 0 \(lambda=1, eta=inf\)$"):
+            gramian(GraphonSystem(0.0, 1.0, StepGraphon(np.ones((2, 2))), (1e308, 1e308), 1.0))
+        # an exponent beyond the float range is named first, whatever eta is
+        with pytest.raises(NumericsError, match=r"^exp\(1400\) exceeds the float range$"):
+            gramian(GraphonSystem(700.0, 1e200, kernel, (), 1.0))
+
+
 class TestGramianInverse:
     def test_composition_is_identity(self, rng):
         for _ in range(4):
@@ -171,8 +243,8 @@ class TestGramianInverse:
             gramian_inverse(sys)
         # eta^2 overflows to inf on both directions, and the first is named
         sys = GraphonSystem(0.0, 1.0, StepGraphon(np.diag([1.0, 0.5])), (1e200,), 1.0)
-        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
-                ExactControllabilityError, match=r"eigendirection 0 \(lambda=0\.5,"):
+        with pytest.raises(NumericsError, match=r"float range on eigendirection 0 "
+                           r"\(lambda=0\.5, eta=5e\+199\)$"):
             gramian_inverse(sys)
 
 

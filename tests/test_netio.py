@@ -289,6 +289,24 @@ class TestToStepGraphon:
                              [2.0, 0.0, 0.0]]) / 3.0
         np.testing.assert_array_equal(g.coeffs, expected)
 
+    def test_only_a_directed_dataset_is_compared_with_its_transpose(self, data_dir, monkeypatch):
+        compared = []
+        array_equal = np.array_equal
+
+        def counting(a, b, *args, **kwargs):
+            compared.append(a.shape)
+            return array_equal(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "array_equal", counting)
+        undirected = parse_edge_list((data_dir / "k22.edges").read_text())
+        to_step_graphon(undirected)
+        spectral_report(undirected)
+        assert compared == []
+        general = parse_matrix_market(MTX_GENERAL + "3 3 4\n1 2 1\n2 1 1\n2 3 0.5\n3 2 0.5\n")
+        np.testing.assert_array_equal(to_step_graphon(general).coeffs,
+                                      to_step_graphon(general.symmetrized()).coeffs)
+        assert compared == [(3, 3)]
+
     def test_self_loops_warn(self):
         ds = NetworkDataset(2, [0, 0], [0, 1], [1.0, 0.5])
         with pytest.warns(UserWarning, match="trace"):

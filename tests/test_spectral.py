@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,21 @@ class TestBasis:
             np.testing.assert_allclose(decomp.coordinates(func), coeffs, atol=1e-12)
             for l, (_, f) in enumerate(eigenpairs(decomp)):
                 assert inner_product(func, f) == pytest.approx(coeffs[l], abs=1e-12)
+
+    def test_coordinates_on_the_kernel_partition_do_not_copy_the_basis(self, rng):
+        n = 300
+        coeffs = rng.uniform(-1.0, 1.0, (n, n))
+        modes = decompose(StepGraphon((coeffs + coeffs.T) / 2.0))
+        assert modes.rank == n
+        func = PiecewiseConstantFunction(rng.normal(size=n))
+        tracemalloc.start()
+        try:
+            coords = modes.coordinates(func)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < modes.basis.nbytes / 4
+        np.testing.assert_array_equal(coords, func.values @ modes.basis / n)
 
 
 def _multiplier_modes(family, rng):
