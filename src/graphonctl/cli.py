@@ -3,11 +3,12 @@
 A subcommand computes its artifacts, file name to content, and `main` writes
 them once it has finished, then a manifest.json capturing the full configuration,
 seed and package version (no timestamps); a refused or failed run writes nothing.
-A rerun with the same manifest, the same numpy, scipy and BLAS build, the same
-BLAS thread count and the same CPU kernels that OpenBLAS and numpy dispatch to
-reproduces every artifact byte for byte; the thread count or the kernel choice
-alone can move eigensolver, matrix-product and ufunc digits.  Files are written
-to a temporary sibling and renamed, never partially.
+A rerun with the same manifest, the same numpy and BLAS build (scipy decides no
+byte: the package does not import it), the same BLAS thread count and the same
+CPU kernels that OpenBLAS and numpy dispatch to reproduces every artifact byte
+for byte; the thread count or the kernel choice alone can move eigensolver,
+matrix-product and ufunc digits.  Files are written to a temporary sibling and
+renamed, never partially.
 """
 
 from __future__ import annotations
@@ -274,9 +275,15 @@ def cmd_minenergy(args) -> dict:
     x0 = PiecewiseConstantFunction(load_vector(args.x0) if args.x0 else np.ones(n))
     control, energy = min_energy_control(sys_, x0)
     trajectory = simulate(sys_, x0, control, step=args.step)
-    norms = trajectory.state_norms()
-    control_norms = (np.linalg.norm(trajectory.controls, axis=1)
-                     / np.sqrt(trajectory.num_blocks))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        norms = trajectory.state_norms()
+        control_norms = (np.linalg.norm(trajectory.controls, axis=1)
+                         / np.sqrt(trajectory.num_blocks))
+    for name, column in (("state", norms), ("control", control_norms)):
+        finite = np.isfinite(column)
+        if not finite.all():
+            raise NumericsError(f"{name} norm became non-finite at "
+                                f"t={trajectory.times[np.argmin(finite)]:.6g}")
     return {
         "minenergy_trajectory.csv": (["time", "state_norm", "control_norm"],
                                      trajectory.times, norms, control_norms),

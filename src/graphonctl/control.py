@@ -19,19 +19,19 @@ from .functions import Function, PiecewiseConstantFunction
 from .graphons import Graphon, StepGraphon
 from .spectral import SpectralDecomposition, SpectralMultiplier, decompose
 
-# Below this magnitude the growth rate in exp-integrals is treated as zero.
-RATE_EPS = 1e-12
-
 
 def growth_integral(rate, horizon):
     """G(rate, horizon), the integral of exp(rate * t) over [0, horizon], elementwise.
 
-    The arguments broadcast.  Where |rate| < RATE_EPS the value is the horizon;
-    a value beyond the float range is inf, without a warning.
+    The arguments broadcast.  The value is expm1(rate * horizon) / rate, and
+    the horizon where |rate * horizon| is below the smallest normal float (0
+    or subnormal), where that quotient loses its digits; a value beyond the
+    float range is inf, without a warning.
     """
-    small = np.abs(rate) < RATE_EPS
     with np.errstate(over="ignore"):
-        growth = np.expm1(rate * horizon) / np.where(small, 1.0, rate)
+        exponent = np.multiply(rate, horizon)
+        small = np.abs(exponent) < np.finfo(float).tiny
+        growth = np.expm1(exponent) / np.where(small, 1.0, rate)
     return np.where(small, horizon, growth)[()]
 
 
@@ -271,14 +271,18 @@ def min_energy_control(sys: GraphonSystem, x0: Function):
     Returns (u, energy): u is a `MinEnergyControl`, the callable
     t -> -B* exp(A*(T-t)) W^-1 exp(A*T) x0 expanded over the kernel
     eigendirections, and energy is <exp(A*T) x0, W^-1 exp(A*T) x0>, the
-    energy of that control.  Refused as in `_steerable_gramian`.
+    energy of that control.  Refused as in `_steerable_gramian`, and with
+    NumericsError when the energy is beyond the float range.
     """
     w = _steerable_gramian(sys)
     coords, residual = sys.modes.split(x0)
     weights = np.concatenate(([residual.l2_norm() ** 2], coords ** 2))
-    energy = np.sum(np.exp(2.0 * (sys.alpha0 + sys.modes.spectrum) * sys.horizon)
-                    * weights / w.values)
-    return MinEnergyControl(sys, x0, coords, residual, w), float(energy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = float(np.sum(np.exp(2.0 * (sys.alpha0 + sys.modes.spectrum) * sys.horizon)
+                              * weights / w.values))
+    if not np.isfinite(energy):
+        raise NumericsError(f"steering energy is {energy}, beyond the float range")
+    return MinEnergyControl(sys, x0, coords, residual, w), energy
 
 
 def gramian_quadrature_matrix(sys: GraphonSystem, num_intervals: int = 2048) -> np.ndarray:

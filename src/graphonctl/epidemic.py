@@ -120,7 +120,7 @@ def _riccati_coefficients(params: RegulatorParams, lams: np.ndarray):
     """
     q = params.state_weight
     h = params.alpha0 - params.eta_total * lams
-    b = params.beta0 ** 2 / (lams ** 2 - 2.0 * lams + 2.0)
+    b = params.beta0 * params.beta0 / (lams ** 2 - 2.0 * lams + 2.0)
     c = np.sqrt(h * h + b * q)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         c_plus = np.where(h < 0.0, b * q / (c - h), c + h)

@@ -76,6 +76,17 @@ class StepGraphon:
         """Same kernel expressed on a partition `factor` times finer."""
         return StepGraphon(_refine_matrix(self.coeffs, factor), validate=False)
 
+    def _symmetric_coeffs(self, action: str) -> np.ndarray:
+        # a validated kernel already passed the stricter RANGE_TOL symmetry test
+        if not self.validate and not np.allclose(self.coeffs, self.coeffs.T, rtol=0.0, atol=1e-10):
+            raise ValueError(f"cannot {action} an asymmetric kernel")
+        return self.coeffs
+
+    def _expm1_blocks(self, t: float) -> np.ndarray:
+        """U_t in e^{tA} = I + U_t: n V diag(expm1(t mu / n)) Vᵀ with mu, V = eigh(coeffs)."""
+        mu, vecs = np.linalg.eigh(0.5 * (self.coeffs + self.coeffs.T))
+        return self.num_blocks * (vecs * np.expm1(mu * (t / self.num_blocks))) @ vecs.T
+
     def __repr__(self):
         return f"StepGraphon(num_blocks={self.num_blocks})"
 
@@ -197,15 +208,12 @@ class IdentityPlusGraphon:
 def exponential(graphon: Graphon, t: float) -> IdentityPlusGraphon:
     """Operator exponential e^{tA} = I + U_t, with U_t returned in-family.
 
-    For step kernels U_t comes from a dense scaling-and-squaring matrix
-    exponential of the block operator; for sinusoidal kernels it is exact.
+    Exact per family: a step kernel's U_t comes from one symmetric eigensolve
+    of its block matrix, and an unvalidated asymmetric one raises ValueError.
     """
     if isinstance(graphon, StepGraphon):
-        import scipy.linalg  # only this branch needs scipy; keep it off start-up
-
-        n = graphon.num_blocks
-        expm = scipy.linalg.expm(graphon.coeffs * (t / n))
-        return IdentityPlusGraphon(1.0, StepGraphon(n * (expm - np.eye(n)), validate=False))
+        graphon._symmetric_coeffs("exponentiate")
+        return IdentityPlusGraphon(1.0, StepGraphon(graphon._expm1_blocks(t), validate=False))
     if isinstance(graphon, SinusoidalGraphon):
         const = np.expm1(graphon.constant * t)
         coeffs = 2.0 * np.expm1(0.5 * graphon.cosine_coeffs * t)

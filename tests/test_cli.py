@@ -716,6 +716,27 @@ class TestDeterminismAndErrors:
         assert "float range" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_riccati_weight_overflowing_through_beta0_exits_three(self, data_dir,
+                                                                  tmp_path, capsys):
+        # beta0^2 is inf as a float, not an OverflowError
+        out = tmp_path / "out"
+        assert main(["epidemic", str(data_dir / "k22.edges"), "--beta0", "1e200",
+                     "--out", str(out)]) == 3
+        assert "numeric failure: Riccati blow-up" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("horizon,message", [
+        ("1e-320", "steering energy is inf"),  # the Gramian is subnormal
+        ("1e-200", "control norm became non-finite at t=0"),  # finite controls of 1e200
+    ])
+    def test_minenergy_beyond_the_float_range_exits_three(self, data_dir, tmp_path, capsys,
+                                                          horizon, message):
+        out = tmp_path / "out"
+        assert main(["minenergy", str(data_dir / "k22.edges"), "--horizon", horizon,
+                     "--out", str(out)]) == 3
+        assert f"numeric failure: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_p0_length_must_match_the_network(self, data_dir, tmp_path, capsys):
         p0 = tmp_path / "p0.txt"
         p0.write_text("0.1\n0.2\n0.3\n")
@@ -805,7 +826,8 @@ class TestDeterminismAndErrors:
 
 
 class TestImportsOnlyWhatARunUses:
-    """No module of the package imports scipy, at start-up or in a subcommand.
+    """No module of the package imports scipy at all: not at start-up, not in a
+    subcommand and not in the operator exponential of either kernel family.
     The check runs in a fresh interpreter: this test session imports scipy itself."""
 
     SCRIPT = """
@@ -824,6 +846,9 @@ for k, argv in enumerate(runs):
     code = cli.main(argv + ["--out", f"{out}/{k}"])
     assert code == 0, f"{argv}: exit {code}"
     check(" ".join(argv[:1] + argv[2:]))
+graphonctl.exponential(graphonctl.StepGraphon([[0.5, 0.25], [0.25, 0.5]]), 0.7)
+graphonctl.exponential(graphonctl.SinusoidalGraphon(0.5, [0.3, -0.2]), 1.3)
+check("exponential")
 print("no scipy")
 """
 

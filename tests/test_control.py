@@ -9,7 +9,6 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
 from graphonctl.control import (
-    RATE_EPS,
     GraphonSystem,
     exact_controllability_check,
     gramian,
@@ -76,19 +75,14 @@ class TestGrowthIntegralOracle:
         assert_within_ulps(got, want)
 
     def test_rates_below_the_cutoff(self):
-        # |rate| < RATE_EPS gives the horizon: within 2 ulp while |rate T| stays below an ulp
         rates = np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e-20, -3e-17, 1.1e-16])
-        assert (np.abs(rates) < RATE_EPS).all()
         self.check(rates, 0.7)
         self.check(rates[:, None], np.array([1e-3, 0.05, 1.0, 2.5]))
 
     def test_cutoff_error_is_bounded_by_rate_times_horizon(self):
-        rates = np.array([0.99e-12, -0.99e-12, 3e-13])
-        got = growth_integral(rates, 1.5)
-        want = np.vectorize(oracles.decimal_growth_integral)(rates, 1.5)
-        np.testing.assert_array_equal(got, 1.5)
-        assert (np.abs(got - want) <= np.abs(rates) * 1.5 * want).all()
-        self.check(np.array([1.01e-12, -1.01e-12]), 1.5)  # just above the cutoff
+        # around 1e-12, G differs from the horizon by about r T / 2 relative: thousands of ulp
+        self.check(np.array([0.99e-12, -0.99e-12, 3e-13]), 1.5)
+        self.check(np.array([1.01e-12, -1.01e-12]), 1.5)
 
     def test_exponent_near_the_float_range(self):
         # power-of-two horizons keep rate * T exact: a rounded exponent near 700

@@ -172,6 +172,20 @@ class TestExponential:
         series = oracles.series_exponential_grid(g, t, m=g.num_blocks)
         np.testing.assert_allclose(out.kernel.coeffs, series, atol=1e-13)
 
+    @pytest.mark.parametrize("t", [1e-9, 1e-3])
+    def test_small_times_keep_their_digits(self, rng, t):
+        # U_t is of size t: forming it as e^{tA} - I would cancel all but ~|log10 t| digits
+        for _ in range(20):
+            g = random_symmetric_graphon(rng)
+            series = oracles.series_exponential_grid(g, t, m=g.num_blocks)
+            off = np.abs(exponential(g, t).kernel.coeffs - series).max()
+            assert off <= 1e-13 * np.abs(series).max()
+
+    def test_asymmetric_step_kernel_refused(self):
+        bad = StepGraphon([[0.0, 1.0], [0.0, 0.0]], validate=False)
+        with pytest.raises(ValueError, match="cannot exponentiate an asymmetric kernel"):
+            exponential(bad, 0.5)
+
     def test_sinusoidal_matches_series(self):
         g = SinusoidalGraphon(0.5, [0.3, -0.2])
         t = 1.3
