@@ -26,7 +26,7 @@ from . import __version__
 from .errors import ExactControllabilityError, GraphonError, NumericsError, ParseError
 from .functions import PiecewiseConstantFunction
 from .graphons import SinusoidalGraphon, StepGraphon
-from .spectral import decompose, fourier_bounds, truncate, truncation_error
+from .spectral import _step_decomposition, decompose, fourier_bounds, truncation_error
 from .control import (
     GraphonSystem,
     exact_controllability_check,
@@ -203,23 +203,25 @@ def _network(args) -> netio.NetworkDataset:
 # -- subcommands -----------------------------------------------------------------
 
 def cmd_spectra(args) -> dict:
-    ds = _network(args)  # the report and the kernel read the same graph
-    report = netio.spectral_report(ds, top_fraction=args.top_fraction)
-    kernel = netio.to_step_graphon(ds, normalize=args.normalize)
-    decomp = decompose(kernel)
+    # the report and the kernel read one adjacency of one graph, and share its eigh:
+    # the kernel is the adjacency over `scale`, so its eigenvalues are the report's over it
+    report, adjacency, vecs = netio._solved_report(_network(args), args.top_fraction)
+    kernel, scale = netio._pixel_graphon(adjacency, args.normalize)
+    decomp = _step_decomposition(kernel, report.eigenvalues[::-1] / scale, vecs)
     rank = min(report.top_k, decomp.rank)
-    approx = (truncate(decomp, rank).coeffs if rank
-              else np.zeros_like(kernel.coeffs))
-    columns = [f"c{j}" for j in range(kernel.num_blocks)]
-    sidecar = {"n": kernel.num_blocks, "family": "step", "normalization": args.normalize}
+    n = kernel.num_blocks
+    sidecar = {"n": n, "family": "step", "normalization": args.normalize}
     return {
         "spectral_report.json": report.to_json_dict(),
         "eigenvalues.csv": (["index", "eigenvalue"],
                             np.arange(report.eigenvalues.size), report.eigenvalues),
-        "original_kernel.csv": (columns, kernel.coeffs),
+        "original_kernel.csv": ([f"c{j}" for j in range(n)], kernel.coeffs),
         "original_kernel.json": sidecar,
-        "approx_kernel.csv": (columns, approx),
-        "approx_kernel.json": sidecar,
+        # the rank-k truncation as its k modes: row l is λ_l and the block values of f_l
+        "approx_kernel.csv": (["mode", "eigenvalue"] + [f"b{j}" for j in range(n)],
+                              np.arange(rank), decomp.eigenvalues[:rank],
+                              decomp.basis[:, :rank].T),
+        "approx_kernel.json": {**sidecar, "rank": rank},
     }
 
 

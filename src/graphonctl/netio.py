@@ -81,10 +81,24 @@ class NetworkDataset:
         pair (the i -> j weight, i < j, on a tie); an undirected dataset is its own."""
         if not self.directed:
             return self
-        mat = self.adjacency()
-        mat = np.triu(np.where(np.abs(mat) >= np.abs(mat.T), mat, mat.T))
-        rows, cols = np.nonzero(mat)
-        return NetworkDataset(self.num_nodes, rows, cols, mat[rows, cols], self.name, self.source)
+        # the arrays, with no dense matrix; a self-loop counts as a backward entry, so
+        # it meets a forward |0| as the dense `where` over a matrix and its transpose would
+        low, high = np.minimum(self.rows, self.cols), np.maximum(self.rows, self.cols)
+        back = self.rows >= self.cols
+        order = np.lexsort((back, high, low))  # stable: file order within an ordered pair
+        low, high, back, weights = low[order], high[order], back[order], self.weights[order]
+        pair = np.ones(low.size, dtype=bool)  # the first entry of each node pair {low, high}
+        pair[1:] = (low[1:] != low[:-1]) | (high[1:] != high[:-1])
+        last = np.ones(low.size, dtype=bool)  # the last of each ordered pair wins, as in `adjacency`
+        last[:-1] = pair[1:] | (back[1:] != back[:-1])
+        index = np.cumsum(pair) - 1
+        forward, backward = np.zeros((2, np.count_nonzero(pair)))
+        forward[index[last & ~back]] = weights[last & ~back]
+        backward[index[last & back]] = weights[last & back]
+        kept = np.where(np.abs(forward) >= np.abs(backward), forward, backward)
+        nonzero = kept != 0.0
+        return NetworkDataset(self.num_nodes, low[pair][nonzero], high[pair][nonzero],
+                              kept[nonzero], self.name, self.source)
 
     def degree_sorted(self) -> "NetworkDataset":
         """Relabel nodes by descending weighted degree (ties keep input order)."""
@@ -106,8 +120,40 @@ def _tokenize(lines: list, numbers: list, widths: tuple, usage: str, low: int, h
               outside: str) -> tuple:
     """int64 rows and cols and float64 weights (1.0 when absent) of the lines `numbers`.
     Each needs a field count in `widths` (else `usage`), indices in low..high (else
-    `outside`, naming {i} and {j}) and below 2**63, and a finite weight, or it raises."""
-    entries = []
+    `outside`, naming {i} and {j}) and below 2**63, and a finite weight, or it raises.
+
+    The lines are converted first and the rules checked on the arrays; only when some
+    line fails are they walked again in file order, so the first bad one is named."""
+    rows, cols, weights = [], [], []
+    try:
+        for lineno in numbers:
+            fields = lines[lineno - 1].split()
+            if len(fields) not in widths:
+                raise ValueError
+            rows.append(int(fields[0]))
+            cols.append(int(fields[1]))
+            weights.append(float(fields[2]) if len(fields) == 3 else 1.0)
+        # an index beyond int64 raises OverflowError here
+        rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+        weights = np.array(weights, dtype=float)
+        broken = ((np.minimum(rows, cols) < low) | (np.maximum(rows, cols) > high)
+                  | ~np.isfinite(weights)).any()
+    except (ValueError, OverflowError):
+        broken = True
+    if broken:
+        table = np.array(list(_checked_entries(lines, numbers, widths, usage, low, high,
+                                               outside)),
+                         dtype=[("i", np.int64), ("j", np.int64), ("w", float)])
+        rows, cols, weights = table["i"], table["j"], table["w"]
+    if (weights < 0.0).any():
+        warnings.warn("negative edge weights present; kernel will be signed")
+    return rows, cols, weights
+
+
+def _checked_entries(lines: list, numbers: list, widths: tuple, usage: str, low: int, high,
+                     outside: str):
+    """`_tokenize`'s (i, j, weight) entries one line at a time, in file order, raising
+    ParseError at the first line that breaks a rule."""
     for lineno in numbers:
         fields = lines[lineno - 1].split()
         try:  # every rule a line breaks lands in the except clause
@@ -122,11 +168,7 @@ def _tokenize(lines: list, numbers: list, widths: tuple, usage: str, low: int, h
                 raise ValueError(problem or "node index beyond int64")
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-        entries.append((i, j, weight))
-    table = np.array(entries, dtype=[("i", np.int64), ("j", np.int64), ("w", float)])
-    if (table["w"] < 0.0).any():
-        warnings.warn("negative edge weights present; kernel will be signed")
-    return table["i"], table["j"], table["w"]
+        yield i, j, weight
 
 
 def parse_edge_list(data, name: str = "") -> NetworkDataset:
@@ -205,16 +247,19 @@ def to_step_graphon(dataset: NetworkDataset, normalize: str = "max-abs") -> Step
     thresholds on raw adjacencies).  Asymmetric data is refused: pass
     `dataset.symmetrized()` instead.
     """
-    mat = _symmetric_adjacency(dataset)
+    return _pixel_graphon(_symmetric_adjacency(dataset), normalize)[0]
+
+
+def _pixel_graphon(mat: np.ndarray, normalize: str) -> tuple:
+    """(kernel, scale): `to_step_graphon`'s kernel of a symmetric adjacency, which is
+    the adjacency divided by `scale` (its largest magnitude under max-abs, else 1)."""
     if np.trace(np.abs(mat)) > 0.0:
         warnings.warn("self-loops present: diagonal is nonzero and so is the trace")
     if normalize == "max-abs":
-        peak = np.abs(mat).max()
-        if peak > 0.0:
-            mat = mat / peak
-        return StepGraphon(mat)
+        scale = np.abs(mat).max() or 1.0
+        return StepGraphon(mat / scale), scale
     if normalize == "none":
-        return StepGraphon(mat, validate=False)
+        return StepGraphon(mat, validate=False), 1.0
     raise ValueError(f"unknown normalization {normalize!r}; "
                      "expected 'max-abs' or 'none'")
 
@@ -254,8 +299,9 @@ def write_edge_list(dataset: NetworkDataset) -> str:
 
 @dataclass(frozen=True, eq=False)
 class SpectralReport:
-    """Eigenvalue summary of a network: spectrum, |eigenvalue| histogram,
-    trace, and the L2 error of keeping only the top fraction of directions."""
+    """Eigenvalue summary of a network: the adjacency spectrum from one `eigh`,
+    |eigenvalue| histogram, trace, and the L2 error of keeping only the top
+    fraction of directions."""
 
     name: str
     num_nodes: int
@@ -285,16 +331,25 @@ def spectral_report(dataset: NetworkDataset, top_fraction: float = 0.10,
                     bins: int = 50) -> SpectralReport:
     """Adjacency spectrum with a histogram of magnitudes and a top-k error.
 
+    The spectrum is the eigenvalues of one `np.linalg.eigh` of the dense
+    adjacency, the solve whose eigenvectors also decompose `spectra`'s kernel.
     The truncation error is the closed-form L2 error of keeping the top
     ceil(top_fraction * N) eigendirections of the max-abs-normalized pixel
     graphon (capped at its nonzero rank).  That graphon's eigenvalues are the
     adjacency's divided by N * max|a_ij|, so its tail is read off the same
     spectrum, zeros dropped and ordered as `decompose` orders them.
     """
+    return _solved_report(dataset, top_fraction, bins)[0]
+
+
+def _solved_report(dataset: NetworkDataset, top_fraction: float, bins: int = 50) -> tuple:
+    """(report, adjacency, vecs): `spectral_report`'s report, the dense adjacency it
+    read and that matrix's eigenvectors, column l for report.eigenvalues[::-1][l]."""
     if not 0.0 < top_fraction <= 1.0:
         raise ValueError("top_fraction must be in (0, 1]")
     mat = _symmetric_adjacency(dataset)
-    values = np.linalg.eigvalsh(mat)[::-1]
+    ascending, vecs = np.linalg.eigh(mat)
+    values = ascending[::-1]
     magnitudes = np.abs(values)
     peak = float(magnitudes.max())
     counts, edges = np.histogram(magnitudes, bins=bins,
@@ -302,5 +357,6 @@ def spectral_report(dataset: NetworkDataset, top_fraction: float = 0.10,
     top_k = math.ceil(top_fraction * dataset.num_nodes)
     lam = values / (dataset.num_nodes * (np.abs(mat).max() or 1.0))
     error = np.sqrt(np.sum(lam[_nonzero_ordered(lam)][top_k:] ** 2))
-    return SpectralReport(dataset.name, dataset.num_nodes, values, edges, counts,
-                          float(values.sum()), top_k, float(error))
+    report = SpectralReport(dataset.name, dataset.num_nodes, values, edges, counts,
+                            float(values.sum()), top_k, float(error))
+    return report, mat, vecs

@@ -193,6 +193,20 @@ class SpectralMultiplier:
         return lead * np.eye(n) + (basis * ((self.values[1:] - lead) / n)) @ basis.T
 
 
+def _step_decomposition(graphon: StepGraphon, mu: np.ndarray,
+                        vecs: np.ndarray) -> SpectralDecomposition:
+    """The decomposition of a step kernel from an eigenpair (mu, vecs) of its block
+    matrix: eigenvalues mu / N, zeros dropped, and each column v of `vecs` lifted to
+    the unit-L2 block values sqrt(N) * v, signed by `decompose`'s rule."""
+    n = graphon.num_blocks
+    lam = mu / n
+    order = _nonzero_ordered(lam)
+    vecs = vecs[:, order]
+    first = np.argmax(np.abs(vecs) > 1e-12 * np.abs(vecs).max(axis=0), axis=0)
+    signs = np.sign(vecs[first, np.arange(vecs.shape[1])])
+    return SpectralDecomposition(lam[order], vecs * signs * np.sqrt(n), graphon)
+
+
 def decompose(graphon: Graphon) -> SpectralDecomposition:
     """Eigenvalues and orthonormal eigenfunctions of the integral operator.
 
@@ -205,14 +219,7 @@ def decompose(graphon: Graphon) -> SpectralDecomposition:
     """
     if isinstance(graphon, StepGraphon):
         coeffs = graphon._symmetric_coeffs("decompose")
-        n = graphon.num_blocks
-        mu, vecs = np.linalg.eigh(0.5 * (coeffs + coeffs.T))
-        lam = mu / n
-        order = _nonzero_ordered(lam)
-        vecs = vecs[:, order]
-        first = np.argmax(np.abs(vecs) > 1e-12 * np.abs(vecs).max(axis=0), axis=0)
-        signs = np.sign(vecs[first, np.arange(vecs.shape[1])])
-        return SpectralDecomposition(lam[order], vecs * signs * np.sqrt(n), graphon)
+        return _step_decomposition(graphon, *np.linalg.eigh(0.5 * (coeffs + coeffs.T)))
     if isinstance(graphon, SinusoidalGraphon):
         k = np.arange(1, graphon.harmonics + 1)
         # Fourier-layout rows in the order constant, cos_1, sin_1, cos_2, sin_2, ...

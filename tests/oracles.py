@@ -323,6 +323,18 @@ def nonzero_eigenvectors(matrix: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     return vectors[:, np.abs(values) > rtol * np.abs(values).max()]
 
 
+def pixel_truncation(adjacency: np.ndarray, rank: int) -> np.ndarray:
+    """Block values of the rank-`rank` truncation of a symmetric network's max-abs
+    pixel graphon.  Its operator is the matrix adjacency / (N·peak) on block values;
+    keep the `rank` eigenpairs (λ, v) of largest |λ| and sum λ N v vᵀ, the kernel
+    sum λ f(x) f(y) with the unit-L2 eigenfunction f = sqrt(N) v."""
+    adjacency = np.asarray(adjacency, dtype=float)
+    n = len(adjacency)
+    values, vectors = np.linalg.eigh(adjacency / (n * np.abs(adjacency).max()))
+    kept = np.argsort(-np.abs(values), kind="stable")[:rank]
+    return n * (vectors[:, kept] * values[kept]) @ vectors[:, kept].T
+
+
 def scalar_riccati_closed_form(linear: float, quadratic: float, q: float,
                                terminal: float, horizon: float):
     """Closed form for pi' = linear*pi + quadratic*pi^2 - q, pi(horizon) = terminal.

@@ -234,14 +234,15 @@ class TestArtifactFormat:
 class TestSpectraDecomposesOnce:
     @pytest.mark.parametrize("normalize", ["max-abs", "none"])
     def test_one_decompose_call(self, data_dir, tmp_path, monkeypatch, normalize):
+        # the kernel's modes come from the report's eigenpair, through decompose's helper
         calls = []
-        original = cli.decompose
+        original = cli._step_decomposition
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "decompose", counting)
+        monkeypatch.setattr(cli, "_step_decomposition", counting)
         argv = ["spectra", str(data_dir / "zero_diag8.edges"),
                 "--normalize", normalize, "--top-fraction", "0.3"]
         assert main(argv + ["--out", str(tmp_path)]) == 0
@@ -249,10 +250,10 @@ class TestSpectraDecomposesOnce:
 
     def test_failed_eigensolve_writes_nothing(self, data_dir, tmp_path, monkeypatch, capsys):
         # the report's eigensolve has succeeded by then: every artifact waits for the run
-        def failing(kernel):
+        def failing(*args):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(cli, "decompose", failing)
+        monkeypatch.setattr(cli, "_step_decomposition", failing)
         out = tmp_path / "out"
         assert main(["spectra", str(data_dir / "k22.edges"), "--out", str(out)]) == 3
         assert "numeric failure" in capsys.readouterr().err
@@ -279,6 +280,78 @@ class TestSpectraReadsOneGraph:
         np.testing.assert_array_equal(written, kernel.coeffs)
 
 
+class TestSpectraSolvesOnce:
+    # the report and the kernel share one dense adjacency and one eigensolve of it;
+    # --symmetrize builds the symmetric copy from the arrays
+    @pytest.mark.parametrize("name,flags", [("k22.edges", []),
+                                            ("directed3.mtx", ["--symmetrize"])])
+    def test_one_adjacency_and_one_eigensolve(self, data_dir, tmp_path, monkeypatch,
+                                              name, flags):
+        calls = []
+
+        def counted(label, original):
+            def wrapper(*args, **kwargs):
+                calls.append(label)
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(netio.NetworkDataset, "adjacency",
+                            counted("adjacency", netio.NetworkDataset.adjacency))
+        for solver in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, solver,
+                                counted("eigensolve", getattr(np.linalg, solver)))
+        assert main(["spectra", str(data_dir / name), "--out", str(tmp_path)] + flags) == 0
+        assert sorted(calls) == ["adjacency", "eigensolve"]
+
+
+class TestApproxKernelModes:
+    """approx_kernel.csv holds the rank-k truncation as its k modes: row l is l, λ_l
+    and the block values of the unit-L2 eigenfunction f_l."""
+
+    @staticmethod
+    def modes(out):
+        header, rows = read_csv(out / "approx_kernel.csv")
+        rows = rows.reshape(-1, len(header))
+        n = json.loads((out / "approx_kernel.json").read_text())["n"]
+        assert header == ["mode", "eigenvalue"] + [f"b{j}" for j in range(n)]
+        np.testing.assert_array_equal(rows[:, 0], np.arange(len(rows)))
+        return rows[:, 1], rows[:, 2:]
+
+    @pytest.mark.parametrize("name,flags", [("k22.edges", []), ("zero_diag8.edges", []),
+                                            ("directed3.mtx", ["--symmetrize"])])
+    def test_full_fraction_rebuilds_the_kernel(self, data_dir, tmp_path, name, flags):
+        assert main(["spectra", str(data_dir / name), "--top-fraction", "1.0",
+                     "--out", str(tmp_path)] + flags) == 0
+        lam, basis = self.modes(tmp_path)
+        _, kernel = read_csv(tmp_path / "original_kernel.csv")
+        rebuilt = (basis.T * lam) @ basis
+        assert np.abs(rebuilt - kernel).max() <= 1e-12 * np.abs(kernel).max()
+
+    def test_default_fraction_matches_the_oracle(self, tmp_path):
+        # G(200, 0.1): |λ_20| and |λ_21| differ by 2e-3 of the largest, no tie at the cut
+        assert main(["sample", "--kernel", "constant:0.1", "--num-nodes", "200",
+                     "--seed", "2", "--out", str(tmp_path / "g")]) == 0
+        network = tmp_path / "g" / "sample_n200_seed2.edges"
+        assert main(["spectra", str(network), "--out", str(tmp_path / "sp")]) == 0
+        i, j, w = np.loadtxt(network, comments="#", unpack=True)
+        adjacency = np.zeros((200, 200))
+        adjacency[i.astype(int) - 1, j.astype(int) - 1] = w
+        adjacency[j.astype(int) - 1, i.astype(int) - 1] = w
+        lam, basis = self.modes(tmp_path / "sp")
+        assert json.loads((tmp_path / "sp" / "approx_kernel.json").read_text()) == {
+            "n": 200, "family": "step", "normalization": "max-abs", "rank": 20}
+        expected = oracles.pixel_truncation(adjacency, 20)
+        assert np.abs((basis.T * lam) @ basis - expected).max() <= 1e-12 * np.abs(expected).max()
+        np.testing.assert_allclose(np.mean(basis ** 2, axis=1), 1.0, rtol=0.0, atol=1e-12)
+
+    def test_rank_zero_is_the_header(self, tmp_path):
+        network = tmp_path / "zero.edges"
+        network.write_text("0 1 0\n1 2 0\n")
+        assert main(["spectra", str(network), "--out", str(tmp_path / "sp")]) == 0
+        assert (tmp_path / "sp" / "approx_kernel.csv").read_text() == "mode,eigenvalue,b0,b1,b2\n"
+        assert json.loads((tmp_path / "sp" / "approx_kernel.json").read_text())["rank"] == 0
+
+
 class TestSpectra:
     def test_artifacts_and_values(self, data_dir, tmp_path):
         code = main(["spectra", str(data_dir / "k22.edges"),
@@ -296,7 +369,7 @@ class TestSpectra:
             (data_dir / "k22.edges").read_text()).adjacency()
         # %.17g round-trips doubles exactly, eigensolver dust included
         np.testing.assert_array_equal(rows[:, 1],
-                                      np.linalg.eigvalsh(adjacency)[::-1])
+                                      np.linalg.eigh(adjacency)[0][::-1])
 
         report = json.loads((tmp_path / "spectral_report.json").read_text())
         assert report["n"] == 4
@@ -312,7 +385,7 @@ class TestSpectra:
         # the larger-magnitude orientation of each pair, as the kernel keeps it
         symmetric = np.where(np.abs(adjacency) >= np.abs(adjacency.T), adjacency, adjacency.T)
         _, rows = read_csv(tmp_path / "eigenvalues.csv")
-        np.testing.assert_array_equal(rows[:, 1], np.linalg.eigvalsh(symmetric)[::-1])
+        np.testing.assert_array_equal(rows[:, 1], np.linalg.eigh(symmetric)[0][::-1])
         _, kernel = read_csv(tmp_path / "original_kernel.csv")
         np.testing.assert_array_equal(kernel, symmetric / 3.0)
 

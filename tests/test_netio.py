@@ -247,6 +247,18 @@ class TestNetworkDataset:
         # row-major upper triangle; 0 -> 1 ends at 5.0, and the 2.0 tie keeps 0 -> 2
         assert entries(sym) == [(0, 1, 5.0), (0, 2, 2.0)]
 
+    def test_symmetrized_matches_the_dense_rule(self, rng):
+        # repeated pairs in both orientations, self-loops and signed zeros, against the
+        # dense definition: the upper triangle of where(|A| >= |Aᵀ|, A, Aᵀ), row-major
+        n, m = 5, 60
+        ds = NetworkDataset(n, rng.integers(0, n, m), rng.integers(0, n, m),
+                            rng.choice([-0.0, 0.0, 0.5, -1.5, 2.0, -2.0], m), directed=True)
+        mat = looped_adjacency(ds)
+        mat = np.triu(np.where(np.abs(mat) >= np.abs(mat.T), mat, mat.T))
+        rows, cols = np.nonzero(mat)
+        assert entries(ds.symmetrized()) == list(zip(rows.tolist(), cols.tolist(),
+                                                     mat[rows, cols].tolist()))
+
     def test_degree_sorted_puts_hub_first(self):
         star = NetworkDataset(4, [0, 1, 2], [2, 2, 3], [1.0, 1.0, 1.0])
         relabeled = star.degree_sorted()
