@@ -187,10 +187,8 @@ def parse_kernel_spec(spec: str):
         parts = [finite_float(v) for v in spec.partition(":")[2].split(",")]
         return SinusoidalGraphon(parts[0], parts[1:])
     ds = load_dataset(spec)
-    if ds.directed:  # an undirected file is symmetric by construction
-        adjacency = ds.adjacency()
-        if not np.array_equal(adjacency, adjacency.T):  # sample has no --symmetrize to name
-            raise ValueError(f"kernel network {spec} is asymmetric; a kernel must be symmetric")
+    if not ds.is_symmetric():  # sample has no --symmetrize to name
+        raise ValueError(f"kernel network {spec} is asymmetric; a kernel must be symmetric")
     return netio.to_step_graphon(ds)
 
 
@@ -226,7 +224,9 @@ def cmd_spectra(args) -> dict:
 
 
 def cmd_approx(args) -> dict:
-    decomp = decompose(netio.to_step_graphon(_network(args), args.normalize))
+    # the truncation curve is the spectrum's tail; only the Fourier bounds read eigenfunctions
+    decomp = decompose(netio.to_step_graphon(_network(args), args.normalize),
+                       vectors=args.fourier_order is not None)
     ranks = range(decomp.rank + 1)
     if args.rank is not None:
         if not 0 <= args.rank <= decomp.rank:
@@ -241,14 +241,17 @@ def cmd_approx(args) -> dict:
     return artifacts
 
 
-def _system_from_args(args) -> GraphonSystem:
+def _system_from_args(args, vectors: bool = True) -> GraphonSystem:
+    """The system of the flags; with vectors=False its modes hold the spectrum alone."""
     poly = tuple(finite_float(v) for v in args.b_poly.split(",")) if args.b_poly else ()
     kernel = netio.to_step_graphon(_network(args), args.normalize)
-    return GraphonSystem(args.alpha0, args.beta0, kernel, poly, args.horizon)
+    return GraphonSystem(args.alpha0, args.beta0, kernel, poly, args.horizon,
+                         decompose(kernel, vectors))
 
 
 def cmd_gramian(args) -> dict:
-    sys_ = _system_from_args(args)
+    # the Gramian is a function of the spectrum; only --oracle's matrix reads eigenfunctions
+    sys_ = _system_from_args(args, vectors=args.oracle)
     w = gramian(sys_)
     verdict = exact_controllability_check(sys_)
     payload = {

@@ -40,10 +40,14 @@ class GraphonSystem:
     """State operator alpha0*I + A with input operator beta0*I + sum_k poly[k] A^k.
 
     `input_poly` holds the coefficients (beta_1, ..., beta_d) of the kernel
-    polynomial part of the input operator; beta0 sits on the identity.  The
-    spectral decomposition of the kernel and the input operator, `input_eta`
-    over the complemented spectrum (beta0 at 0), are computed once at
-    construction.
+    polynomial part of the input operator; beta0 sits on the identity.
+    `modes`, the spectral decomposition of the kernel, is `decompose(kernel)`
+    unless one is given; a given one must be of this very kernel, else
+    ValueError.  `gramian`, `exact_controllability_check` and `input_eta` read
+    only its spectrum, so a values-only `decompose(kernel, vectors=False)`
+    serves them; `simulate` and `min_energy_control` read its eigenfunctions.
+    The input operator, `input_eta` over the complemented spectrum (beta0 at
+    0), is computed once at construction.
     """
 
     alpha0: float
@@ -51,7 +55,7 @@ class GraphonSystem:
     kernel: Graphon
     input_poly: tuple = ()
     horizon: float = 1.0
-    modes: SpectralDecomposition = field(init=False, repr=False)
+    modes: SpectralDecomposition | None = field(default=None, repr=False)
     input_operator: SpectralMultiplier = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -59,7 +63,10 @@ class GraphonSystem:
             raise ValueError("horizon must be positive")
         object.__setattr__(self, "input_poly",
                            tuple(float(b) for b in self.input_poly))
-        object.__setattr__(self, "modes", decompose(self.kernel))
+        if self.modes is None:
+            object.__setattr__(self, "modes", decompose(self.kernel))
+        elif self.modes.source is not self.kernel:
+            raise ValueError("modes must be a decomposition of the system's own kernel")
         object.__setattr__(self, "input_operator", SpectralMultiplier(
             self.modes, self.input_eta(self.modes.spectrum)))
 

@@ -76,34 +76,70 @@ class NetworkDataset:
             mat[cols[latest], rows[latest]] = self.weights[latest]
         return mat
 
+    def _last_entries(self, low: np.ndarray, high: np.ndarray, back: np.ndarray) -> tuple:
+        """(order, pair, last) over the entries sorted by (low, high, back), file order
+        kept within each: the sorting index, the first entry of each pair {low, high}
+        and the last entry of each (low, high, back) triple, the one `adjacency` keeps."""
+        order = np.lexsort((back, high, low))  # stable: file order within an ordered pair
+        low, high, back = low[order], high[order], back[order]
+        pair = np.ones(low.size, dtype=bool)
+        pair[1:] = (low[1:] != low[:-1]) | (high[1:] != high[:-1])
+        last = np.ones(low.size, dtype=bool)
+        last[:-1] = pair[1:] | (back[1:] != back[:-1])
+        return order, pair, last
+
+    def _pair_weights(self) -> tuple:
+        """(low, high, forward, backward), one entry per node pair low <= high: the
+        weights that `adjacency` puts at (low, high) and at (high, low), 0 when no
+        entry sets them.  A self-loop counts as a backward entry."""
+        low, high = np.minimum(self.rows, self.cols), np.maximum(self.rows, self.cols)
+        back = self.rows >= self.cols
+        order, pair, last = self._last_entries(low, high, back)
+        back, weights = back[order], self.weights[order]
+        index = np.cumsum(pair) - 1
+        forward, backward = np.zeros((2, np.count_nonzero(pair)))
+        forward[index[last & ~back]] = weights[last & ~back]
+        backward[index[last & back]] = weights[last & back]
+        return low[order][pair], high[order][pair], forward, backward
+
+    def is_symmetric(self) -> bool:
+        """Whether `adjacency` equals its transpose, read from the arrays: undirected
+        data always does, directed data when each pair's two weights are equal."""
+        if not self.directed:
+            return True
+        low, high, forward, backward = self._pair_weights()
+        return bool(((forward == backward) | (low == high)).all())
+
     def symmetrized(self) -> "NetworkDataset":
         """Undirected copy keeping the larger-magnitude orientation of each node
         pair (the i -> j weight, i < j, on a tie); an undirected dataset is its own."""
         if not self.directed:
             return self
-        # the arrays, with no dense matrix; a self-loop counts as a backward entry, so
-        # it meets a forward |0| as the dense `where` over a matrix and its transpose would
-        low, high = np.minimum(self.rows, self.cols), np.maximum(self.rows, self.cols)
-        back = self.rows >= self.cols
-        order = np.lexsort((back, high, low))  # stable: file order within an ordered pair
-        low, high, back, weights = low[order], high[order], back[order], self.weights[order]
-        pair = np.ones(low.size, dtype=bool)  # the first entry of each node pair {low, high}
-        pair[1:] = (low[1:] != low[:-1]) | (high[1:] != high[:-1])
-        last = np.ones(low.size, dtype=bool)  # the last of each ordered pair wins, as in `adjacency`
-        last[:-1] = pair[1:] | (back[1:] != back[:-1])
-        index = np.cumsum(pair) - 1
-        forward, backward = np.zeros((2, np.count_nonzero(pair)))
-        forward[index[last & ~back]] = weights[last & ~back]
-        backward[index[last & back]] = weights[last & back]
+        # the arrays, with no dense matrix; a self-loop meets a forward |0| as the
+        # dense `where` over a matrix and its transpose would
+        low, high, forward, backward = self._pair_weights()
         kept = np.where(np.abs(forward) >= np.abs(backward), forward, backward)
         nonzero = kept != 0.0
-        return NetworkDataset(self.num_nodes, low[pair][nonzero], high[pair][nonzero],
+        return NetworkDataset(self.num_nodes, low[nonzero], high[nonzero],
                               kept[nonzero], self.name, self.source)
 
     def degree_sorted(self) -> "NetworkDataset":
-        """Relabel nodes by descending weighted degree (ties keep input order)."""
-        mat = np.abs(self.adjacency())
-        degrees = mat.sum(axis=0) + mat.sum(axis=1)
+        """Relabel nodes by descending weighted degree (ties keep input order).
+
+        The degree of a node is the sum of |weight| over its row and its column
+        of `adjacency`, summed from the arrays: each pair's last entry counts
+        once at each end, twice for an undirected edge, whose adjacency holds
+        it in both orientations."""
+        low, high = self.rows, self.cols
+        if not self.directed:
+            low, high = np.minimum(low, high), np.maximum(low, high)
+        order, _, last = self._last_entries(low, high, np.zeros(low.size, dtype=bool))
+        kept = order[last]
+        weights = np.abs(self.weights[kept])
+        if not self.directed:
+            weights = np.where(low[kept] == high[kept], weights, 2.0 * weights)
+        degrees = (np.bincount(low[kept], weights, self.num_nodes)
+                   + np.bincount(high[kept], weights, self.num_nodes))
         relabel = np.argsort(np.argsort(-degrees, kind="stable"))  # the order's inverse
         return NetworkDataset(self.num_nodes, relabel[self.rows], relabel[self.cols],
                               self.weights, self.name, self.source, self.directed)

@@ -2,15 +2,19 @@
 
 Decompositions are exact per family: a dense symmetric eigensolve for step
 kernels (graphon eigenvalues are the matrix eigenvalues over N) and closed
-forms for sinusoidal kernels.  Truncations, Fourier-projected truncations and
-all the error formulas here are evaluated analytically; a Fourier-truncated
-`FiniteRankKernel` is one coefficient matrix over the orthonormal Fourier
-functions, so its L2 norms and distances are matrix norms.
+forms for sinusoidal kernels.  `decompose(kernel, vectors=False)` solves a
+step kernel for its eigenvalues alone, one `eigvalsh`, for runs that read
+nothing but the spectrum (truncation-error curves, Gramian values); that
+decomposition has no basis, and whatever reads its eigenfunctions raises.
+Truncations, Fourier-projected truncations and all the error formulas here
+are evaluated analytically; a Fourier-truncated `FiniteRankKernel` is one
+coefficient matrix over the orthonormal Fourier functions, so its L2 norms
+and distances are matrix norms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,7 +57,7 @@ def _nonzero_ordered(values: np.ndarray) -> np.ndarray:
     return kept[_tie_ordered(values[kept])]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SpectralDecomposition:
     """Ordered nonzero eigenvalues and eigenfunctions of a graphon operator.
 
@@ -62,18 +66,30 @@ class SpectralDecomposition:
     eigenvalues are dropped; `rank` is the number kept.  Step sources store the
     (n, r) block values of unit-L2 eigenfunctions, sinusoidal sources with H
     harmonics the (2H+1, r) coordinates over the orthonormal functions
-    [1, sqrt(2)cos_1..H, sqrt(2)sin_1..H].
+    [1, sqrt(2)cos_1..H, sqrt(2)sin_1..H].  Built with basis None, it holds
+    the eigenvalues alone: `basis`, and every method that reads it, raises
+    IncompatibleOperandsError.
     """
 
     eigenvalues: np.ndarray
-    basis: np.ndarray
     source: Graphon
+    _basis: np.ndarray | None = field(repr=False)
 
-    def __post_init__(self):
-        for name in ("eigenvalues", "basis"):
-            array = np.array(getattr(self, name), dtype=float, order="C")
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+    def __init__(self, eigenvalues, basis, source: Graphon):
+        for name, value in (("eigenvalues", eigenvalues), ("_basis", basis)):
+            if value is not None:
+                value = np.array(value, dtype=float, order="C")
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "source", source)
+
+    @property
+    def basis(self) -> np.ndarray:
+        if self._basis is None:
+            raise IncompatibleOperandsError(
+                "a values-only decomposition has no eigenfunctions; "
+                "decompose with vectors=True")
+        return self._basis
 
     @property
     def rank(self) -> int:
@@ -194,32 +210,41 @@ class SpectralMultiplier:
 
 
 def _step_decomposition(graphon: StepGraphon, mu: np.ndarray,
-                        vecs: np.ndarray) -> SpectralDecomposition:
+                        vecs: np.ndarray | None = None) -> SpectralDecomposition:
     """The decomposition of a step kernel from an eigenpair (mu, vecs) of its block
     matrix: eigenvalues mu / N, zeros dropped, and each column v of `vecs` lifted to
-    the unit-L2 block values sqrt(N) * v, signed by `decompose`'s rule."""
+    the unit-L2 block values sqrt(N) * v, signed by `decompose`'s rule.  Without
+    `vecs` it holds the eigenvalues alone."""
     n = graphon.num_blocks
     lam = mu / n
     order = _nonzero_ordered(lam)
+    if vecs is None:
+        return SpectralDecomposition(lam[order], None, graphon)
     vecs = vecs[:, order]
     first = np.argmax(np.abs(vecs) > 1e-12 * np.abs(vecs).max(axis=0), axis=0)
     signs = np.sign(vecs[first, np.arange(vecs.shape[1])])
     return SpectralDecomposition(lam[order], vecs * signs * np.sqrt(n), graphon)
 
 
-def decompose(graphon: Graphon) -> SpectralDecomposition:
+def decompose(graphon: Graphon, vectors: bool = True) -> SpectralDecomposition:
     """Eigenvalues and orthonormal eigenfunctions of the integral operator.
 
     Step kernels: symmetric eigensolve of the block matrix; operator
     eigenvalues are matrix eigenvalues divided by the block count, and each
     eigenvector v lifts to the piecewise-constant function sqrt(N) * v (unit
     L2 norm), signed so that its first entry above 1e-12 of its largest is
-    positive.  Sinusoidal kernels decompose in closed form onto the constant
-    function and the sqrt(2) cos / sqrt(2) sin harmonics.
+    positive.  With vectors=False a step kernel takes `eigvalsh` instead of
+    `eigh`, and the result holds its eigenvalues alone, with no basis; they
+    agree with the eigenpair route's to rounding.  Sinusoidal kernels
+    decompose in closed form onto the constant function and the
+    sqrt(2) cos / sqrt(2) sin harmonics, whatever `vectors` says.
     """
     if isinstance(graphon, StepGraphon):
         coeffs = graphon._symmetric_coeffs("decompose")
-        return _step_decomposition(graphon, *np.linalg.eigh(0.5 * (coeffs + coeffs.T)))
+        symmetric = 0.5 * (coeffs + coeffs.T)
+        if not vectors:
+            return _step_decomposition(graphon, np.linalg.eigvalsh(symmetric))
+        return _step_decomposition(graphon, *np.linalg.eigh(symmetric))
     if isinstance(graphon, SinusoidalGraphon):
         k = np.arange(1, graphon.harmonics + 1)
         # Fourier-layout rows in the order constant, cos_1, sin_1, cos_2, sin_2, ...
@@ -465,7 +490,7 @@ def eigenvalue_convergence_experiment(sampler, sizes, limit: Graphon,
     the top_k eigenvalues by magnitude of adjacency/size are compared with the
     limit graphon's leading eigenvalues (padded with zeros past its rank).
     """
-    limit_vals = decompose(limit).eigenvalues
+    limit_vals = decompose(limit, vectors=False).eigenvalues
     target = np.zeros(top_k)
     count = min(top_k, limit_vals.size)
     target[:count] = limit_vals[:count]

@@ -284,7 +284,9 @@ class TestSpectraSolvesOnce:
     # the report and the kernel share one dense adjacency and one eigensolve of it;
     # --symmetrize builds the symmetric copy from the arrays
     @pytest.mark.parametrize("name,flags", [("k22.edges", []),
-                                            ("directed3.mtx", ["--symmetrize"])])
+                                            ("directed3.mtx", ["--symmetrize"]),
+                                            ("zero_diag8.edges", ["--degree-sort"]),
+                                            ("directed3.mtx", ["--symmetrize", "--degree-sort"])])
     def test_one_adjacency_and_one_eigensolve(self, data_dir, tmp_path, monkeypatch,
                                               name, flags):
         calls = []
@@ -302,6 +304,48 @@ class TestSpectraSolvesOnce:
                                 counted("eigensolve", getattr(np.linalg, solver)))
         assert main(["spectra", str(data_dir / name), "--out", str(tmp_path)] + flags) == 0
         assert sorted(calls) == ["adjacency", "eigensolve"]
+
+
+class TestEigensolveCounts:
+    """A run solves for eigenvectors only when it reads them: the default `approx`
+    and `gramian` read the spectrum alone and take one eigvalsh."""
+
+    @pytest.mark.parametrize("command,flags,counts", [
+        ("approx", [], {"eigvalsh": 1}),
+        ("gramian", [], {"eigvalsh": 1}),
+        ("gramian", ["--b-poly", "0.5,-0.2", "--alpha0", "-0.3"], {"eigvalsh": 1}),
+        ("approx", ["--fourier-order", "2"], {"eigh": 1}),
+        ("gramian", ["--oracle"], {"eigh": 2}),  # the modes, then the quadrature's own
+        ("minenergy", [], {"eigh": 1}),
+        ("epidemic", [], {"eigh": 1}),
+        ("epidemic", ["--nonlinear"], {"eigh": 1}),
+    ])
+    def test_solver_calls(self, data_dir, tmp_path, monkeypatch, command, flags, counts):
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for solver in calls:
+            original = getattr(np.linalg, solver)
+
+            def counted(*args, _solver=solver, _original=original, **kwargs):
+                calls[_solver] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, solver, counted)
+        assert main([command, str(data_dir / "zero_diag8.edges"), "--out", str(tmp_path)]
+                    + flags) == 0
+        assert calls == {"eigh": 0, "eigvalsh": 0, **counts}
+
+    def test_values_only_gramian_matches_the_eigenpair_route(self, data_dir, tmp_path):
+        args = ["gramian", str(data_dir / "zero_diag8.edges"), "--b-poly", "0.5",
+                "--alpha0", "-0.3"]
+        assert main(args + ["--out", str(tmp_path / "values")]) == 0
+        assert main(args + ["--oracle", "--out", str(tmp_path / "pairs")]) == 0
+        values, pairs = (json.loads((tmp_path / d / "gramian.json").read_text())
+                         for d in ("values", "pairs"))
+        for key in ("eigenvalue", "eta", "coefficient"):
+            got = np.array([d[key] for d in values["directions"]])
+            want = np.array([d[key] for d in pairs["directions"]])
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
+        assert values["controllable"] == pairs["controllable"]
 
 
 class TestApproxKernelModes:
@@ -743,6 +787,29 @@ class TestSample:
         monkeypatch.setattr(netio.NetworkDataset, "adjacency", counting)
         assert main(["sample", "--kernel", str(data_dir / "k22.edges"), "--num-nodes", "12",
                      "--out", str(tmp_path)]) == 0
+        assert len(built) == 1
+
+    @pytest.mark.filterwarnings("ignore:self-loops present")
+    def test_general_kernel_file_builds_one_adjacency(self, tmp_path, monkeypatch):
+        # a general file's symmetry is read from its arrays; the kernel is the one matrix
+        built = []
+        adjacency = netio.NetworkDataset.adjacency
+
+        def counting(ds):
+            built.append(ds)
+            return adjacency(ds)
+
+        monkeypatch.setattr(netio.NetworkDataset, "adjacency", counting)
+        general = tmp_path / "general.mtx"
+        general.write_text("%%MatrixMarket matrix coordinate real general\n"
+                           "3 3 5\n1 2 1\n2 1 1\n2 3 0.5\n3 2 0.5\n3 3 0.25\n")
+        assert main(["sample", "--kernel", str(general), "--num-nodes", "12",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert len(built) == 1
+        general.write_text("%%MatrixMarket matrix coordinate real general\n"
+                           "3 3 4\n1 2 1\n2 1 1\n2 3 0.5\n3 2 0.25\n")
+        assert main(["sample", "--kernel", str(general), "--num-nodes", "12",
+                     "--out", str(tmp_path / "refused")]) == 2
         assert len(built) == 1
 
     @pytest.mark.parametrize("command", ["spectra", "approx", "gramian", "minenergy", "epidemic"])

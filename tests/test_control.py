@@ -25,6 +25,7 @@ from graphonctl.errors import (
 )
 from graphonctl.functions import PiecewiseConstantFunction, TrigPolynomial, inner_product
 from graphonctl.graphons import SinusoidalGraphon, StepGraphon
+from graphonctl.spectral import decompose
 
 import oracles
 from conftest import random_symmetric_graphon
@@ -132,6 +133,32 @@ class TestGraphonSystem:
     def test_modes_are_precomputed(self):
         sys = GraphonSystem(0.0, 1.0, StepGraphon([[0.0, 0.5], [0.5, 0.0]]), (), 1.0)
         np.testing.assert_allclose(sys.modes.eigenvalues, [0.25, -0.25])
+
+    def test_values_only_modes_serve_the_gramian(self, rng):
+        kernel = random_symmetric_graphon(rng)
+        modes = decompose(kernel, vectors=False)
+        sys = GraphonSystem(-0.2, 0.8, kernel, (0.4, -0.1), 1.3, modes)
+        assert sys.modes is modes
+        full = GraphonSystem(-0.2, 0.8, kernel, (0.4, -0.1), 1.3)
+        np.testing.assert_allclose(gramian(sys).values, gramian(full).values, rtol=1e-13)
+        np.testing.assert_allclose(sys.mode_etas, full.mode_etas, rtol=1e-13)
+        verdict, reference = exact_controllability_check(sys), exact_controllability_check(full)
+        assert verdict.controllable == reference.controllable
+        assert verdict.spectral_lower_bound == pytest.approx(reference.spectral_lower_bound,
+                                                             rel=1e-13)
+        # steering reads the eigenfunctions, which a values-only decomposition lacks
+        x0 = PiecewiseConstantFunction(np.ones(kernel.num_blocks))
+        with pytest.raises(IncompatibleOperandsError, match="values-only"):
+            min_energy_control(sys, x0)
+        with pytest.raises(IncompatibleOperandsError, match="values-only"):
+            simulate(sys, x0)
+
+    def test_modes_of_another_kernel_are_refused(self):
+        kernel = StepGraphon([[0.5]])
+        for other in (StepGraphon([[0.5]]), StepGraphon([[0.3]])):
+            with pytest.raises(ValueError, match="own kernel"):
+                GraphonSystem(0.0, 1.0, kernel, (), 1.0, decompose(other))
+        assert GraphonSystem(0.0, 1.0, kernel, (), 1.0, decompose(kernel)).modes.rank == 1
 
 
 class TestGramianOperator:

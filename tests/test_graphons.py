@@ -6,6 +6,7 @@ import pytest
 from graphonctl.errors import IncompatibleOperandsError
 from graphonctl.functions import PiecewiseConstantFunction, TrigPolynomial
 from graphonctl.graphons import (
+    RANGE_TOL,
     SinusoidalGraphon,
     StepGraphon,
     apply,
@@ -27,6 +28,20 @@ class TestStepGraphon:
             StepGraphon([[1.5]])
         # unvalidated construction allows both
         assert StepGraphon([[1.5]], validate=False).coeffs[0, 0] == 1.5
+
+    @pytest.mark.parametrize("upper,lower", [
+        (0.5, 0.5), (0.5, 0.5 + 1e-13), (0.5, 0.5 + 1e-11), (-0.0, 0.0), (np.nan, np.nan),
+        (np.nan, 0.5), (np.inf, np.inf), (np.inf, -np.inf), (np.inf, 0.5)])
+    def test_symmetry_verdict_is_allclose_s(self, upper, lower):
+        # the exact compare only settles early what allclose at RANGE_TOL would settle
+        coeffs = np.array([[0.1, upper], [lower, 0.2]])
+        expected = np.allclose(coeffs, coeffs.T, rtol=0.0, atol=RANGE_TOL)
+        try:
+            StepGraphon(coeffs)
+            refused = False
+        except ValueError as exc:
+            refused = "symmetric" in str(exc)
+        assert refused == (not expected)
 
     def test_coeffs_are_immutable(self):
         g = StepGraphon([[0.5]])

@@ -259,6 +259,41 @@ class TestNetworkDataset:
         assert entries(ds.symmetrized()) == list(zip(rows.tolist(), cols.tolist(),
                                                      mat[rows, cols].tolist()))
 
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_degree_sorted_matches_the_dense_rule(self, rng, directed):
+        # repeated pairs (the last entry wins), self-loops and signed weights; integer
+        # weights keep every degree exact, so ties are ties in both routes
+        n, m = 7, 50
+        ds = NetworkDataset(n, rng.integers(0, n, m), rng.integers(0, n, m),
+                            rng.choice([-0.0, 0.0, 1.0, -2.0, 3.0], m), directed=directed)
+        mat = np.abs(looped_adjacency(ds))
+        order = np.argsort(-(mat.sum(axis=0) + mat.sum(axis=1)), kind="stable")
+        relabel = np.argsort(order)
+        sorted_ds = ds.degree_sorted()
+        np.testing.assert_array_equal(sorted_ds.rows, relabel[ds.rows])
+        np.testing.assert_array_equal(sorted_ds.cols, relabel[ds.cols])
+        assert sorted_ds.directed == directed
+
+    def test_degree_sorted_builds_no_adjacency(self, monkeypatch):
+        ds = NetworkDataset(4, [0, 1, 2], [2, 2, 3], [1.0, 1.0, 1.0])
+        monkeypatch.setattr(NetworkDataset, "adjacency", None)
+        assert entries(ds.degree_sorted()) == [(1, 0, 1.0), (2, 0, 1.0), (0, 3, 1.0)]
+
+    def test_is_symmetric_matches_the_dense_rule(self, rng):
+        # few values and many repeats: about half the draws are symmetric
+        n, m = 4, 12
+        seen = set()
+        for _ in range(200):
+            rows, cols = rng.integers(0, n, m), rng.integers(0, n, m)
+            weights = rng.choice([-0.0, 0.0, 1.0, 2.0], m)
+            ds = NetworkDataset(n, np.r_[rows, cols], np.r_[cols, rows],
+                                np.r_[weights, rng.permutation(weights)], directed=True)
+            mat = looped_adjacency(ds)
+            assert ds.is_symmetric() == np.array_equal(mat, mat.T)
+            seen.add(ds.is_symmetric())
+        assert seen == {False, True}
+        assert NetworkDataset(2, [0], [1], [1.0]).is_symmetric()  # undirected data always is
+
     def test_degree_sorted_puts_hub_first(self):
         star = NetworkDataset(4, [0, 1, 2], [2, 2, 3], [1.0, 1.0, 1.0])
         relabeled = star.degree_sorted()

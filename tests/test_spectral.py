@@ -35,7 +35,7 @@ from graphonctl.spectral import (
 )
 
 import oracles
-from conftest import random_symmetric_graphon
+from conftest import DATA, random_symmetric_graphon
 
 
 def eigenpairs(decomp):
@@ -152,6 +152,80 @@ class TestDecomposeSinusoidal:
         # the k=1 couple carries weight zero and disappears
         np.testing.assert_allclose(decomp.eigenvalues, [0.5, 0.15, 0.15])
         assert eigenpairs(decomp)[1][1].order == 2
+
+
+def _values_only_kernels():
+    """(label, kernel): every tests/data network, a rank-deficient complete
+    multipartite graph and seeded G(n, p) graphs, as pixel step kernels."""
+    from graphonctl.cli import load_dataset
+    from graphonctl.netio import to_step_graphon
+
+    kernels = []
+    for path in sorted(DATA.iterdir()):
+        dataset = load_dataset(str(path))
+        kernels.append((path.name, to_step_graphon(dataset.symmetrized())))
+    part = np.repeat(np.arange(4), [2, 4, 6, 8])
+    kernels.append(("multipartite", StepGraphon((part[:, None] != part).astype(float))))
+    rng = np.random.default_rng(26)
+    for n, p in ((30, 0.3), (80, 0.1), (120, 0.05)):
+        upper = np.triu(rng.random((n, n)) < p, k=1)
+        kernels.append((f"gnp{n}", StepGraphon((upper | upper.T).astype(float))))
+    return kernels
+
+
+class TestValuesOnlyDecomposition:
+    """decompose(kernel, vectors=False): one eigvalsh, the eigenvalues without a basis."""
+
+    @pytest.mark.filterwarnings("ignore:negative edge weights")
+    @pytest.mark.parametrize("label,kernel", _values_only_kernels(),
+                             ids=[label for label, _ in _values_only_kernels()])
+    def test_same_rank_and_eigenvalues_as_the_eigenpairs(self, label, kernel):
+        full, values = decompose(kernel), decompose(kernel, vectors=False)
+        assert values.rank == full.rank
+        scale = np.abs(full.eigenvalues).max(initial=1.0)
+        # the order is |λ| descending, positive first on ties; a bipartite graph's pair ±λ
+        # ties exactly, and the two solvers' rounding may put either one first
+        np.testing.assert_allclose(np.abs(values.eigenvalues), np.abs(full.eigenvalues),
+                                   rtol=0.0, atol=1e-13 * scale)
+        np.testing.assert_allclose(np.sort(values.eigenvalues), np.sort(full.eigenvalues),
+                                   rtol=0.0, atol=1e-13 * scale)
+        np.testing.assert_array_equal(values.spectrum[1:], values.eigenvalues)
+
+    def test_one_eigvalsh_and_no_eigh(self, rng, monkeypatch):
+        kernel = random_symmetric_graphon(rng)
+        calls = []
+        for solver in ("eigh", "eigvalsh"):
+            def counted(*args, _solver=solver, _original=getattr(np.linalg, solver)):
+                calls.append(_solver)
+                return _original(*args)
+
+            monkeypatch.setattr(np.linalg, solver, counted)
+        decompose(kernel, vectors=False)
+        assert calls == ["eigvalsh"]
+
+    def test_eigenfunctions_are_refused(self, rng):
+        kernel = random_symmetric_graphon(rng)
+        modes = decompose(kernel, vectors=False)
+        func = PiecewiseConstantFunction(rng.normal(size=kernel.num_blocks))
+        multiplier = SpectralMultiplier(modes, np.ones(modes.rank + 1))
+        attempts = [lambda: modes.basis, lambda: modes.coordinates(func),
+                    lambda: modes.combine(np.ones(modes.rank)), lambda: modes.split(func),
+                    lambda: multiplier.apply(func), lambda: multiplier.apply(func.values),
+                    lambda: multiplier.apply_split(np.ones(modes.rank), func.values),
+                    multiplier.as_matrix, lambda: truncate(modes, 1),
+                    lambda: fourier_bounds(modes, 2)]
+        for attempt in attempts:
+            with pytest.raises(IncompatibleOperandsError, match="values-only"):
+                attempt()
+        # what reads the spectrum alone still works
+        assert truncation_error(modes, 1) == pytest.approx(truncation_error(decompose(kernel), 1),
+                                                           rel=1e-13)
+
+    def test_sinusoidal_kernels_keep_their_closed_form(self):
+        kernel = SinusoidalGraphon(0.4, [0.2, -0.3])
+        full, values = decompose(kernel), decompose(kernel, vectors=False)
+        np.testing.assert_array_equal(values.eigenvalues, full.eigenvalues)
+        np.testing.assert_array_equal(values.basis, full.basis)
 
 
 class TestBasis:
