@@ -35,7 +35,6 @@ from .errors import (  # noqa: E402
 from .functions import (  # noqa: E402
     PiecewiseConstantFunction,
     TrigPolynomial,
-    inner_product,
 )
 from .graphons import (  # noqa: E402
     SinusoidalGraphon,
@@ -54,7 +53,6 @@ from .spectral import (  # noqa: E402
     bound_for_power,
     decompose,
     eigenvalue_convergence_experiment,
-    fourier_project,
     fourier_truncate,
     l2_distance,
     measured_function_discrepancy,
@@ -79,7 +77,6 @@ from .epidemic import (  # noqa: E402
     linear_costs,
     linear_feedback,
     optimal_control_finite,
-    optimal_control_graphon,
     simulate_linearized,
     simulate_nonlinear,
     solve_riccati_finite,
@@ -107,7 +104,6 @@ __all__ = [
     "ParseError",
     "PiecewiseConstantFunction",
     "TrigPolynomial",
-    "inner_product",
     "StepGraphon",
     "SinusoidalGraphon",
     "apply",
@@ -122,7 +118,6 @@ __all__ = [
     "truncate",
     "truncation_error",
     "l2_distance",
-    "fourier_project",
     "fourier_truncate",
     "bound_for_power",
     "bound_for_exponential",
@@ -143,7 +138,6 @@ __all__ = [
     "solve_riccati_finite",
     "solve_riccati_graphon",
     "optimal_control_finite",
-    "optimal_control_graphon",
     "linear_feedback",
     "simulate_linearized",
     "simulate_nonlinear",

@@ -107,13 +107,6 @@ class Trajectory:
     def num_blocks(self) -> int:
         return self.states.shape[1]
 
-    def state_function(self, index: int) -> PiecewiseConstantFunction:
-        return PiecewiseConstantFunction(self.states[index])
-
-    @property
-    def final_state(self) -> PiecewiseConstantFunction:
-        return self.state_function(-1)
-
     def state_norms(self) -> np.ndarray:
         """L2 norm of the state at each grid time."""
         return np.linalg.norm(self.states, axis=1) / np.sqrt(self.num_blocks)

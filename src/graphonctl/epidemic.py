@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NumericsError
-from .functions import Function, PiecewiseConstantFunction
+from .functions import PiecewiseConstantFunction
 from .graphons import Graphon, StepGraphon
 from .integrate import lawson_rk4
 from .spectral import SpectralDecomposition, SpectralMultiplier, decompose
@@ -291,18 +291,6 @@ def optimal_control_finite(model: EpidemicModel, sol: RiccatiSolution,
     """
     _require_own_solution(model, sol)
     return _feedback(model.modes, sol, t).apply(np.asarray(state, dtype=float))
-
-
-def optimal_control_graphon(kernel: Graphon, sol: RiccatiSolution,
-                            state: Function, t: float) -> Function:
-    """Graphon-limit version of the feedback, acting on L2 functions.
-
-    A `sol` solved for another spectrum than the kernel's raises ValueError.
-    """
-    modes = decompose(kernel)
-    if not np.array_equal(sol.eigenvalues, modes.eigenvalues):
-        raise ValueError("the Riccati solution belongs to another kernel")
-    return _feedback(modes, sol, t).apply(state)
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompatibleOperandsError, PartitionMismatchError
+from .errors import PartitionMismatchError
 
 TWO_PI = 2.0 * math.pi
 
@@ -211,24 +211,3 @@ def _phi_coordinates(func: Function, order: int) -> np.ndarray:
         return _fourier_layout(func.coeffs, order)
     return fourier_block_integrals(func.num_blocks, order) @ func.values
 
-
-def inner_product(f: Function, g: Function) -> float:
-    """Exact L2 inner product on [0,1] for any pairing of the two families.
-
-    Step pairs average their product on the common refinement of both
-    partitions, a mixed pair sums the step values against the polynomial's
-    exact block integrals, and polynomial pairs dot their coordinates over φ.
-    """
-    if isinstance(f, TrigPolynomial) and isinstance(g, PiecewiseConstantFunction):
-        f, g = g, f
-    if isinstance(f, PiecewiseConstantFunction) and isinstance(g, PiecewiseConstantFunction):
-        merged = common_block_count(f.num_blocks, g.num_blocks)
-        return float(np.mean(np.repeat(f.values, merged // f.num_blocks)
-                             * np.repeat(g.values, merged // g.num_blocks)))
-    if isinstance(f, PiecewiseConstantFunction) and isinstance(g, TrigPolynomial):
-        return float(f.values @ g.block_integrals(f.num_blocks))
-    if isinstance(f, TrigPolynomial) and isinstance(g, TrigPolynomial):
-        order = max(f.order, g.order)
-        return float(_fourier_layout(f.coeffs, order) @ _fourier_layout(g.coeffs, order))
-    raise IncompatibleOperandsError(
-        f"no inner product between {type(f).__name__} and {type(g).__name__}")

@@ -56,10 +56,6 @@ class NetworkDataset:
     def num_edges(self) -> int:
         return self.weights.size
 
-    @property
-    def has_self_loops(self) -> bool:
-        return bool(np.any(self.rows == self.cols))
-
     def adjacency(self) -> np.ndarray:
         """Dense weight matrix; undirected edges fill both orientations."""
         mat = np.zeros((self.num_nodes, self.num_nodes))
@@ -126,10 +122,10 @@ class NetworkDataset:
     def degree_sorted(self) -> "NetworkDataset":
         """Relabel nodes by descending weighted degree (ties keep input order).
 
-        The degree of a node is the sum of |weight| over its row and its column
-        of `adjacency`, summed from the arrays: each pair's last entry counts
-        once at each end, twice for an undirected edge, whose adjacency holds
-        it in both orientations."""
+        The degree of a node is the exactly rounded sum (`math.fsum`), from the
+        arrays, of |weight| over its row and column of `adjacency`: each pair's
+        last entry once at each end, twice for an undirected edge (both
+        orientations).  Equal multisets of terms tie, whatever their file order."""
         low, high = self.rows, self.cols
         if not self.directed:
             low, high = np.minimum(low, high), np.maximum(low, high)
@@ -138,11 +134,21 @@ class NetworkDataset:
         weights = np.abs(self.weights[kept])
         if not self.directed:
             weights = np.where(low[kept] == high[kept], weights, 2.0 * weights)
-        degrees = (np.bincount(low[kept], weights, self.num_nodes)
-                   + np.bincount(high[kept], weights, self.num_nodes))
+        ends = np.r_[low[kept], high[kept]]
+        terms = np.split(np.r_[weights, weights][np.argsort(ends)],
+                         np.cumsum(np.bincount(ends, minlength=self.num_nodes))[:-1])
+        degrees = np.array([_exact_sum(t) for t in terms])
         relabel = np.argsort(np.argsort(-degrees, kind="stable"))  # the order's inverse
         return NetworkDataset(self.num_nodes, relabel[self.rows], relabel[self.cols],
                               self.weights, self.name, self.source, self.directed)
+
+
+def _exact_sum(terms: np.ndarray) -> float:
+    """The exactly rounded sum of nonnegative terms, inf beyond the float range."""
+    try:
+        return math.fsum(terms.tolist())
+    except OverflowError:  # fsum raises where the rounded sum is inf
+        return math.inf
 
 
 def _lines(data, comments: str) -> tuple:
@@ -268,11 +274,10 @@ def parse_matrix_market(data, name: str = "") -> NetworkDataset:
 
 
 def _symmetric_adjacency(dataset: NetworkDataset) -> np.ndarray:
-    """The dense adjacency, refused when asymmetric (undirected data never is)."""
-    mat = dataset.adjacency()
-    if dataset.directed and not np.array_equal(mat, mat.T):
+    """The dense adjacency, refused from the arrays when asymmetric (undirected never is)."""
+    if dataset.directed and not dataset.is_symmetric():
         raise ValueError("dataset is asymmetric; symmetrize it (--symmetrize)")
-    return mat
+    return dataset.adjacency()
 
 
 def to_step_graphon(dataset: NetworkDataset, normalize: str = "max-abs") -> StepGraphon:

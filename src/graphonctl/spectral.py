@@ -25,7 +25,6 @@ from .functions import (
     TrigPolynomial,
     _fourier_layout,
     _fourier_values,
-    _phi_coordinates,
     common_block_count,
     fourier_block_integrals,
 )
@@ -100,12 +99,6 @@ class SpectralDecomposition:
         """Positive eigenvalues, largest first."""
         pos = self.eigenvalues[self.eigenvalues > 0.0]
         return np.sort(pos)[::-1]
-
-    @property
-    def negative_eigenvalues(self) -> np.ndarray:
-        """Negative eigenvalues, most negative first."""
-        neg = self.eigenvalues[self.eigenvalues < 0.0]
-        return np.sort(neg)
 
     def coordinates(self, func: Function) -> np.ndarray:
         """Exact inner products <func, f_l> with a function of the source's family."""
@@ -371,18 +364,6 @@ def truncation_error(decomp: SpectralDecomposition, rank: int) -> float:
 
 
 # -- Fourier approximation of eigenfunctions ----------------------------------
-
-def fourier_project(func: Function, order: int) -> TrigPolynomial:
-    """Project onto the Fourier subspace spanned by harmonics 0..order.
-
-    Coefficients are exact inner products (analytic block integrals for
-    piecewise-constant input), so trigonometric inputs of order <= `order`
-    project to themselves.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    return TrigPolynomial(_phi_coordinates(func, order))
-
 
 def _fourier_coordinates(decomp: SpectralDecomposition, rank: int, order: int) -> np.ndarray:
     """(2*order+1, rank) Fourier coordinates of the projections of f_0..f_{rank-1}."""

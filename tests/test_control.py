@@ -23,7 +23,7 @@ from graphonctl.errors import (
     IncompatibleOperandsError,
     NumericsError,
 )
-from graphonctl.functions import PiecewiseConstantFunction, TrigPolynomial, inner_product
+from graphonctl.functions import PiecewiseConstantFunction, TrigPolynomial
 from graphonctl.graphons import SinusoidalGraphon, StepGraphon
 from graphonctl.spectral import decompose
 
@@ -333,11 +333,11 @@ class TestMinEnergyControl:
         def final_coefficient(lam, func):
             rate = sys.alpha0 + lam
             eta = sys.input_eta(lam)
-            free = math.exp(rate * t_final) * inner_product(x0, func)
+            free = math.exp(rate * t_final) * oracles.exact_inner_product(x0, func)
 
             def integrand(s):
                 return (math.exp(rate * (t_final - s))
-                        * inner_product(u(s), func))
+                        * oracles.exact_inner_product(u(s), func))
 
             forced, _ = scipy.integrate.quad(integrand, 0.0, t_final, limit=200)
             return free + eta * forced
@@ -434,13 +434,6 @@ class TestSimulate:
         sys = GraphonSystem(0.0, 1.0, SinusoidalGraphon(0.5, []), (), 1.0)
         with pytest.raises(IncompatibleOperandsError, match="step kernel"):
             simulate(sys, TrigPolynomial([1.0]))
-
-    def test_final_state_accessor(self, rng):
-        sys = random_system(rng)
-        x0 = PiecewiseConstantFunction(rng.normal(size=sys.kernel.num_blocks))
-        trajectory = simulate(sys, x0, None, step=sys.horizon / 100)
-        np.testing.assert_array_equal(trajectory.final_state.values,
-                                      trajectory.states[-1])
 
 
 class TestClosedFormTrajectory:

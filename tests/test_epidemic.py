@@ -15,7 +15,6 @@ from graphonctl.epidemic import (
     linear_costs,
     linear_feedback,
     optimal_control_finite,
-    optimal_control_graphon,
     simulate_linearized,
     simulate_nonlinear,
     solve_riccati_finite,
@@ -24,7 +23,6 @@ from graphonctl.epidemic import (
 )
 import graphonctl.epidemic as epidemic
 from graphonctl.errors import NumericsError
-from graphonctl.functions import PiecewiseConstantFunction
 from graphonctl.graphons import SinusoidalGraphon, StepGraphon
 from graphonctl.netio import sample_graph
 
@@ -246,16 +244,6 @@ class TestFeedbackAgainstMatrixOracle:
                 ref = oracle_feedback(t, state)
                 np.testing.assert_allclose(mine, ref, atol=2e-6)
 
-    @pytest.mark.parametrize("beta0", [1.0, 0.4])
-    def test_graphon_feedback_reproduces_finite(self, rng, beta0):
-        model = random_model(rng, beta0=beta0)
-        sol = solve_riccati_finite(model, num_steps=1000)
-        state = rng.normal(size=model.num_nodes)
-        finite = optimal_control_finite(model, sol, state, 0.3)
-        graphon_u = optimal_control_graphon(
-            model.contact, sol, PiecewiseConstantFunction(state), 0.3)
-        np.testing.assert_allclose(graphon_u.values, finite, atol=1e-12)
-
 
 class TestFeedbackTable:
     def test_law_is_optimal_control_finite_at_any_time(self, rng, monkeypatch):
@@ -334,15 +322,6 @@ class TestFeedbackTable:
         optimal_control_finite(model, solve_riccati_finite(model, 100), state, 0.0)
         with pytest.raises(ValueError, match="another model"):
             optimal_control_finite(model, solve_riccati_finite(other, 100), state, 0.0)
-
-    def test_foreign_solution_refused_by_the_graphon_control(self):
-        kernel = StepGraphon([[0.2, 0.8], [0.8, 0.2]])
-        params = RegulatorParams(0.5, 1.0, 1.0)
-        state = PiecewiseConstantFunction([0.3, 0.1])
-        optimal_control_graphon(kernel, solve_riccati_graphon(kernel, params, 100), state, 0.0)
-        foreign = solve_riccati_graphon(StepGraphon([[0.5, 0.1], [0.1, 0.5]]), params, 100)
-        with pytest.raises(ValueError, match="another kernel"):
-            optimal_control_graphon(kernel, foreign, state, 0.0)
 
 
 class TestSimulation:

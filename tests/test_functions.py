@@ -1,17 +1,15 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from graphonctl.errors import IncompatibleOperandsError, PartitionMismatchError
+from graphonctl.errors import PartitionMismatchError
 from graphonctl.functions import (
     PiecewiseConstantFunction,
     TrigPolynomial,
     block_index,
     common_block_count,
     fourier_block_integrals,
-    inner_product,
 )
 
 import oracles
@@ -102,7 +100,8 @@ class TestTrigPolynomial:
         for i, f in enumerate(basis):
             for j, g in enumerate(basis):
                 expected = 1.0 if i == j else 0.0
-                assert inner_product(f, g) == pytest.approx(expected, abs=1e-15)
+                assert oracles.exact_inner_product(f, g) == pytest.approx(
+                    expected, abs=1e-15)
                 assert oracles.quad_inner_product(f, g, m=4096) == pytest.approx(
                     expected, abs=1e-9)
 
@@ -147,83 +146,3 @@ class TestTrigPolynomial:
         np.testing.assert_allclose(total(xs), p(xs) + q(xs), atol=1e-14)
         np.testing.assert_allclose((p - q)(xs), p(xs) - q(xs), atol=1e-14)
         np.testing.assert_allclose((3.0 * p)(xs), 3.0 * p(xs), atol=1e-14)
-
-
-class TestInnerProduct:
-    def test_step_pairs_use_common_refinement(self):
-        f = PiecewiseConstantFunction([1.0, -1.0])
-        g = PiecewiseConstantFunction([1.0, 2.0, 3.0])
-        # refine both to 6 blocks: mean of [1,1,1,-1,-1,-1]*[1,1,2,2,3,3]
-        assert inner_product(f, g) == pytest.approx((1 + 1 + 2 - 2 - 3 - 3) / 6)
-
-    def test_step_trig_pair_is_exact(self, rng):
-        f = PiecewiseConstantFunction(rng.normal(size=5))
-        g = TrigPolynomial([0.2, 0.4, -0.3, 0.0, 0.1, 0.0, 0.6])
-        exact = inner_product(f, g)
-        assert inner_product(g, f) == pytest.approx(exact, rel=1e-15)
-        assert exact == pytest.approx(
-            oracles.quad_inner_product(f, g, m=20 * 1024), rel=1e-6)
-
-    def test_square_wave_sine_coefficient(self):
-        # odd square wave on [0,1]: <f, sqrt(2) sin(2 pi x)> = 2*sqrt(2)/pi
-        f = PiecewiseConstantFunction([1.0, -1.0])
-        frozen = 2.0 * math.sqrt(2.0) / math.pi
-        assert inner_product(f, TrigPolynomial.sine_mode(1)) == pytest.approx(
-            frozen, rel=1e-14)
-        assert oracles.fourier_coefficient(f, 1, "sin") == pytest.approx(
-            frozen, rel=1e-10)
-        # even harmonics and cosines vanish by symmetry
-        assert inner_product(f, TrigPolynomial.sine_mode(2)) == pytest.approx(
-            0.0, abs=1e-15)
-        assert inner_product(f, TrigPolynomial.cosine_mode(1)) == pytest.approx(
-            0.0, abs=1e-15)
-
-    def test_incompatible_operands(self):
-        f = PiecewiseConstantFunction([1.0])
-        with pytest.raises(IncompatibleOperandsError):
-            inner_product(f, 3.0)
-
-
-def _mixed_functions(rng, block_counts, orders):
-    funcs = ([PiecewiseConstantFunction(rng.normal(size=n)) for n in block_counts]
-             + [TrigPolynomial(rng.normal(size=2 * h + 1)) for h in orders])
-    return [funcs[i] for i in rng.permutation(len(funcs))]
-
-
-class TestGramMatrix:
-    """Gram matrices of mixed families, assembled entry by entry from inner_product."""
-
-    @pytest.mark.parametrize("block_counts,orders", [
-        ((), ()),
-        ((1, 2, 3, 6), ()),
-        ((), (0, 1, 2, 3)),
-        ((1, 2, 3, 6), (0, 1, 2, 3)),
-        ((6, 1, 6, 3, 2), (3, 0, 2)),
-    ])
-    def test_matches_pairwise_oracle(self, rng, block_counts, orders):
-        for _ in range(3):
-            funcs = _mixed_functions(rng, block_counts, orders)
-            gram = np.array([[inner_product(f, g) for g in funcs]
-                             for f in funcs]).reshape(len(funcs), len(funcs))
-            expected = np.array([[oracles.exact_inner_product(f, g) for g in funcs]
-                                 for f in funcs]).reshape(len(funcs), len(funcs))
-            np.testing.assert_allclose(gram, expected, rtol=1e-12, atol=0.0)
-            np.testing.assert_array_equal(gram, gram.T)
-
-    def test_unaffordable_refinement_raises(self):
-        f, g = PiecewiseConstantFunction(np.ones(317)), PiecewiseConstantFunction(np.ones(331))
-        assert inner_product(f, TrigPolynomial([1.0])) == pytest.approx(1.0, rel=1e-12)
-        with pytest.raises(PartitionMismatchError):
-            inner_product(f, g)
-
-    def test_squared_norm_within_two_eps_of_exact_sum(self):
-        # the mean of the squares is a sum of positive terms, so the rounding
-        # of a pairwise sum stays within a couple of eps of the exact value
-        gen = np.random.default_rng(180)
-        worst = 0.0
-        for _ in range(200):
-            values = gen.normal(size=180)
-            f = PiecewiseConstantFunction(values)
-            exact = sum(Fraction(v) ** 2 for v in values.tolist()) / 180
-            worst = max(worst, abs(Fraction(inner_product(f, f)) - exact) / exact)
-        assert worst <= 2 * np.finfo(float).eps

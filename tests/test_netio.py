@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -226,10 +227,6 @@ class TestNetworkDataset:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
 
-    def test_self_loop_flag(self):
-        assert NetworkDataset(2, [0], [0], [1.0]).has_self_loops
-        assert not NetworkDataset(2, [0], [1], [1.0]).has_self_loops
-
     @pytest.mark.parametrize("directed", [False, True])
     def test_adjacency_matches_entry_by_entry_assignment(self, rng, directed):
         # few nodes and many entries: most pairs repeat, in both orientations
@@ -261,18 +258,34 @@ class TestNetworkDataset:
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_degree_sorted_matches_the_dense_rule(self, rng, directed):
-        # repeated pairs (the last entry wins), self-loops and signed weights; integer
-        # weights keep every degree exact, so ties are ties in both routes
+        # repeated pairs (the last entry wins), self-loops and signed decimal weights: the
+        # order is the stable one of each row-plus-column sum of the dense matrix, summed
+        # exactly and rounded once, so sums of other weights that round to one float tie
         n, m = 7, 50
-        ds = NetworkDataset(n, rng.integers(0, n, m), rng.integers(0, n, m),
-                            rng.choice([-0.0, 0.0, 1.0, -2.0, 3.0], m), directed=directed)
-        mat = np.abs(looped_adjacency(ds))
-        order = np.argsort(-(mat.sum(axis=0) + mat.sum(axis=1)), kind="stable")
-        relabel = np.argsort(order)
+        for _ in range(20):
+            ds = NetworkDataset(n, rng.integers(0, n, m), rng.integers(0, n, m),
+                                rng.choice([-0.0, 0.0, 0.1, 0.2, 0.3, 0.4, 0.7, -0.9], m),
+                                directed=directed)
+            mat = np.abs(looped_adjacency(ds))
+            degrees = [float(sum(map(Fraction, mat[i].tolist() + mat[:, i].tolist())))
+                       for i in range(n)]
+            relabel = np.argsort(np.argsort(-np.array(degrees), kind="stable"))
+            sorted_ds = ds.degree_sorted()
+            np.testing.assert_array_equal(sorted_ds.rows, relabel[ds.rows])
+            np.testing.assert_array_equal(sorted_ds.cols, relabel[ds.cols])
+            assert sorted_ds.directed == directed
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_equal_degree_multisets_tie(self, directed):
+        # nodes 0 and 1 each meet the weights {0.1, 0.3, 0.6}, node 0 at the first end
+        # of its lines and node 1 at the second, in another file order; summed in file
+        # order, node 1's degree rounds above node 0's and the tie is lost
+        ds = NetworkDataset(8, [0, 0, 0, 5, 6, 7], [2, 3, 4, 1, 1, 1],
+                            [0.6, 0.3, 0.1, 0.1, 0.6, 0.3], directed=directed)
+        relabel = np.array([0, 1, 2, 4, 6, 7, 3, 5])  # ties keep input order throughout
         sorted_ds = ds.degree_sorted()
         np.testing.assert_array_equal(sorted_ds.rows, relabel[ds.rows])
         np.testing.assert_array_equal(sorted_ds.cols, relabel[ds.cols])
-        assert sorted_ds.directed == directed
 
     def test_degree_sorted_builds_no_adjacency(self, monkeypatch):
         ds = NetworkDataset(4, [0, 1, 2], [2, 2, 3], [1.0, 1.0, 1.0])
@@ -336,23 +349,35 @@ class TestToStepGraphon:
                              [2.0, 0.0, 0.0]]) / 3.0
         np.testing.assert_array_equal(g.coeffs, expected)
 
-    def test_only_a_directed_dataset_is_compared_with_its_transpose(self, data_dir, monkeypatch):
-        compared = []
-        array_equal = np.array_equal
+    def test_only_a_directed_dataset_is_compared_with_its_transpose(self, data_dir,
+                                                                     monkeypatch):
+        # the symmetry verdict comes from the arrays: no n×n matrix meets its transpose
+        compared, consulted = [], []
+        array_equal, is_symmetric = np.array_equal, NetworkDataset.is_symmetric
 
-        def counting(a, b, *args, **kwargs):
-            compared.append(a.shape)
+        def counting_equal(a, b, *args, **kwargs):
+            compared.append(np.shape(a))
             return array_equal(a, b, *args, **kwargs)
 
-        monkeypatch.setattr(np, "array_equal", counting)
+        def counting_symmetric(ds):
+            consulted.append(ds.directed)
+            return is_symmetric(ds)
+
+        monkeypatch.setattr(np, "array_equal", counting_equal)
+        monkeypatch.setattr(NetworkDataset, "is_symmetric", counting_symmetric)
         undirected = parse_edge_list((data_dir / "k22.edges").read_text())
         to_step_graphon(undirected)
         spectral_report(undirected)
-        assert compared == []
+        assert consulted == []
         general = parse_matrix_market(MTX_GENERAL + "3 3 4\n1 2 1\n2 1 1\n2 3 0.5\n3 2 0.5\n")
         np.testing.assert_array_equal(to_step_graphon(general).coeffs,
                                       to_step_graphon(general.symmetrized()).coeffs)
-        assert compared == [(3, 3)]
+        assert consulted == [True]
+        asymmetric = parse_matrix_market(MTX_GENERAL + "3 3 2\n1 2 1\n2 1 2\n")
+        with pytest.raises(ValueError, match=r"asymmetric; symmetrize it \(--symmetrize\)"):
+            to_step_graphon(asymmetric)
+        assert consulted == [True, True]
+        assert compared == []
 
     def test_self_loops_warn(self):
         ds = NetworkDataset(2, [0, 0], [0, 1], [1.0, 0.5])
@@ -379,7 +404,7 @@ class TestSampleGraph:
     def test_extreme_kernels(self):
         full = sample_graph(StepGraphon([[1.0]]), 6, seed=0)
         assert full.num_edges == 15
-        assert not full.has_self_loops
+        assert (full.rows != full.cols).all()
         empty = sample_graph(StepGraphon([[0.0]]), 6, seed=0)
         assert empty.num_edges == 0
 

