@@ -54,7 +54,7 @@ class StepGraphon:
             # the exact compare settles almost every kernel at a fraction of allclose's cost
             if not ((c == c.T).all() or np.allclose(c, c.T, rtol=0.0, atol=RANGE_TOL)):
                 raise ValueError("coeffs must be symmetric")
-            if np.abs(c).max() > 1.0 + RANGE_TOL:
+            if c.max() > 1.0 + RANGE_TOL or c.min() < -1.0 - RANGE_TOL:
                 raise ValueError("kernel values must lie in [-1, 1]")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
@@ -77,15 +77,22 @@ class StepGraphon:
         """Same kernel expressed on a partition `factor` times finer."""
         return StepGraphon(_refine_matrix(self.coeffs, factor), validate=False)
 
-    def _symmetric_coeffs(self, action: str) -> np.ndarray:
+    def _check_symmetric(self, action: str):
         # a validated kernel already passed the stricter RANGE_TOL symmetry test
         if not self.validate and not np.allclose(self.coeffs, self.coeffs.T, rtol=0.0, atol=1e-10):
             raise ValueError(f"cannot {action} an asymmetric kernel")
-        return self.coeffs
+
+    def _symmetric_coeffs(self) -> np.ndarray:
+        """0.5 * (coeffs + coeffs.T), the matrix an eigensolve reads: coeffs itself when
+        validated and equal to its transpose, as 0.5 * (c + c) is c bitwise in [-1, 1]."""
+        c = self.coeffs
+        if self.validate and (c == c.T).all():
+            return c
+        return 0.5 * (c + c.T)
 
     def _expm1_blocks(self, t: float) -> np.ndarray:
         """U_t in e^{tA} = I + U_t: n V diag(expm1(t mu / n)) Vᵀ with mu, V = eigh(coeffs)."""
-        mu, vecs = np.linalg.eigh(0.5 * (self.coeffs + self.coeffs.T))
+        mu, vecs = np.linalg.eigh(self._symmetric_coeffs())
         return self.num_blocks * (vecs * np.expm1(mu * (t / self.num_blocks))) @ vecs.T
 
     def __repr__(self):
@@ -213,7 +220,7 @@ def exponential(graphon: Graphon, t: float) -> IdentityPlusGraphon:
     of its block matrix, and an unvalidated asymmetric one raises ValueError.
     """
     if isinstance(graphon, StepGraphon):
-        graphon._symmetric_coeffs("exponentiate")
+        graphon._check_symmetric("exponentiate")
         return IdentityPlusGraphon(1.0, StepGraphon(graphon._expm1_blocks(t), validate=False))
     if isinstance(graphon, SinusoidalGraphon):
         const = np.expm1(graphon.constant * t)

@@ -294,15 +294,20 @@ def to_step_graphon(dataset: NetworkDataset, normalize: str = "max-abs") -> Step
 def _pixel_graphon(mat: np.ndarray, normalize: str) -> tuple:
     """(kernel, scale): `to_step_graphon`'s kernel of a symmetric adjacency, which is
     the adjacency divided by `scale` (its largest magnitude under max-abs, else 1)."""
-    if np.trace(np.abs(mat)) > 0.0:
+    if np.abs(mat.diagonal()).sum() > 0.0:
         warnings.warn("self-loops present: diagonal is nonzero and so is the trace")
     if normalize == "max-abs":
-        scale = np.abs(mat).max() or 1.0
+        scale = _max_abs(mat) or 1.0
         return StepGraphon(mat / scale), scale
     if normalize == "none":
         return StepGraphon(mat, validate=False), 1.0
     raise ValueError(f"unknown normalization {normalize!r}; "
                      "expected 'max-abs' or 'none'")
+
+
+def _max_abs(mat: np.ndarray):
+    """max|a_ij| from two reductions, with no n×n |mat| (NaN when an entry is)."""
+    return max(-mat.min(), mat.max())
 
 
 def _probability_check(graphon: Graphon):
@@ -332,10 +337,22 @@ def sample_graph(graphon: Graphon, num_nodes: int, seed: int) -> NetworkDataset:
 
 def write_edge_list(dataset: NetworkDataset) -> str:
     """Serialize as 1-based "i j weight" lines (stable, round-trippable)."""
-    # Python ints and floats, one % over them all: the bytes of f"{i + 1} {j + 1} {w:.17g}"
-    table = np.column_stack([dataset.rows + 1, dataset.cols + 1, dataset.weights.astype(object)])
-    return (f"# {dataset.name or 'network'}: {dataset.num_nodes} nodes, {len(table)} edges\n"
-            + ("%d %d %.17g\n" * len(table)) % tuple(table.ravel()))
+    # the bytes of f"{i + 1} {j + 1} {w:.17g}\n" per edge, with each node that occurs
+    # and each weight bit pattern formatted once, then looked up per cell
+    ends = np.r_[dataset.rows, dataset.cols]
+    if dataset.num_nodes <= ends.size:  # a table of the nodes is no larger than the ends
+        seen = np.zeros(dataset.num_nodes, dtype=bool)
+        seen[ends] = True
+        nodes, ends = np.flatnonzero(seen), (np.cumsum(seen) - 1)[ends]
+    else:  # only the nodes that occur: num_nodes may reach 2**63 - 1
+        nodes, ends = np.unique(ends, return_inverse=True)
+    bits, weight_at = np.unique(dataset.weights.view(np.int64), return_inverse=True)
+    labels = np.array([f"{i + 1} " for i in nodes.tolist()], dtype=object)
+    numbers = np.array([f"{w:.17g}\n" for w in bits.view(float).tolist()], dtype=object)
+    rows, cols = ends.reshape(2, -1)
+    cells = np.column_stack([labels[rows], labels[cols], numbers[weight_at]])
+    return (f"# {dataset.name or 'network'}: {dataset.num_nodes} nodes, "
+            f"{dataset.num_edges} edges\n" + "".join(cells.ravel().tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,7 +413,7 @@ def _solved_report(dataset: NetworkDataset, top_fraction: float, bins: int = 50)
     counts, edges = np.histogram(magnitudes, bins=bins,
                                  range=(0.0, peak if peak > 0.0 else 1.0))
     top_k = math.ceil(top_fraction * dataset.num_nodes)
-    lam = values / (dataset.num_nodes * (np.abs(mat).max() or 1.0))
+    lam = values / (dataset.num_nodes * (_max_abs(mat) or 1.0))
     error = np.sqrt(np.sum(lam[_nonzero_ordered(lam)][top_k:] ** 2))
     report = SpectralReport(dataset.name, dataset.num_nodes, values, edges, counts,
                             float(values.sum()), top_k, float(error))

@@ -214,9 +214,12 @@ def _step_decomposition(graphon: StepGraphon, mu: np.ndarray,
     if vecs is None:
         return SpectralDecomposition(lam[order], None, graphon)
     vecs = vecs[:, order]
-    first = np.argmax(np.abs(vecs) > 1e-12 * np.abs(vecs).max(axis=0), axis=0)
+    # |v| > cutoff without an n×n |vecs|, and a sign of ±1 times sqrt(N) rounds as
+    # sqrt(N) does, so one product gives the bits of two
+    cutoff = 1e-12 * np.maximum(vecs.max(axis=0), -vecs.min(axis=0))
+    first = np.argmax((vecs > cutoff) | (vecs < -cutoff), axis=0)
     signs = np.sign(vecs[first, np.arange(vecs.shape[1])])
-    return SpectralDecomposition(lam[order], vecs * signs * np.sqrt(n), graphon)
+    return SpectralDecomposition(lam[order], vecs * (signs * np.sqrt(n)), graphon)
 
 
 def decompose(graphon: Graphon, vectors: bool = True) -> SpectralDecomposition:
@@ -233,8 +236,8 @@ def decompose(graphon: Graphon, vectors: bool = True) -> SpectralDecomposition:
     sqrt(2) cos / sqrt(2) sin harmonics, whatever `vectors` says.
     """
     if isinstance(graphon, StepGraphon):
-        coeffs = graphon._symmetric_coeffs("decompose")
-        symmetric = 0.5 * (coeffs + coeffs.T)
+        graphon._check_symmetric("decompose")
+        symmetric = graphon._symmetric_coeffs()
         if not vectors:
             return _step_decomposition(graphon, np.linalg.eigvalsh(symmetric))
         return _step_decomposition(graphon, *np.linalg.eigh(symmetric))

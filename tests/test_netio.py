@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from graphonctl.errors import ParseError
 from graphonctl.graphons import SinusoidalGraphon, StepGraphon
 from graphonctl.netio import (
     NetworkDataset,
+    _pixel_graphon,
     parse_edge_list,
     parse_matrix_market,
     sample_graph,
@@ -385,6 +387,57 @@ class TestToStepGraphon:
             to_step_graphon(ds)
 
 
+class TestPixelGraphon:
+    """The kernel is built from the diagonal and min/max reductions, with no n×n |a|."""
+
+    def test_only_a_nonzero_diagonal_warns(self):
+        off_diagonal = np.array([[0.0, -3.0], [-3.0, -0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernel, scale = _pixel_graphon(off_diagonal, "max-abs")
+        assert scale == 3.0
+        np.testing.assert_array_equal(kernel.coeffs, off_diagonal / 3.0)
+        with pytest.warns(UserWarning, match="trace"):
+            _pixel_graphon(np.array([[0.0, 1.0], [1.0, -1e-300]]), "none")
+
+    def test_signed_zeros_get_unit_scale(self):
+        kernel, scale = _pixel_graphon(np.full((3, 3), -0.0), "max-abs")
+        assert scale == 1.0
+        assert np.signbit(kernel.coeffs).all() and not kernel.coeffs.any()
+
+    @pytest.mark.parametrize("at", [(0, 1), (1, 1)])
+    def test_nan_entry_is_refused_as_asymmetric(self, at):
+        mat = np.array([[0.0, 0.5], [0.5, 0.0]])
+        mat[at], mat[at[::-1]] = np.nan, np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a NaN trace is not a self-loop
+            with pytest.raises(ValueError, match="^coeffs must be symmetric$"):
+                _pixel_graphon(mat, "max-abs")
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_range_check_keeps_its_slack(self, sign):
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            StepGraphon([[0.0, sign * (1.0 + 2e-12)], [sign * (1.0 + 2e-12), 0.0]])
+        StepGraphon([[0.0, sign * (1.0 + 5e-13)], [sign * (1.0 + 5e-13), 0.0]])
+        # under max-abs the largest entry becomes exactly 1
+        kernel, scale = _pixel_graphon(np.array([[0.0, sign * (1.0 + 2e-12)],
+                                                 [sign * (1.0 + 2e-12), 0.0]]), "max-abs")
+        assert (scale, np.abs(kernel.coeffs).max()) == (1.0 + 2e-12, 1.0)
+
+    def test_kernel_build_peaks_near_three_matrices(self):
+        ds = sample_graph(SinusoidalGraphon(0.05), 600, seed=5)
+        unit = 600 * 600 * 8
+        tracemalloc.start()
+        try:
+            kernel = to_step_graphon(ds)
+            peak = tracemalloc.get_traced_memory()[1] / unit
+        finally:
+            tracemalloc.stop()
+        # the adjacency, the kernel and its read-only copy, and the symmetry mask
+        assert peak <= 3.25
+        np.testing.assert_array_equal(kernel.coeffs, ds.adjacency())
+
+
 class TestSampleGraph:
     def test_draw_order_is_frozen(self):
         kernel = StepGraphon([[0.9, 0.1], [0.1, 0.9]])
@@ -452,6 +505,35 @@ class TestWriteEdgeList:
             "# x: 4 nodes, 3 edges\n"
             + "".join(f"{i + 1} {j + 1} {w:.17g}\n" for i, j, w in entries(ds)))
         assert write_edge_list(NetworkDataset(1, [], [], [])) == "# network: 1 nodes, 0 edges\n"
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_lookup_matches_the_per_edge_format(self, rng, directed):
+        # -0.0 beside 0.0, NaN, ±inf and subnormals are distinct bit patterns, and
+        # repeated weights share one formatted number
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 0.1, 1.0]
+        for draw in range(40):
+            n = int(rng.integers(1, 30))
+            m = 0 if draw % 10 == 0 else int(rng.integers(1, 60))
+            pool = np.r_[special, rng.normal(size=3)] if draw % 2 else rng.normal(size=m)
+            ds = NetworkDataset(n, rng.integers(0, n, m), rng.integers(0, n, m),
+                                rng.choice(pool, m), name=f"d{draw}", directed=directed)
+            assert write_edge_list(ds) == (
+                f"# d{draw}: {n} nodes, {m} edges\n"
+                + "".join(f"{i + 1} {j + 1} {w:.17g}\n" for i, j, w in entries(ds)))
+
+    @pytest.mark.parametrize("last", [2**63 - 2, 2**63 - 1])
+    def test_labels_come_from_the_nodes_that_occur(self, last):
+        ds = parse_edge_list(f"0 {last}\n")
+        assert ds.num_nodes == last + 1
+        tracemalloc.start()
+        try:
+            text = write_edge_list(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 1-based label of node 2**63 - 1 is a Python int, beyond int64
+        assert text == f"# network: {last + 1} nodes, 1 edges\n1 {last + 1} 1\n"
+        assert peak < 1_000_000  # nothing sized by the node count is allocated
 
 
 class TestSpectralReport:

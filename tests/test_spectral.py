@@ -14,6 +14,7 @@ from graphonctl.graphons import (
     l2_norm,
     subtract,
 )
+from graphonctl.netio import sample_graph, to_step_graphon
 from graphonctl.spectral import (
     FiniteRankKernel,
     SpectralMultiplier,
@@ -117,6 +118,47 @@ class TestDecomposeStep:
         assert len(calls) == 1
         np.testing.assert_array_equal(validated.eigenvalues, unvalidated.eigenvalues)
         np.testing.assert_array_equal(validated.basis, unvalidated.basis)
+
+
+def _sampled_kernel():
+    """The max-abs pixel kernel of a seeded G(600, 0.05) sample."""
+    return to_step_graphon(sample_graph(SinusoidalGraphon(0.05), 600, seed=5))
+
+
+class TestSymmetricKernelAsItIs:
+    """A validated kernel equal to its transpose reaches the eigensolver unaveraged."""
+
+    @staticmethod
+    def _kernels(rng):
+        yield _sampled_kernel()
+        raw = rng.choice([0.0, -0.0, 5e-324, -1e-310, 0.25, -1.0, 1.0], (7, 7))
+        yield StepGraphon(np.triu(raw) + np.triu(raw, 1).T)
+        # within RANGE_TOL of symmetric, but not equal: still averaged
+        raw = rng.uniform(-1.0, 1.0, (6, 6))
+        near = (raw + raw.T) / 2.0
+        near[0, 1] += 1e-13
+        yield StepGraphon(near)
+
+    @pytest.mark.parametrize("vectors", [False, True])
+    def test_bitwise_equal_to_the_averaged_route(self, rng, vectors):
+        for kernel in self._kernels(rng):
+            c = kernel.coeffs
+            averaged = StepGraphon(0.5 * (c + c.T), validate=False)
+            mine, reference = decompose(kernel, vectors), decompose(averaged, vectors)
+            np.testing.assert_array_equal(mine.eigenvalues, reference.eigenvalues)
+            if vectors:
+                np.testing.assert_array_equal(mine.basis, reference.basis)
+
+    def test_values_only_peak_is_a_fraction_of_the_kernel(self):
+        kernel = _sampled_kernel()
+        tracemalloc.start()
+        try:
+            decompose(kernel, vectors=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the symmetry mask is an eighth of the kernel; no averaged copy is made
+        assert peak <= 0.25 * kernel.coeffs.nbytes
 
 
 class TestDecomposeSinusoidal:
