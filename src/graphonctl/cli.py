@@ -79,7 +79,10 @@ def write_csv(path: Path, header: list, *columns):
     Values are distinct by their bit patterns within one column block, so -0.0 and
     0.0 (or an int and a float of equal bits) keep their own strings.  The count sorts
     the bits: numpy 2.4's hash-based np.unique takes about twenty times as long as the
-    sort on a chunk, enough to slow tables whose values are all distinct."""
+    sort on a chunk, enough to slow tables whose values are all distinct.  A cell's
+    index among its block's distinct values comes from a binary search when there
+    are at most 16 of them, as in a 0/1 kernel, and from the inverse of one argsort
+    when there are more, as in a trajectory: each is the faster on its own side."""
     blocks = [np.asarray(c) for c in columns]
     blocks = [b[:, None] if b.ndim == 1 else b for b in blocks]
     if len({len(b) for b in blocks}) > 1:
@@ -109,22 +112,57 @@ def _repeated_chunk_lines(chunk: list, formats: list):
     if any(b.dtype.kind not in "biuf" or b.dtype.itemsize > 8 for b in chunk):
         return None  # object cells, or no unsigned integer as wide as an item
     keys = [b.view(f"u{b.dtype.itemsize}") for b in chunk]
-    distinct = []
-    for key in keys:
-        ordered = np.sort(key, axis=None)
-        first = np.ones(ordered.size, dtype=bool)
-        first[1:] = ordered[1:] != ordered[:-1]
-        distinct.append(ordered[first])
+    distinct, firsts = zip(*map(_sorted_distinct, keys))
     if 2 * sum(d.size for d in distinct) > sum(key.size for key in keys):
         return None
     values = itertools.chain.from_iterable(
         d.view(b.dtype).tolist() for d, b in zip(distinct, chunk))
     strings = np.array(("".join((f + "\n") * d.size for f, d in zip(formats, distinct))
                         % tuple(values)).split("\n"), dtype=object)
-    offsets = np.cumsum([0] + [d.size for d in distinct])
-    index = np.hstack([np.searchsorted(d, key) + offset
-                       for d, key, offset in zip(distinct, keys, offsets)])
-    return (",".join(row.tolist()) + "\n" for row in strings[index])
+    index, offset = [], 0
+    for key, d, first in zip(keys, distinct, firsts):
+        index.append(_distinct_index(key, d, first))
+        index[-1] += offset
+        offset += d.size
+    # an intp index takes without a cast copy
+    return (",".join(row.tolist()) + "\n" for row in strings[np.hstack(index, dtype=np.intp)])
+
+
+def _sorted_distinct(key: np.ndarray):
+    """The distinct values of `key`, ascending, and the flags of the sorted cells
+    that differ from the one before (the first cell is flagged)."""
+    ordered = np.sort(key, axis=None)
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first], first
+
+
+_SEARCH_DISTINCT = 16
+
+
+def _distinct_index(key: np.ndarray, distinct: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Each cell's position in `distinct`, the ascending distinct values of `key`.
+    Up to _SEARCH_DISTINCT of them are found by binary search, more by `_argsort_index`:
+    on 2**16 cells the search is the faster at 2 distinct values, as in a 0/1 kernel
+    (0.2-0.6 ms against 0.6-2.8 ms), and four times slower at 5 000 to 11 000, as in
+    a trajectory.  Where they cross in between depends on the values and the CPU's
+    sort kernels (from 3 to 12 distinct values in measurements so far)."""
+    if distinct.size <= _SEARCH_DISTINCT:
+        return np.searchsorted(distinct, key)
+    return _argsort_index(key, first)
+
+
+def _argsort_index(key: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The int32 ranks of key's cells among its distinct values (a chunk holds about
+    2**16 cells), given the flags of the sorted cells that differ from the one before:
+    a sorted cell's rank is the count of flags up to it, scattered back through the
+    permutation of one argsort."""
+    order = key.ravel().argsort()
+    ranks = np.cumsum(first, dtype=np.int32)
+    ranks -= 1
+    index = np.empty(key.shape, dtype=np.int32)
+    index.ravel()[order] = ranks
+    return index
 
 
 def write_json(path: Path, payload: dict):
@@ -205,6 +243,7 @@ def cmd_spectra(args) -> dict:
     # the kernel is the adjacency over `scale`, so its eigenvalues are the report's over it
     report, adjacency, vecs = netio._solved_report(_network(args), args.top_fraction)
     kernel, scale = netio._pixel_graphon(adjacency, args.normalize)
+    del adjacency  # n×n, and read by no artifact: the modes are built without it
     decomp = _step_decomposition(kernel, report.eigenvalues[::-1] / scale, vecs)
     rank = min(report.top_k, decomp.rank)
     n = kernel.num_blocks

@@ -22,7 +22,7 @@ from .errors import NumericsError
 from .functions import PiecewiseConstantFunction
 from .graphons import Graphon, StepGraphon
 from .integrate import lawson_rk4
-from .spectral import SpectralDecomposition, SpectralMultiplier, decompose
+from .spectral import SpectralDecomposition, SpectralMultiplier, _modal_rows, decompose
 from .control import Trajectory, growth_integral
 
 
@@ -423,23 +423,31 @@ def simulate_nonlinear(model: EpidemicModel, p0: np.ndarray, control=None,
     times = _uniform_times(model.horizon, num_steps)
     step = model.horizon / num_steps
     mids = times[:-1] + 0.5 * step
-    adjacency = model.adjacency
+    adjacency, neg_eta, basis = model.adjacency, -model.eta, modes.basis
 
     def nonlinear(k, t, p):
-        rate = -model.eta * p * (adjacency @ p)
-        rate = rate + growth.apply(p, k) if grows[k] else rate
+        rate = neg_eta * p
+        rate *= adjacency @ p
+        if grows[k]:
+            rate += growth.apply(p, k)
         return rate if forcing is None else rate + model.beta0 * forcing(t, p)
+
+    def propagate(k, half, pair):
+        table = halves[half]
+        return _modal_rows(basis, table.item(k, 0), table[k, 1:], pair)
 
     with np.errstate(over="ignore", invalid="ignore"):  # Trajectory reports a non-finite state
         # one table per half-step transition, read by row in every RK stage
         halves = (_modal_transition(params, modes.spectrum, times[:-1], mids, law is not None),
                   _modal_transition(params, modes.spectrum, mids, times[1:], law is not None))
         rates = np.log(np.maximum(halves[0] * halves[1], 1.0)) / step
-        halves = [SpectralMultiplier(modes, factors * np.exp(-0.5 * step * rates))
-                  for factors in halves]
-        growth, grows = SpectralMultiplier(modes, rates), rates.any(axis=1)
-        states = lawson_rk4(lambda k, half, pair: halves[half].apply(pair, k),
-                            nonlinear, times, p0)
+        for table in halves:
+            # in place, each row becomes its lead and its lead-subtracted modes, the
+            # operands of SpectralMultiplier.apply's row product
+            table *= np.exp(-0.5 * step * rates)
+            table[:, 1:] -= table[:, :1]
+        growth, grows = SpectralMultiplier(modes, rates), rates.any(axis=1).tolist()
+        states = lawson_rk4(propagate, nonlinear, times, p0)
         trajectory = Trajectory(times, states,
                                 range_warning=bool(states.min() < -0.1 or states.max() > 1.1))
         controls = None

@@ -141,8 +141,15 @@ class SinusoidalGraphon:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         out = np.full(np.broadcast(x, y).shape, self.constant)
-        for k in range(1, self.harmonics + 1):
-            out = out + self.cosine_coeffs[k - 1] * np.cos(2.0 * math.pi * k * (x - y))
+        # out + b_k * cos(2*pi*k * (x - y)) per harmonic, in that expression's order
+        # of operations, so in one scratch array with the same bits
+        term = np.empty_like(out)
+        for k, coeff in enumerate(self.cosine_coeffs.tolist(), start=1):
+            np.subtract(x, y, out=term)
+            term *= 2.0 * math.pi * k
+            np.cos(term, out=term)
+            term *= coeff
+            out += term
         return out
 
     def __repr__(self):

@@ -67,17 +67,19 @@ class SpectralDecomposition:
     harmonics the (2H+1, r) coordinates over the orthonormal functions
     [1, sqrt(2)cos_1..H, sqrt(2)sin_1..H].  Built with basis None, it holds
     the eigenvalues alone: `basis`, and every method that reads it, raises
-    IncompatibleOperandsError.
+    IncompatibleOperandsError.  The arrays are stored as read-only C-ordered
+    float copies; copy=False takes fresh arrays that no caller keeps, and
+    freezes them in place unless their dtype or order needs a copy anyway.
     """
 
     eigenvalues: np.ndarray
     source: Graphon
     _basis: np.ndarray | None = field(repr=False)
 
-    def __init__(self, eigenvalues, basis, source: Graphon):
+    def __init__(self, eigenvalues, basis, source: Graphon, *, copy: bool = True):
         for name, value in (("eigenvalues", eigenvalues), ("_basis", basis)):
             if value is not None:
-                value = np.array(value, dtype=float, order="C")
+                value = np.array(value, dtype=float, order="C", copy=True if copy else None)
                 value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "source", source)
@@ -172,8 +174,7 @@ class SpectralMultiplier:
         if not isinstance(x, np.ndarray):
             return float(lead[0]) * x + self.modes.combine(
                 (values[1:] - lead) * self.modes.coordinates(x))
-        basis = self._block_basis()
-        return (x @ basis / basis.shape[0] * (values[..., 1:] - lead)) @ basis.T + lead * x
+        return _modal_rows(self._block_basis(), lead, values[..., 1:] - lead, x)
 
     def apply_split(self, coords: np.ndarray, residual: np.ndarray) -> np.ndarray:
         """Block-value rows of f(A) x for x split by `SpectralDecomposition.split`:
@@ -202,6 +203,13 @@ class SpectralMultiplier:
         return lead * np.eye(n) + (basis * ((self.values[1:] - lead) / n)) @ basis.T
 
 
+def _modal_rows(basis: np.ndarray, lead, relative, x: np.ndarray) -> np.ndarray:
+    """f(A) on block-value rows x, with f(A) given as its value `lead` on the
+    complement and its lead-subtracted values `relative` along the columns of
+    the (n, r) block basis: x lead + (x basis / n * relative) basisᵀ."""
+    return (x @ basis / basis.shape[0] * relative) @ basis.T + lead * x
+
+
 def _step_decomposition(graphon: StepGraphon, mu: np.ndarray,
                         vecs: np.ndarray | None = None) -> SpectralDecomposition:
     """The decomposition of a step kernel from an eigenpair (mu, vecs) of its block
@@ -213,13 +221,13 @@ def _step_decomposition(graphon: StepGraphon, mu: np.ndarray,
     order = _nonzero_ordered(lam)
     if vecs is None:
         return SpectralDecomposition(lam[order], None, graphon)
-    vecs = vecs[:, order]
+    vecs = vecs.take(order, axis=1)  # a fresh C-ordered copy, scaled in place and kept
     # |v| > cutoff without an n×n |vecs|, and a sign of ±1 times sqrt(N) rounds as
     # sqrt(N) does, so one product gives the bits of two
     cutoff = 1e-12 * np.maximum(vecs.max(axis=0), -vecs.min(axis=0))
     first = np.argmax((vecs > cutoff) | (vecs < -cutoff), axis=0)
-    signs = np.sign(vecs[first, np.arange(vecs.shape[1])])
-    return SpectralDecomposition(lam[order], vecs * (signs * np.sqrt(n)), graphon)
+    vecs *= np.sign(vecs[first, np.arange(vecs.shape[1])]) * np.sqrt(n)
+    return SpectralDecomposition(lam[order], vecs, graphon, copy=False)
 
 
 def decompose(graphon: Graphon, vectors: bool = True) -> SpectralDecomposition:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import graphonctl.epidemic as epidemic
 from graphonctl import netio
 from graphonctl.cli import main
 from graphonctl.errors import NumericsError
+from graphonctl.graphons import SinusoidalGraphon
 import oracles
 from oracles import csv_cell
 
@@ -145,6 +147,56 @@ class TestWriter:
         assert text.splitlines() == expected.splitlines()  # reports the first bad row quickly
         assert text == expected
 
+    @staticmethod
+    def spy_index_routes(monkeypatch):
+        """(distinct count, route) of every column block the repeated route indexes:
+        "search" or "argsort"."""
+        routes, ranked = [], []
+        original_index, original_argsort = cli._distinct_index, cli._argsort_index
+
+        def argsorting(key, first):
+            ranked.append(key.size)
+            return original_argsort(key, first)
+
+        def indexing(key, distinct, first):
+            before = len(ranked)
+            index = original_index(key, distinct, first)
+            routes.append((distinct.size, "argsort" if len(ranked) > before else "search"))
+            return index
+
+        monkeypatch.setattr(cli, "_distinct_index", indexing)
+        monkeypatch.setattr(cli, "_argsort_index", argsorting)
+        return routes
+
+    @pytest.mark.parametrize("count, route", [(2, "search"), (16, "search"), (17, "argsort")])
+    def test_index_route_by_distinct_count(self, tmp_path, monkeypatch, count, route):
+        rng = np.random.default_rng(count)
+        values = np.concatenate(([-0.0, 0.0], rng.standard_normal(count - 2)))
+        block = rng.choice(values, size=(300, 7))
+        assert np.unique(block.view(np.uint64)).size == count
+        routes = self.spy_index_routes(monkeypatch)
+        cli.write_csv(tmp_path / "c.csv", list("abcdefg"), block)
+        assert routes == [(count, route)]
+        assert (tmp_path / "c.csv").read_text() == reference_csv(list("abcdefg"), block.tolist())
+
+    def test_both_index_routes_in_a_trajectory_table(self, tmp_path, monkeypatch):
+        # a time column and 180 node columns of four blocks, each block's nodes moving
+        # alike: thousands of distinct values per chunk, and a 0/1 flag block of two
+        times = np.linspace(0.0, 1.0, 1001)
+        paths = np.cumsum(np.random.default_rng(9).normal(size=(1001, 4)), axis=0) / 30.0
+        states = paths[:, np.repeat(np.arange(4), [18, 36, 54, 72])]
+        flags = (states[:, ::20] > 0.0).astype(np.int64)
+        routes = self.spy_index_routes(monkeypatch)
+        header = ["time"] + [f"node{i}" for i in range(180)] + [f"f{j}" for j in range(9)]
+        cli.write_csv(tmp_path / "t.csv", header, times, states, flags)
+        assert {route for _, route in routes} == {"search", "argsort"}
+        assert max(count for count, _ in routes) > 1000
+        text = (tmp_path / "t.csv").read_text()
+        expected = reference_csv(header, [(t, *row, *f) for t, row, f
+                                          in zip(times, states.tolist(), flags.tolist())])
+        assert text.splitlines() == expected.splitlines()  # reports the first bad row quickly
+        assert text == expected
+
     def test_failure_midway_leaves_no_file(self, tmp_path):
         def lines():
             yield "a\n"
@@ -258,6 +310,33 @@ class TestSpectraDecomposesOnce:
         assert main(["spectra", str(data_dir / "k22.edges"), "--out", str(out)]) == 3
         assert "numeric failure" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_modes_are_built_without_the_adjacency(self, tmp_path, monkeypatch):
+        n = 400
+        unit = n * n * 8
+        dataset = netio.sample_graph(SinusoidalGraphon(0.05), n, seed=5)
+        network = tmp_path / "g.edges"
+        network.write_text(netio.write_edge_list(dataset))
+        args = cli.build_parser().parse_args(["spectra", str(network)])
+        live, original = [], cli._step_decomposition
+
+        def measuring(*args):
+            live.append(tracemalloc.get_traced_memory()[0] / unit)
+            return original(*args)
+
+        monkeypatch.setattr(cli, "_step_decomposition", measuring)
+        tracemalloc.start()
+        try:
+            artifacts = cli.cmd_spectra(args)
+            peak = tracemalloc.get_traced_memory()[1] / unit
+        finally:
+            tracemalloc.stop()
+        # the kernel and the raw eigenvectors are live as the modes are built, and
+        # the peak is the kernel's build: the adjacency, the eigenvectors, the quotient
+        # and its read-only copy
+        assert len(live) == 1 and live[0] <= 2.5
+        assert peak <= 4.5
+        assert artifacts["approx_kernel.json"]["rank"] > 0
 
 
 class TestSpectraReadsOneGraph:

@@ -25,9 +25,11 @@ import graphonctl.epidemic as epidemic
 from graphonctl.errors import NumericsError
 from graphonctl.graphons import SinusoidalGraphon, StepGraphon
 from graphonctl.netio import sample_graph
+from graphonctl.spectral import SpectralMultiplier
 
 import oracles
 from conftest import random_probability_graphon
+from test_integrate import stacked_lawson_rk4
 
 BASELINE_REGULATOR = dict(alpha=0.5, beta0=1.0, state_weight=2.0,
                           terminal_weight=4.0, horizon=1.0)
@@ -626,3 +628,92 @@ class TestGraphonLimitCost:
         assert gaps[100] < 5e-3
         assert gaps[300] < 1.5e-3
         assert gaps[300] < gaps[100]
+
+
+def stacked_route_states(model, p0, control, num_steps):
+    """simulate_nonlinear's states, and its count of growth steps, by the route that
+    kept each half-step table as a SpectralMultiplier and stacked fresh stage pairs."""
+    law = epidemic._own_law(model, control)
+    forcing = None if law is not None else control
+    params, modes = model.regulator_params(), model.modes
+    times = np.linspace(0.0, model.horizon, num_steps + 1)
+    step = model.horizon / num_steps
+    mids = times[:-1] + 0.5 * step
+    with np.errstate(over="ignore", invalid="ignore"):
+        halves = [epidemic._modal_transition(params, modes.spectrum, start, stop, law is not None)
+                  for start, stop in ((times[:-1], mids), (mids, times[1:]))]
+        rates = np.log(np.maximum(halves[0] * halves[1], 1.0)) / step
+        halves = [SpectralMultiplier(modes, factors * np.exp(-0.5 * step * rates))
+                  for factors in halves]
+        growth, grows = SpectralMultiplier(modes, rates), rates.any(axis=1)
+
+        def nonlinear(k, t, p):
+            rate = -model.eta * p * (model.adjacency @ p)
+            rate = rate + growth.apply(p, k) if grows[k] else rate
+            return rate if forcing is None else rate + model.beta0 * forcing(t, p)
+
+        states = stacked_lawson_rk4(lambda k, half, pair: halves[half].apply(pair, k),
+                                    nonlinear, times, p0)
+    return states, int(grows.sum())
+
+
+def full_rank_gnp_model(seed, n=12, p=0.4):
+    """The CLI's model of a full-rank G(n, p) at its default epidemic flags."""
+    rng = np.random.default_rng(seed)
+    while True:
+        upper = np.triu(rng.random((n, n)) < p, k=1)
+        adjacency = (upper | upper.T).astype(float)
+        magnitudes = np.abs(np.linalg.eigvalsh(adjacency))
+        if magnitudes.min() > 1e-6 * magnitudes.max():
+            return EpidemicModel(StepGraphon(adjacency), alpha=-0.5, beta0=1.0, eta=1.5)
+
+
+class TestNonlinearRoute:
+    """simulate_nonlinear moves each stage by one expression on the lead and the
+    lead-subtracted modes of its half-step table, in a reused stage buffer: the
+    states are those of SpectralMultiplier.apply on fresh stacks, bit for bit."""
+
+    @pytest.mark.filterwarnings("ignore:infection fractions left")
+    def test_full_rank_closed_loop_with_growth_steps(self):
+        model = full_rank_gnp_model(3)
+        assert model.modes.rank == model.num_nodes
+        law = linear_feedback(model, solve_riccati_finite(model, 1000))
+        p0 = np.full(model.num_nodes, 0.1)
+        reference, growing = stacked_route_states(model, p0, law, 1000)
+        assert 0 < growing < 1000
+        trajectory = simulate_nonlinear(model, p0, law, 1000)
+        assert np.array_equal(trajectory.states, reference)
+
+    @pytest.mark.filterwarnings("ignore:infection fractions left")
+    def test_open_loop_forcing(self, rng):
+        model = random_model(rng, max_blocks=7, alpha=-0.3, eta=2.0)
+
+        def forcing(t, p):
+            return -0.4 * (1.0 + t) * p
+
+        p0 = rng.uniform(0.0, 1.0, model.num_nodes)
+        reference, _ = stacked_route_states(model, p0, forcing, 400)
+        trajectory = simulate_nonlinear(model, p0, forcing, 400)
+        assert np.array_equal(trajectory.states, reference)
+        assert np.array_equal(trajectory.controls,
+                              np.stack([forcing(t, p) for t, p in zip(trajectory.times, reference)]))
+
+    def test_non_finite_run(self, rng, monkeypatch):
+        model = random_model(rng, max_blocks=5)
+
+        def forcing(t, p):  # p' ~ 40 p^2 has its pole near t = 0.25
+            return 40.0 * p * p
+
+        runs, original = [], epidemic.lawson_rk4
+
+        def recording(*args):
+            runs.append(original(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(epidemic, "lawson_rk4", recording)
+        p0 = np.full(model.num_nodes, 0.1)
+        with pytest.raises(NumericsError):
+            simulate_nonlinear(model, p0, forcing, 1000)
+        reference, _ = stacked_route_states(model, p0, forcing, 1000)
+        assert np.isnan(reference[-1]).all()
+        assert np.array_equal(runs[0], reference, equal_nan=True)

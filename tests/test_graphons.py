@@ -86,6 +86,24 @@ class TestSinusoidalGraphon:
         assert g.value(x, y) == pytest.approx(expected, rel=1e-14)
         assert g.value(y, x) == pytest.approx(expected, rel=1e-14)  # symmetric
 
+    @pytest.mark.parametrize("shape", ["scalar", "grid", "broadcast-rows", "matched"])
+    def test_value_keeps_the_bits_of_the_summed_expression(self, rng, shape):
+        # the in-place sum against `out = out + b_k * cos(2*pi*k * (x - y))`
+        latents = rng.uniform(0.0, 1.0, 40)
+        x, y = {"scalar": (0.3, 0.8),
+                "grid": (latents[:, None], latents[None, :]),
+                "broadcast-rows": (latents[:, None], latents[None, :7]),
+                "matched": (latents, latents[::-1])}[shape]
+        for coeffs in ([], [0.3], [0.3, -0.1, 0.05, 1e-300, -0.2]):
+            g = SinusoidalGraphon(0.4, coeffs, validate=False)
+            xs, ys = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+            expected = np.full(np.broadcast(xs, ys).shape, 0.4)
+            for k, b in enumerate(g.cosine_coeffs, start=1):
+                expected = expected + b * np.cos(2.0 * math.pi * k * (xs - ys))
+            got = np.asarray(g.value(x, y))
+            assert got.shape == expected.shape
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
 
 def random_sinusoid(rng, max_harmonics: int = 3) -> SinusoidalGraphon:
     """Random valid sinusoidal kernel with 0..max_harmonics harmonics."""

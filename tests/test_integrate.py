@@ -80,3 +80,57 @@ class TestStageTimes:
         expected = np.stack([grid[:-1], mids, mids, grid[1:]], axis=1).ravel()
         assert np.array_equal(np.array([t for _, t in seen]), expected)
         assert [k for k, _ in seen] == [k for k in range(num_steps) for _ in range(4)]
+
+
+def stacked_lawson_rk4(propagate, field, times, y0):
+    """The step of `lawson_rk4`'s docstring, each pair a fresh np.stack: the bitwise
+    reference for its reused stage buffer."""
+    h = (times[-1] - times[0]) / (times.size - 1)
+    y = np.array(y0, dtype=float)
+    states = np.full((times.size,) + y.shape, np.nan)
+    states[0] = y
+    for k in range(times.size - 1):
+        mid = times[k] + 0.5 * h
+        a, b = propagate(k, 0, np.stack((y, field(k, times[k], y))))
+        n2 = field(k, mid, a + 0.5 * h * b)
+        n3 = field(k, mid, a + 0.5 * h * n2)
+        u4, c = propagate(k, 1, np.stack((a + h * n3, a + (h / 6.0) * (b + 2.0 * n2 + 2.0 * n3))))
+        y = states[k + 1] = c + (h / 6.0) * field(k, times[k + 1], u4)
+        if not np.isfinite(y).all():
+            break
+    return states
+
+
+class TestStageBuffer:
+    """lawson_rk4 refills one (2, n) buffer; whatever propagate returns, the states
+    are those of fresh stacks, bit for bit."""
+
+    rng = np.random.default_rng(11)
+    factors = rng.uniform(0.5, 1.5, size=(2, 40, 3))
+    mixing = np.eye(3) + 0.05 * rng.normal(size=(2, 40, 3, 3))
+
+    @staticmethod
+    def field(k, t, y):
+        return -0.8 * y * y + np.sin(3.0 * t) * y[::-1] + 0.01 * k
+
+    @pytest.mark.parametrize("propagate", [
+        lambda k, half, pair: pair,  # its argument itself
+        lambda k, half, pair: np.multiply(pair, TestStageBuffer.factors[half, k], out=pair),
+        lambda k, half, pair: pair @ TestStageBuffer.mixing[half, k],  # a fresh product
+    ], ids=["identity", "scaled-in-place", "fresh-product"])
+    def test_equals_fresh_stacks(self, propagate):
+        times = np.linspace(0.0, 1.3, 41)
+        y0 = np.array([0.3, -0.2, 0.9])
+        reference = stacked_lawson_rk4(propagate, self.field, times, y0)
+        assert np.isfinite(reference).all()
+        assert np.array_equal(lawson_rk4(propagate, self.field, times, y0), reference)
+
+    def test_non_finite_rows_match(self):
+        # y' = y^2 from y(0) = 1 through the identity transition overflows midway
+        times = np.linspace(0.0, 2.0, 21)
+        with np.errstate(over="ignore", invalid="ignore"):
+            runs = [stepper(lambda k, half, pair: pair, lambda k, t, y: y * y, times,
+                            np.array([1.0, 0.5]))
+                    for stepper in (lawson_rk4, stacked_lawson_rk4)]
+        assert np.isnan(runs[1][-1]).all()
+        assert np.array_equal(*runs, equal_nan=True)

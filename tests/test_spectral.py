@@ -17,7 +17,9 @@ from graphonctl.graphons import (
 from graphonctl.netio import sample_graph, to_step_graphon
 from graphonctl.spectral import (
     FiniteRankKernel,
+    SpectralDecomposition,
     SpectralMultiplier,
+    _step_decomposition,
     bound_for_exponential,
     bound_for_power,
     decompose,
@@ -123,6 +125,32 @@ class TestDecomposeStep:
 def _sampled_kernel():
     """The max-abs pixel kernel of a seeded G(600, 0.05) sample."""
     return to_step_graphon(sample_graph(SinusoidalGraphon(0.05), 600, seed=5))
+
+
+class TestBasisOwnership:
+    def test_step_modes_keep_their_scaled_eigenvectors(self):
+        kernel = _sampled_kernel()
+        mu, vecs = np.linalg.eigh(kernel.coeffs)
+        tracemalloc.start()
+        try:
+            modes = _step_decomposition(kernel, mu, vecs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the reordered eigenvectors, scaled in place and kept, and three sign masks of
+        # an eighth each: no second copy
+        assert peak <= 1.5 * vecs.nbytes
+        assert not modes.basis.flags.writeable and not np.shares_memory(modes.basis, vecs)
+
+    def test_a_callers_arrays_are_copied_and_frozen(self):
+        eigenvalues, basis = np.array([0.5, -0.25]), np.eye(3)[:, :2] * math.sqrt(3.0)
+        modes = SpectralDecomposition(eigenvalues, basis, StepGraphon(np.eye(3)))
+        for mine, theirs in ((modes.eigenvalues, eigenvalues), (modes.basis, basis)):
+            assert not mine.flags.writeable and theirs.flags.writeable
+            assert not np.shares_memory(mine, theirs)
+            np.testing.assert_array_equal(mine, theirs)
+        basis[0, 0] = 7.0
+        assert modes.basis[0, 0] == math.sqrt(3.0)
 
 
 class TestSymmetricKernelAsItIs:
