@@ -47,7 +47,18 @@ class StepGraphon:
     validate: bool = True
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float)
+        self._freeze(np.array(self.coeffs, dtype=float))
+
+    @classmethod
+    def _owning(cls, coeffs: np.ndarray) -> "StepGraphon":
+        """A validated kernel that freezes `coeffs`, a fresh float array no caller
+        keeps, in place instead of copying it."""
+        kernel = object.__new__(cls)
+        object.__setattr__(kernel, "validate", True)
+        kernel._freeze(coeffs)
+        return kernel
+
+    def _freeze(self, c: np.ndarray):
         if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] == 0:
             raise ValueError("coeffs must be a non-empty square matrix")
         if self.validate:

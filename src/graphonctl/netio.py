@@ -45,9 +45,11 @@ class NetworkDataset:
             object.__setattr__(self, field, _readonly_vector(getattr(self, field), dtype))
         if not self.rows.shape == self.cols.shape == self.weights.shape == (self.num_edges,):
             raise ValueError("rows, cols and weights must be vectors of one length")
-        outside = ((np.minimum(self.rows, self.cols) < 0)
-                   | (np.maximum(self.rows, self.cols) >= self.num_nodes))
-        if outside.any():
+        # four reductions settle the in-range case with no per-edge temporaries
+        if self.num_edges and (min(self.rows.min(), self.cols.min()) < 0
+                               or max(self.rows.max(), self.cols.max()) >= self.num_nodes):
+            outside = ((np.minimum(self.rows, self.cols) < 0)
+                       | (np.maximum(self.rows, self.cols) >= self.num_nodes))
             at = np.argmax(outside)
             raise ValueError(f"edge ({self.rows[at]}, {self.cols[at]}) "
                              f"outside 0..{self.num_nodes - 1}")
@@ -298,7 +300,7 @@ def _pixel_graphon(mat: np.ndarray, normalize: str) -> tuple:
         warnings.warn("self-loops present: diagonal is nonzero and so is the trace")
     if normalize == "max-abs":
         scale = _max_abs(mat) or 1.0
-        return StepGraphon(mat / scale), scale
+        return StepGraphon._owning(mat / scale), scale
     if normalize == "none":
         return StepGraphon(mat, validate=False), 1.0
     raise ValueError(f"unknown normalization {normalize!r}; "

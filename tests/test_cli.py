@@ -214,6 +214,26 @@ class TestWriter:
             cli.write_csv(target, ["x"], column)
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_rename_leaves_no_sibling(self, tmp_path):
+        target = tmp_path / "x.csv"
+        target.mkdir()
+        with pytest.raises(OSError):
+            cli._atomic_write(target, ["a\n"])
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_failed_fork_leaves_one_writer(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise BlockingIOError("Resource temporarily unavailable")
+
+        monkeypatch.setattr(cli, "_second_share", lambda artifacts: ["b.csv"])
+        monkeypatch.setattr(cli.os, "fork", no_fork)
+        args = cli.build_parser().parse_args(["approx", "net.edges"])
+        cli.write_artifacts(tmp_path, {"a.csv": (["x"], [1.0]), "b.csv": (["y"], [2.0])},
+                            args)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv",
+                                                              "manifest.json"]
+        assert (tmp_path / "b.csv").read_text() == "y\n2\n"
+
     def test_failure_keeps_previous_target(self, tmp_path):
         target = tmp_path / "x.csv"
         cli.write_csv(target, ["x"], [1.0, 2.0])
@@ -964,6 +984,15 @@ class TestDeterminismAndErrors:
         assert "--p0 has 3 values, the network has 4 nodes" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
+    def test_x0_length_must_match_the_network(self, data_dir, tmp_path, capsys):
+        # a 3-value file once ran on the 4-node network as a 12-block refinement
+        x0 = tmp_path / "x0.txt"
+        x0.write_text("1.0\n-0.5\n0.25\n")
+        assert main(["minenergy", str(data_dir / "k22.edges"), "--x0", str(x0),
+                     "--out", str(tmp_path)]) == 2
+        assert "--x0 has 3 values, the network has 4 nodes" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
     @pytest.mark.parametrize("command,flag,bad", [("epidemic", "--p0", "nan"),
                                                   ("minenergy", "--x0", "inf")])
     def test_non_finite_vector_exits_two(self, data_dir, tmp_path, capsys, recwarn,
@@ -1084,3 +1113,114 @@ print("no scipy")
                               timeout=300)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "no scipy"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="the forked second writer runs only on Linux with two CPUs allowed")
+class TestTwoWriters:
+    """A single-threaded run allowed two CPUs writes its CSV tables in two processes.
+    Each case runs in a fresh interpreter under GRAPHON_CTL_THREADS=1, since a BLAS
+    thread pool (or any second thread) keeps one writer; a spy records the share
+    the child was given."""
+
+    SCRIPT = """
+import json, os, sys, threading
+import graphonctl.cli as cli
+
+cpus, thread, runs = json.loads(sys.argv[1])
+if cpus:
+    os.sched_setaffinity(0, cpus)
+if thread:  # a second OS thread, as a BLAS thread pool would start
+    release = threading.Event()
+    threading.Thread(target=release.wait).start()
+shares = []
+written_on_two_cores = cli._written_on_two_cores
+
+def spy(out, artifacts, share):
+    shares[-1] = share
+    return written_on_two_cores(out, artifacts, share)
+
+cli._written_on_two_cores = spy
+sys.stdout.write("buffered\\n")  # a child that flushed its copy would print it twice
+results = []
+for argv in runs:
+    shares.append([])
+    code = cli.main(argv)
+    try:
+        left = os.waitpid(-1, os.WNOHANG) is not None
+    except ChildProcessError:  # no child, running or unreaped
+        left = False
+    results.append({"code": code, "share": shares[-1], "children_left": left})
+if thread:
+    release.set()
+print(json.dumps(results))
+"""
+
+    @pytest.fixture(scope="class")
+    def network(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("sample")
+        assert main(["sample", "--kernel", "constant:0.05", "--num-nodes", "200",
+                     "--seed", "3", "--out", str(out)]) == 0
+        return str(out / "sample_n200_seed3.edges")
+
+    def run(self, runs, cpus=None, thread=False):
+        """The per-run results and the stderr of one interpreter that runs `runs`."""
+        env = dict(os.environ, GRAPHON_CTL_THREADS="1",
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT,
+                               json.dumps([cpus, thread, runs])],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        buffered, results = done.stdout.splitlines()
+        assert buffered == "buffered"
+        results = json.loads(results)
+        assert not any(r["children_left"] for r in results)
+        return results, done.stderr
+
+    def one_cpu(self):
+        return [min(os.sched_getaffinity(0))]
+
+    def test_artifacts_match_a_run_pinned_to_one_cpu(self, network, tmp_path):
+        commands = {"spectra": ["spectra", network],
+                    "spectra-all-modes": ["spectra", network, "--top-fraction", "1"],
+                    "epidemic": ["epidemic", network, "--nonlinear"],
+                    "minenergy": ["minenergy", network]}
+        runs = {route: [argv + ["--out", str(tmp_path / route / name)]
+                        for name, argv in commands.items()]
+                for route in ("two", "pinned")}
+        two, two_err = self.run(runs["two"])
+        pinned, pinned_err = self.run(runs["pinned"], cpus=self.one_cpu())
+        assert two_err == pinned_err
+        assert [r["code"] for r in two + pinned] == [0] * 8
+        # a second share under 2**14 cells stays with the parent: 20 of 200 modes and
+        # 200 eigenvalues beside the 200x200 kernel, and minenergy's one table
+        assert [bool(r["share"]) for r in two] == [False, True, True, False]
+        assert not any(r["share"] for r in pinned)
+        for name in commands:
+            written = tree_bytes(tmp_path / "two" / name)
+            assert "manifest.json" in written
+            assert written == tree_bytes(tmp_path / "pinned" / name), name
+
+    def test_child_failure_ends_as_with_one_writer(self, network, tmp_path):
+        argv = ["epidemic", network, "--nonlinear", "--out"]
+        (probe,), _ = self.run([argv + [str(tmp_path / "probe")]])
+        target = probe["share"][0]  # a table the child writes
+        for route in ("two", "pinned"):
+            (tmp_path / route / target).mkdir(parents=True)
+        two, two_err = self.run([argv + [str(tmp_path / "two")]])
+        pinned, pinned_err = self.run([argv + [str(tmp_path / "pinned")]], cpus=self.one_cpu())
+        assert two[0]["share"] == probe["share"] and not pinned[0]["share"]
+        assert two[0]["code"] == pinned[0]["code"] == 2
+        assert two_err.replace("/two/", "/pinned/") == pinned_err
+        assert pinned_err.count("\n") == 1 and "Is a directory" in pinned_err
+        for route in ("two", "pinned"):
+            names = {p.name for p in (tmp_path / route).iterdir()}
+            assert "manifest.json" not in names
+            assert not [name for name in names if name.endswith(".tmp")]
+
+    def test_a_second_thread_keeps_one_writer(self, network, tmp_path):
+        results, err = self.run([["epidemic", network, "--nonlinear",
+                                  "--out", str(tmp_path / "threaded")]], thread=True)
+        assert results == [{"code": 0, "share": [], "children_left": False}]
+        assert (tmp_path / "threaded" / "manifest.json").exists()

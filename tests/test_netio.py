@@ -424,7 +424,7 @@ class TestPixelGraphon:
                                                  [sign * (1.0 + 2e-12), 0.0]]), "max-abs")
         assert (scale, np.abs(kernel.coeffs).max()) == (1.0 + 2e-12, 1.0)
 
-    def test_kernel_build_peaks_near_three_matrices(self):
+    def test_kernel_build_peaks_near_two_matrices(self):
         ds = sample_graph(SinusoidalGraphon(0.05), 600, seed=5)
         unit = 600 * 600 * 8
         tracemalloc.start()
@@ -433,8 +433,8 @@ class TestPixelGraphon:
             peak = tracemalloc.get_traced_memory()[1] / unit
         finally:
             tracemalloc.stop()
-        # the adjacency, the kernel and its read-only copy, and the symmetry mask
-        assert peak <= 3.25
+        # the adjacency, the kernel (frozen in place, not copied) and the symmetry mask
+        assert peak <= 2.25
         np.testing.assert_array_equal(kernel.coeffs, ds.adjacency())
 
 
