@@ -11,12 +11,15 @@ matrix-product and ufunc digits.  Files are written to a temporary sibling and
 renamed, never partially.  On Linux, a single-threaded process (as under
 GRAPHON_CTL_THREADS=1) allowed two or more CPUs forks one child to write about
 half of a large run's CSV tables; the bytes are the same whichever process
-writes a file, and the manifest still comes last.
+writes a file, and the manifest still comes last.  `epidemic --nonlinear` hands
+over its artifacts in two stages: the child writes the linear tables while the
+nonlinear model runs, and renames them into place only once that run succeeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
@@ -189,17 +192,18 @@ def _write_artifact(path: Path, content):
 _FORK_MIN_CELLS = 2**14
 
 
-def _second_share(artifacts: dict) -> list:
+def _second_share(artifacts: dict, staged: bool) -> list:
     """The .csv names a forked writer should take, in artifact order, or [] when the
-    parent should write everything.  Tables go largest first, by cell count, to the
-    lighter of two shares; the second share is forked only on Linux, from a process
-    with one OS thread (a BLAS thread pool makes fork unsafe), allowed at least two
-    CPUs, and when it holds at least _FORK_MIN_CELLS cells."""
+    parent should write everything.  When a later stage follows (`staged`), the child
+    takes every table of this one; otherwise tables go largest first, by cell count, to
+    the lighter of two shares.  The child is forked only on Linux, from a process with
+    one OS thread (a BLAS thread pool makes fork unsafe), allowed at least two CPUs,
+    and when its share holds at least _FORK_MIN_CELLS cells."""
     cells = {name: len(content[0]) * len(content[1])
              for name, content in artifacts.items() if name.endswith(".csv")}
     shares, loads = ([], []), [0, 0]
     for name in sorted(cells, key=cells.get, reverse=True):
-        lighter = int(loads[1] < loads[0])
+        lighter = int(staged or loads[1] < loads[0])
         shares[lighter].append(name)
         loads[lighter] += cells[name]
     if loads[1] < _FORK_MIN_CELLS or not sys.platform.startswith("linux"):
@@ -213,44 +217,88 @@ def _second_share(artifacts: dict) -> list:
     return [name for name in artifacts if name in shares[1]]
 
 
-def _written_on_two_cores(out: Path, artifacts: dict, share: list) -> bool:
-    """Write `share` in a forked child and every other artifact here; True when both
-    processes wrote all of theirs.  The child always ends in os._exit: it never
-    returns into the caller's stack and flushes no buffer it inherited."""
+def _written_on_two_cores(out: Path, artifacts: dict, share: list, stages) -> bool:
+    """Write `share` in a forked child while this process draws the later `stages` into
+    `artifacts`, then writes every other artifact; True when both processes wrote all
+    of theirs.  A stage's error is raised once the child is reaped.  The child always
+    ends in os._exit: it never returns into the caller's stack and flushes no buffer
+    it inherited."""
+    made = list(itertools.takewhile(lambda d: not d.exists(), [out, *out.parents]))
+    told, tell = os.pipe()
     try:
         pid = os.fork()
     except OSError:  # no process to spare: the one-writer pass writes everything
+        os.close(told)
+        os.close(tell)
         return False
     if pid == 0:
         code = 1
         try:
-            for name in share:
-                _write_artifact(out / name, artifacts[name])
-            code = 0
+            os.close(tell)
+            code = _write_when_told(out, artifacts, share, told, made)
         finally:
             os._exit(code)
     try:
-        for name, content in artifacts.items():
-            if name not in share:
-                _write_artifact(out / name, content)
-        written = True
-    except Exception:  # raised again, in artifact order, by the one-writer pass
-        written = False
+        try:
+            for stage in stages:
+                artifacts.update(stage)
+            os.write(tell, b"w")  # the read end is still open here: the byte always fits
+        finally:  # without the byte, the child reads end of file
+            os.close(tell)
+            os.close(told)
+        try:
+            for name, content in artifacts.items():
+                if name not in share:
+                    _write_artifact(out / name, content)
+            written = True
+        except Exception:  # raised again, in artifact order, by the one-writer pass
+            written = False
     finally:
         status = os.waitpid(pid, 0)[1]
     return written and status == 0
 
 
-def write_artifacts(out: Path, artifacts: dict, args: argparse.Namespace):
+def _write_when_told(out: Path, artifacts: dict, share: list, told: int, made: list) -> int:
+    """The forked writer: each table of `share` into its .tmp sibling, renamed into
+    place on the parent's byte on `told`.  At end of file (a stage raised, or the parent
+    died) it removes them and the directories the run `made`, and returns 1."""
+    word, renamed = b"", 0
+    try:
+        for name in share:
+            write_csv(out / (name + ".tmp"), *artifacts[name])
+        word = os.read(told, 1)
+        if word:
+            for name in share:
+                os.replace(out / (name + ".tmp"), out / name)
+                renamed += 1
+    finally:
+        for name in share[renamed:]:
+            (out / (name + ".tmp")).unlink(missing_ok=True)
+    if word:
+        return 0
+    for directory in made:  # deepest first
+        with contextlib.suppress(OSError):  # not empty: another process writes there
+            directory.rmdir()
+    return 1
+
+
+def write_artifacts(out: Path, artifacts, args: argparse.Namespace):
     """Write a subcommand's artifacts through `_write_artifact`, then manifest.json.
 
-    When `_second_share` names tables, a forked child writes those while this process
-    writes the rest; each file is formatted by the same code in either process, so the
-    bytes do not depend on which one wrote it.  If either process fails, this one
-    writes every artifact again in order, which raises the error the one-writer route
-    raises.  The manifest is written last, once every artifact is."""
-    share = _second_share(artifacts)
-    if not (share and _written_on_two_cores(out, artifacts, share)):
+    `artifacts` maps names to contents, or is an iterator of such maps computed in
+    stages.  When `_second_share` names tables of the first stage, a forked child
+    writes those while this process computes any later stage and writes the rest; the
+    child renames its files only once every stage was computed, so a stage that
+    raises leaves no file.  The bytes do not depend on which process wrote a file.  If
+    either process fails to write, this one writes every artifact again in order,
+    which raises the one-writer route's error.  The manifest is written last."""
+    staged = not isinstance(artifacts, dict)
+    stages = iter(artifacts if staged else [artifacts])
+    artifacts = next(stages)
+    share = _second_share(artifacts, staged)
+    if not (share and _written_on_two_cores(out, artifacts, share, stages)):
+        for stage in stages:  # what no child overlapped
+            artifacts.update(stage)
         for name, content in artifacts.items():
             _write_artifact(out / name, content)
     # the output directory is where the manifest lives, not part of the run
@@ -416,7 +464,7 @@ def cmd_minenergy(args) -> dict:
     }
 
 
-def cmd_epidemic(args) -> dict:
+def cmd_epidemic(args):
     contact = netio.to_step_graphon(_network(args), args.normalize)
     model = EpidemicModel(contact, alpha=args.alpha0, beta0=args.beta0,
                           eta=args.eta, state_weight=args.qt,
@@ -440,11 +488,6 @@ def cmd_epidemic(args) -> dict:
     controlled = simulate_linearized(model, p0, feedback, num_steps)
     optimal, zero_control = linear_costs(model, p0)
     costs = {"optimal": optimal, "zero_control": zero_control}
-    if args.nonlinear:
-        nonlinear = simulate_nonlinear(model, np.clip(p0, 0.0, 1.0), feedback, num_steps)
-        costs["nonlinear_closed_loop"] = closed_loop_cost(model, nonlinear)
-        costs["nonlinear_range_warning"] = nonlinear.range_warning
-
     mode_names = [f"mode{j}" for j in range(sol.eigenvalues.size)]
     node_names = [f"node{i}" for i in range(n)]
     artifacts = {
@@ -458,11 +501,17 @@ def cmd_epidemic(args) -> dict:
                           controlled.times, controlled.decay[:, 0], controlled.gains[:, 0]),
         "auxiliary_residual.csv": (["node", "residual"], np.arange(n), controlled.residual),
     }
-    if args.nonlinear:
-        artifacts["nonlinear_states.csv"] = (["time"] + node_names,
-                                             nonlinear.times, nonlinear.states)
-    artifacts["cost.json"] = costs
-    return artifacts
+    if not args.nonlinear:
+        return {**artifacts, "cost.json": costs}
+
+    def stages():  # the linear tables are final before the nonlinear run starts
+        yield artifacts
+        nonlinear = simulate_nonlinear(model, np.clip(p0, 0.0, 1.0), feedback, num_steps)
+        costs["nonlinear_closed_loop"] = closed_loop_cost(model, nonlinear)
+        costs["nonlinear_range_warning"] = nonlinear.range_warning
+        yield {"nonlinear_states.csv": (["time"] + node_names, nonlinear.times, nonlinear.states),
+               "cost.json": costs}
+    return stages()
 
 
 def cmd_sample(args) -> dict:

@@ -22,7 +22,8 @@ from .errors import NumericsError
 from .functions import PiecewiseConstantFunction
 from .graphons import Graphon, StepGraphon
 from .integrate import lawson_rk4
-from .spectral import SpectralDecomposition, SpectralMultiplier, _modal_rows, decompose
+from .spectral import (SpectralDecomposition, SpectralMultiplier, _ROW_BLOCK, _modal_rows,
+                       decompose)
 from .control import Trajectory, growth_integral
 
 
@@ -116,12 +117,14 @@ def _riccati_coefficients(params: RegulatorParams, lams: np.ndarray):
 
     h = alpha0 - eta_total*lam, b = beta0^2 / ((lam-1)^2 + 1) and
     c = sqrt(h^2 + b q).  Of c+h and c-h, whose product is b q, the one that
-    would cancel is formed as a quotient, so both are nonnegative.
+    would cancel is formed as a quotient, so both are nonnegative.  Where b q is
+    0, c is |h| itself: the bits of sqrt(h * h) unless h * h underflows or
+    overflows, where c - h or c + h would no longer be 2|h|.
     """
     q = params.state_weight
     h = params.alpha0 - params.eta_total * lams
     b = params.beta0 * params.beta0 / (lams ** 2 - 2.0 * lams + 2.0)
-    c = np.sqrt(h * h + b * q)
+    c = np.where(b * q == 0.0, np.abs(h), np.sqrt(h * h + b * q))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         c_plus = np.where(h < 0.0, b * q / (c - h), c + h)
         c_minus = np.where(h > 0.0, b * q / (c + h), c - h)
@@ -495,18 +498,25 @@ def closed_loop_cost(model: EpidemicModel, trajectory: Trajectory) -> float:
     norms, integrated by the trapezoid rule on the trajectory grid, plus the
     terminal term q_T |p_T|^2.  A zero weight contributes exactly 0, even
     where its squared norm overflows; an overflowing sum is inf, without a
-    warning.
+    warning.  The integrand is reduced _ROW_BLOCK rows at a time, so no temporary is
+    as large as the trajectory; each row's sums are the ones the whole table gives.
     """
     controls = trajectory.controls
     if controls is None:
         controls = np.zeros_like(trajectory.states)
     states = trajectory.states
-    averaging = np.eye(model.num_nodes) - model.adjacency / model.num_nodes
+    n = model.num_nodes
+    averaging = model.adjacency / n
+    np.subtract(0.0, averaging, out=averaging)  # the bits of np.eye(n) - A/n, in place
+    averaging.flat[::n + 1] += 1.0
+    running = np.empty(len(states))
     with np.errstate(over="ignore"):
-        weighted = (model.state_weight * np.sum(states ** 2, axis=1)
-                    if model.state_weight else 0.0)
-        running = (weighted + np.sum(controls ** 2, axis=1)
-                   + np.sum((controls @ averaging.T) ** 2, axis=1))
+        for start in range(0, len(states), _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            weighted = (model.state_weight * np.sum(states[rows] ** 2, axis=1)
+                        if model.state_weight else 0.0)
+            running[rows] = (weighted + np.sum(controls[rows] ** 2, axis=1)
+                             + np.sum((controls[rows] @ averaging.T) ** 2, axis=1))
         terminal = (model.terminal_weight * float(np.sum(states[-1] ** 2))
                     if model.terminal_weight else 0.0)
         return float(np.trapezoid(running, trajectory.times) + terminal)

@@ -187,7 +187,8 @@ class SpectralMultiplier:
         if residual.shape[-1] != basis.shape[0]:
             basis = np.repeat(basis, residual.shape[-1] // basis.shape[0], axis=0)
         with np.errstate(over="ignore", invalid="ignore"):
-            return (self.values[..., 1:] * coords) @ basis.T + self.values[..., :1] * residual
+            return _plus_scaled((self.values[..., 1:] * coords) @ basis.T,
+                                self.values[..., :1], residual)
 
     def compose(self, other: "SpectralMultiplier") -> "SpectralMultiplier":
         """f(A) g(A), the multiplier of the product f g over the same `modes`."""
@@ -207,7 +208,23 @@ def _modal_rows(basis: np.ndarray, lead, relative, x: np.ndarray) -> np.ndarray:
     """f(A) on block-value rows x, with f(A) given as its value `lead` on the
     complement and its lead-subtracted values `relative` along the columns of
     the (n, r) block basis: x lead + (x basis / n * relative) basisᵀ."""
-    return (x @ basis / basis.shape[0] * relative) @ basis.T + lead * x
+    return _plus_scaled((x @ basis / basis.shape[0] * relative) @ basis.T, lead, x)
+
+
+_ROW_BLOCK = 128
+
+
+def _plus_scaled(out: np.ndarray, lead, x) -> np.ndarray:
+    """out + lead * x, with lead and x broadcast to out's shape.  A table of more than
+    _ROW_BLOCK rows is summed into `out` that many rows at a time: the same bits as the
+    one expression, without a temporary as large as a trajectory."""
+    if out.ndim < 2 or len(out) <= _ROW_BLOCK:
+        return out + lead * x
+    lead, x = np.broadcast_to(lead, out.shape), np.broadcast_to(x, out.shape)
+    for start in range(0, len(out), _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        out[rows] += lead[rows] * x[rows]
+    return out
 
 
 def _step_decomposition(graphon: StepGraphon, mu: np.ndarray,

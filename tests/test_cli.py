@@ -225,7 +225,7 @@ class TestWriter:
         def no_fork():
             raise BlockingIOError("Resource temporarily unavailable")
 
-        monkeypatch.setattr(cli, "_second_share", lambda artifacts: ["b.csv"])
+        monkeypatch.setattr(cli, "_second_share", lambda artifacts, staged: ["b.csv"])
         monkeypatch.setattr(cli.os, "fork", no_fork)
         args = cli.build_parser().parse_args(["approx", "net.edges"])
         cli.write_artifacts(tmp_path, {"a.csv": (["x"], [1.0]), "b.csv": (["y"], [2.0])},
@@ -1128,30 +1128,47 @@ class TestTwoWriters:
 import json, os, sys, threading
 import graphonctl.cli as cli
 
-cpus, thread, runs = json.loads(sys.argv[1])
+cpus, thread, interrupt, runs = json.loads(sys.argv[1])
 if cpus:
     os.sched_setaffinity(0, cpus)
 if thread:  # a second OS thread, as a BLAS thread pool would start
     release = threading.Event()
     threading.Thread(target=release.wait).start()
-shares = []
-written_on_two_cores = cli._written_on_two_cores
+shares, events = [], []
+written_on_two_cores, fork, simulate_nonlinear = (
+    cli._written_on_two_cores, os.fork, cli.simulate_nonlinear)
 
-def spy(out, artifacts, share):
+def spy(out, artifacts, share, *stages):
     shares[-1] = share
-    return written_on_two_cores(out, artifacts, share)
+    return written_on_two_cores(out, artifacts, share, *stages)
 
-cli._written_on_two_cores = spy
+def forked():
+    pid = fork()
+    events[-1].append("fork")
+    return pid
+
+def simulated(*args):
+    events[-1].append("simulate")
+    if interrupt:
+        raise KeyboardInterrupt
+    return simulate_nonlinear(*args)
+
+cli._written_on_two_cores, os.fork, cli.simulate_nonlinear = spy, forked, simulated
 sys.stdout.write("buffered\\n")  # a child that flushed its copy would print it twice
 results = []
 for argv in runs:
     shares.append([])
-    code = cli.main(argv)
+    events.append([])
+    try:
+        code = cli.main(argv)
+    except KeyboardInterrupt:
+        code = "KeyboardInterrupt"
     try:
         left = os.waitpid(-1, os.WNOHANG) is not None
     except ChildProcessError:  # no child, running or unreaped
         left = False
-    results.append({"code": code, "share": shares[-1], "children_left": left})
+    results.append({"code": code, "share": shares[-1], "children_left": left,
+                    "events": events[-1]})
 if thread:
     release.set()
 print(json.dumps(results))
@@ -1164,12 +1181,13 @@ print(json.dumps(results))
                      "--seed", "3", "--out", str(out)]) == 0
         return str(out / "sample_n200_seed3.edges")
 
-    def run(self, runs, cpus=None, thread=False):
-        """The per-run results and the stderr of one interpreter that runs `runs`."""
+    def run(self, runs, cpus=None, thread=False, interrupt=False):
+        """The per-run results and the stderr of one interpreter that runs `runs`;
+        with `interrupt`, simulate_nonlinear raises KeyboardInterrupt."""
         env = dict(os.environ, GRAPHON_CTL_THREADS="1",
                    PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         done = subprocess.run([sys.executable, "-c", self.SCRIPT,
-                               json.dumps([cpus, thread, runs])],
+                               json.dumps([cpus, thread, interrupt, runs])],
                               env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         buffered, results = done.stdout.splitlines()
@@ -1222,5 +1240,61 @@ print(json.dumps(results))
     def test_a_second_thread_keeps_one_writer(self, network, tmp_path):
         results, err = self.run([["epidemic", network, "--nonlinear",
                                   "--out", str(tmp_path / "threaded")]], thread=True)
-        assert results == [{"code": 0, "share": [], "children_left": False}]
+        assert results == [{"code": 0, "share": [], "children_left": False,
+                            "events": ["simulate"]}]
         assert (tmp_path / "threaded" / "manifest.json").exists()
+
+    def test_linear_tables_are_written_while_the_nonlinear_model_runs(self, network,
+                                                                     tmp_path):
+        # the seven linear tables are final before simulate_nonlinear starts, so the
+        # child takes all of them, forked before it; a run without --nonlinear deals
+        # its tables largest first between the two writers
+        (staged, linear), _ = self.run([
+            ["epidemic", network, "--nonlinear", "--out", str(tmp_path / "staged")],
+            ["epidemic", network, "--out", str(tmp_path / "linear")]])
+        tables = ["riccati.csv", "states.csv", "controls.csv", "eigenstates.csv",
+                  "eigencontrols.csv", "auxiliary.csv", "auxiliary_residual.csv"]
+        assert staged["code"] == linear["code"] == 0
+        assert staged["share"] == tables
+        assert staged["events"] == ["fork", "simulate"]
+        assert linear["events"] == ["fork"]
+        assert 0 < len(linear["share"]) < len(tables)
+        assert {name for name in tree_bytes(tmp_path / "staged")} == {
+            *tables, "nonlinear_states.csv", "cost.json", "manifest.json"}
+
+    @pytest.fixture(scope="class")
+    def bipartite(self, tmp_path_factory):
+        """Complete bipartite K(100, 100), on which a recovery rate of -500 drives the
+        nonlinear state out of the float range at t = 0.118."""
+        path = tmp_path_factory.mktemp("bipartite") / "k100_100.edges"
+        path.write_text("".join(f"{i} {j}\n" for i in range(1, 101) for j in range(101, 201)))
+        return str(path)
+
+    def test_a_failure_after_the_fork_writes_nothing(self, bipartite, tmp_path):
+        failing = ["epidemic", bipartite, "--alpha0", "-500", "--qt", "0", "--qT", "0",
+                   "--nonlinear", "--out"]
+        errors = {}
+        for route, cpus in (("two", None), ("pinned", self.one_cpu())):
+            root = tmp_path / route
+            # an earlier run's files, none of them the bytes the failing run computes
+            assert main(["epidemic", bipartite, "--out", str(root / "old")]) == 0
+            before = tree_bytes(root / "old")
+            results, errors[route] = self.run(
+                [failing + [str(root / "a" / "b")], failing + [str(root / "old")]], cpus)
+            assert [r["code"] for r in results] == [3, 3]
+            assert [bool(r["share"]) for r in results] == [route == "two"] * 2
+            assert [r["events"][0] for r in results] == [
+                "fork" if route == "two" else "simulate"] * 2
+            assert sorted(p.name for p in root.iterdir()) == ["old"]
+            assert tree_bytes(root / "old") == before
+        assert errors["two"] == errors["pinned"]
+        assert errors["two"] == "numeric failure: state became non-finite at t=0.118\n" * 2
+
+    def test_an_interrupt_after_the_fork_writes_nothing(self, network, tmp_path):
+        for route, cpus in (("two", None), ("pinned", self.one_cpu())):
+            out = tmp_path / route / "a" / "b"
+            results, _ = self.run([["epidemic", network, "--nonlinear", "--out", str(out)]],
+                                  cpus, interrupt=True)
+            assert [r["code"] for r in results] == ["KeyboardInterrupt"]
+            assert bool(results[0]["share"]) == (route == "two")
+            assert not (tmp_path / route / "a").exists()

@@ -156,6 +156,9 @@ class TestClosedForm:
            lam=st.floats(-1.0, 1.0), beta0=st.floats(0.05, 10.0),
            q=weights, q_terminal=weights, horizon=st.floats(0.01, 10.0),
            fraction=st.floats(0.0, 1.0))
+    # without q, h = -eta_total * lam squares to a subnormal, where sqrt(h h) is not |h|
+    @example(alpha0=0.0, eta_total=17.0, lam=9.696358675544673e-164, beta0=1.0, q=0.0,
+             q_terminal=1.0, horizon=1.0, fraction=0.0)
     def test_matches_independent_integration(self, alpha0, eta_total, lam,
                                              beta0, q, q_terminal, horizon,
                                              fraction):
