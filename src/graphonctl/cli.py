@@ -87,9 +87,9 @@ def write_csv(path: Path, header: list, *columns):
     0.0 (or an int and a float of equal bits) keep their own strings.  The count sorts
     the bits: numpy 2.4's hash-based np.unique takes about twenty times as long as the
     sort on a chunk, enough to slow tables whose values are all distinct.  A cell's
-    index among its block's distinct values comes from a binary search when there
-    are at most 16 of them, as in a 0/1 kernel, and from the inverse of one argsort
-    when there are more, as in a trajectory: each is the faster on its own side."""
+    index among its block's distinct values comes from one comparison when there
+    are at most two of them, as in a 0/1 kernel, and from the inverse of one argsort
+    when there are more, as in a trajectory."""
     blocks = [np.asarray(c) for c in columns]
     blocks = [b[:, None] if b.ndim == 1 else b for b in blocks]
     if len({len(b) for b in blocks}) > 1:
@@ -144,18 +144,14 @@ def _sorted_distinct(key: np.ndarray):
     return ordered[first], first
 
 
-_SEARCH_DISTINCT = 16
-
-
 def _distinct_index(key: np.ndarray, distinct: np.ndarray, first: np.ndarray) -> np.ndarray:
     """Each cell's position in `distinct`, the ascending distinct values of `key`.
-    Up to _SEARCH_DISTINCT of them are found by binary search, more by `_argsort_index`:
-    on 2**16 cells the search is the faster at 2 distinct values, as in a 0/1 kernel
-    (0.2-0.6 ms against 0.6-2.8 ms), and four times slower at 5 000 to 11 000, as in
-    a trajectory.  Where they cross in between depends on the values and the CPU's
-    sort kernels (from 3 to 12 distinct values in measurements so far)."""
-    if distinct.size <= _SEARCH_DISTINCT:
-        return np.searchsorted(distinct, key)
+    With at most two of them it is one comparison with the first; more are ranked by
+    `_argsort_index`.  On 2**16 cells of two values the comparison takes 0.02 ms, a
+    binary search 0.2-0.6 ms and the argsort 0.4-2.6 ms; from three values on, the
+    argsort beats the search (0.4-0.7 ms against 0.7-1.9 ms up to 17 values)."""
+    if distinct.size <= 2:
+        return (key != distinct[0]).astype(np.int32)
     return _argsort_index(key, first)
 
 
@@ -330,12 +326,15 @@ def load_dataset(path_text: str, degree_sort: bool = False) -> netio.NetworkData
     return ds.degree_sorted() if degree_sort else ds
 
 
-def load_vector(path_text: str) -> np.ndarray:
+def load_vector(path_text: str, n: int, flag: str) -> np.ndarray:
+    """The n per-node values of the file that `flag` names, one number per token."""
     values = [float(line) for line in Path(path_text).read_text().split()]
     if not values:
         raise ParseError(f"{path_text}: no values")
     if not np.isfinite(values).all():
         raise ParseError(f"{path_text}: non-finite value")
+    if len(values) != n:
+        raise ValueError(f"{flag} has {len(values)} values, the network has {n} nodes")
     return np.array(values)
 
 
@@ -438,10 +437,7 @@ def cmd_gramian(args) -> dict:
 def cmd_minenergy(args) -> dict:
     sys_ = _system_from_args(args)
     n = sys_.kernel.num_blocks
-    x0 = load_vector(args.x0) if args.x0 else np.ones(n)
-    if x0.size != n:
-        raise ValueError(f"--x0 has {x0.size} values, the network has {n} nodes")
-    x0 = PiecewiseConstantFunction(x0)
+    x0 = PiecewiseConstantFunction(load_vector(args.x0, n, "--x0") if args.x0 else np.ones(n))
     control, energy = min_energy_control(sys_, x0)
     trajectory = simulate(sys_, x0, control, step=args.step)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
@@ -470,9 +466,12 @@ def cmd_epidemic(args):
                           eta=args.eta, state_weight=args.qt,
                           terminal_weight=args.qT, horizon=args.horizon)
     n = model.num_nodes
-    p0 = load_vector(args.p0) if args.p0 else np.full(n, 0.1)
-    if p0.size != n:
-        raise ValueError(f"--p0 has {p0.size} values, the network has {n} nodes")
+    p0 = load_vector(args.p0, n, "--p0") if args.p0 else np.full(n, 0.1)
+    outside = (p0 < 0.0) | (p0 > 1.0)
+    if args.nonlinear and outside.any():  # the nonlinear model reads fractions
+        node = int(np.argmax(outside))
+        raise ValueError(f"--p0 values must lie in [0, 1] under --nonlinear: "
+                         f"node {node} has {float(p0[node])}")
     num_steps = 1000
     if args.step is not None:
         if not args.step > 0.0:
@@ -506,7 +505,7 @@ def cmd_epidemic(args):
 
     def stages():  # the linear tables are final before the nonlinear run starts
         yield artifacts
-        nonlinear = simulate_nonlinear(model, np.clip(p0, 0.0, 1.0), feedback, num_steps)
+        nonlinear = simulate_nonlinear(model, p0, feedback, num_steps)
         costs["nonlinear_closed_loop"] = closed_loop_cost(model, nonlinear)
         costs["nonlinear_range_warning"] = nonlinear.range_warning
         yield {"nonlinear_states.csv": (["time"] + node_names, nonlinear.times, nonlinear.states),

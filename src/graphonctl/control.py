@@ -228,12 +228,12 @@ class ControllabilityReport:
     horizon: float
 
 
-def exact_controllability_check(sys: GraphonSystem,
-                                tolerance: float = 1e-12) -> ControllabilityReport:
-    """Exact controllability via uniform positivity of the Gramian spectrum."""
+def exact_controllability_check(sys: GraphonSystem) -> ControllabilityReport:
+    """Exact controllability via uniform positivity of the Gramian spectrum: its
+    smallest value must exceed 1e-12."""
     bound = float(gramian(sys).values.min())
     nonzero_gain = sys.beta0 != 0.0
-    return ControllabilityReport(bool(nonzero_gain and bound > tolerance),
+    return ControllabilityReport(bool(nonzero_gain and bound > 1e-12),
                                  bound, nonzero_gain, sys.horizon)
 
 
@@ -285,8 +285,9 @@ def min_energy_control(sys: GraphonSystem, x0: Function):
     return MinEnergyControl(sys, x0, coords, residual, w), energy
 
 
-def gramian_quadrature_matrix(sys: GraphonSystem, num_intervals: int = 2048) -> np.ndarray:
-    """Simpson-rule Gramian matrix for step-kernel systems (verification path).
+def gramian_quadrature_matrix(sys: GraphonSystem) -> np.ndarray:
+    """Simpson-rule Gramian matrix for step-kernel systems (verification path),
+    on 2048 uniform intervals of the horizon.
 
     Integrates exp(At) B B^T exp(A^T t) on the kernel partition; used to check
     the closed form, never to produce it.  In the eigenbasis of the state
@@ -296,8 +297,6 @@ def gramian_quadrature_matrix(sys: GraphonSystem, num_intervals: int = 2048) -> 
     """
     if not isinstance(sys.kernel, StepGraphon):
         raise IncompatibleOperandsError("quadrature Gramian needs a step kernel")
-    if num_intervals % 2:
-        num_intervals += 1
     n = sys.kernel.num_blocks
     a_op = sys.kernel.coeffs / n
     input_mat = sys.beta0 * np.eye(n)
@@ -308,8 +307,9 @@ def gramian_quadrature_matrix(sys: GraphonSystem, num_intervals: int = 2048) -> 
     rates, basis = np.linalg.eigh(sys.alpha0 * np.eye(n) + a_op)
     bbt_eig = basis.T @ (input_mat @ input_mat.T) @ basis
 
-    grid = np.linspace(0.0, sys.horizon, num_intervals + 1)
-    weights = np.full(num_intervals + 1, 2.0)
+    intervals = 2048  # even, as Simpson's rule needs
+    grid = np.linspace(0.0, sys.horizon, intervals + 1)
+    weights = np.full(intervals + 1, 2.0)
     weights[1::2] = 4.0
     weights[0] = weights[-1] = 1.0
     weights *= (grid[1] - grid[0]) / 3.0

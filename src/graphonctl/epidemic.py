@@ -200,8 +200,7 @@ class RiccatiSolution:
     for the normalized eigenvalue spectrum[l], the complemented spectrum
     [0, lambda_1..lambda_r].  Column 0 is the auxiliary; `auxiliary`, `modes`
     and `eigenvalues` read the table and the spectrum without it.  `values`
-    and `value_at` evaluate the closed form at any time, off the table's grid
-    too.
+    evaluates the closed form at any time, off the table's grid too.
     """
 
     times: np.ndarray
@@ -227,10 +226,6 @@ class RiccatiSolution:
         if np.array_equal(t, self.times):
             return self.table
         return _riccati_values(self.params, self.spectrum, t)
-
-    def value_at(self, t: float) -> tuple[float, np.ndarray]:
-        values = self.values(t)
-        return float(values[0]), values[1:]
 
 
 def _uniform_times(horizon: float, num_steps: int) -> np.ndarray:

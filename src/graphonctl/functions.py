@@ -97,12 +97,6 @@ class PiecewiseConstantFunction:
     def __call__(self, x):
         return self.values[block_index(x, self.num_blocks)]
 
-    def refine(self, factor: int) -> "PiecewiseConstantFunction":
-        """Same function expressed on a partition `factor` times finer."""
-        if factor < 1:
-            raise ValueError("refinement factor must be a positive integer")
-        return PiecewiseConstantFunction(np.repeat(self.values, factor))
-
     def l2_norm(self) -> float:
         return float(np.sqrt(np.mean(self.values ** 2)))
 

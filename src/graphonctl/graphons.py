@@ -84,10 +84,6 @@ class StepGraphon:
         iy = block_index(y, self.num_blocks)
         return self.coeffs[ix, iy]
 
-    def refine(self, factor: int) -> "StepGraphon":
-        """Same kernel expressed on a partition `factor` times finer."""
-        return StepGraphon(_refine_matrix(self.coeffs, factor), validate=False)
-
     def _check_symmetric(self, action: str):
         # a validated kernel already passed the stricter RANGE_TOL symmetry test
         if not self.validate and not np.allclose(self.coeffs, self.coeffs.T, rtol=0.0, atol=1e-10):
@@ -218,32 +214,32 @@ def power(graphon: Graphon, exponent: int) -> Graphon:
 
 @dataclass(frozen=True, eq=False)
 class IdentityPlusGraphon:
-    """Bounded operator scalar * I + (integral operator of `kernel`).
+    """Bounded operator I + (integral operator of `kernel`).
 
     Operator exponentials live here: e^{tA} = I + U_t where U_t is again a
     kernel in the same family as A.
     """
 
-    scalar: float
     kernel: Graphon
 
     def apply(self, f):
-        return self.scalar * f + apply(self.kernel, f)
+        return f + apply(self.kernel, f)
 
 
 def exponential(graphon: Graphon, t: float) -> IdentityPlusGraphon:
-    """Operator exponential e^{tA} = I + U_t, with U_t returned in-family.
+    """Operator exponential e^{tA} = I + U_t, returned as the kernel U_t, in-family,
+    wrapped in an `IdentityPlusGraphon`.
 
     Exact per family: a step kernel's U_t comes from one symmetric eigensolve
     of its block matrix, and an unvalidated asymmetric one raises ValueError.
     """
     if isinstance(graphon, StepGraphon):
         graphon._check_symmetric("exponentiate")
-        return IdentityPlusGraphon(1.0, StepGraphon(graphon._expm1_blocks(t), validate=False))
+        return IdentityPlusGraphon(StepGraphon(graphon._expm1_blocks(t), validate=False))
     if isinstance(graphon, SinusoidalGraphon):
         const = np.expm1(graphon.constant * t)
         coeffs = 2.0 * np.expm1(0.5 * graphon.cosine_coeffs * t)
-        return IdentityPlusGraphon(1.0, SinusoidalGraphon(const, coeffs, validate=False))
+        return IdentityPlusGraphon(SinusoidalGraphon(const, coeffs, validate=False))
     raise IncompatibleOperandsError(f"cannot exponentiate {type(graphon).__name__}")
 
 

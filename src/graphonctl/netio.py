@@ -387,9 +387,8 @@ class SpectralReport:
         }
 
 
-def spectral_report(dataset: NetworkDataset, top_fraction: float = 0.10,
-                    bins: int = 50) -> SpectralReport:
-    """Adjacency spectrum with a histogram of magnitudes and a top-k error.
+def spectral_report(dataset: NetworkDataset, top_fraction: float = 0.10) -> SpectralReport:
+    """Adjacency spectrum with a 50-bin histogram of magnitudes and a top-k error.
 
     The spectrum is the eigenvalues of one `np.linalg.eigh` of the dense
     adjacency, the solve whose eigenvectors also decompose `spectra`'s kernel.
@@ -399,10 +398,10 @@ def spectral_report(dataset: NetworkDataset, top_fraction: float = 0.10,
     adjacency's divided by N * max|a_ij|, so its tail is read off the same
     spectrum, zeros dropped and ordered as `decompose` orders them.
     """
-    return _solved_report(dataset, top_fraction, bins)[0]
+    return _solved_report(dataset, top_fraction)[0]
 
 
-def _solved_report(dataset: NetworkDataset, top_fraction: float, bins: int = 50) -> tuple:
+def _solved_report(dataset: NetworkDataset, top_fraction: float) -> tuple:
     """(report, adjacency, vecs): `spectral_report`'s report, the dense adjacency it
     read and that matrix's eigenvectors, column l for report.eigenvalues[::-1][l]."""
     if not 0.0 < top_fraction <= 1.0:
@@ -412,7 +411,7 @@ def _solved_report(dataset: NetworkDataset, top_fraction: float, bins: int = 50)
     values = ascending[::-1]
     magnitudes = np.abs(values)
     peak = float(magnitudes.max())
-    counts, edges = np.histogram(magnitudes, bins=bins,
+    counts, edges = np.histogram(magnitudes, bins=50,
                                  range=(0.0, peak if peak > 0.0 else 1.0))
     top_k = math.ceil(top_fraction * dataset.num_nodes)
     lam = values / (dataset.num_nodes * (_max_abs(mat) or 1.0))

@@ -491,14 +491,14 @@ class ConvergenceRow:
     max_error: float
 
 
-def eigenvalue_convergence_experiment(sampler, sizes, limit: Graphon,
-                                      top_k: int = 5) -> list[ConvergenceRow]:
+def eigenvalue_convergence_experiment(sampler, sizes, limit: Graphon) -> list[ConvergenceRow]:
     """Top scaled adjacency eigenvalues of sampled graphs against the limit kernel.
 
     `sampler(size)` must return a symmetric adjacency matrix.  For each size
-    the top_k eigenvalues by magnitude of adjacency/size are compared with the
+    the top 5 eigenvalues by magnitude of adjacency/size are compared with the
     limit graphon's leading eigenvalues (padded with zeros past its rank).
     """
+    top_k = 5
     limit_vals = decompose(limit, vectors=False).eigenvalues
     target = np.zeros(top_k)
     count = min(top_k, limit_vals.size)

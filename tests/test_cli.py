@@ -150,7 +150,7 @@ class TestWriter:
     @staticmethod
     def spy_index_routes(monkeypatch):
         """(distinct count, route) of every column block the repeated route indexes:
-        "search" or "argsort"."""
+        "compare" or "argsort"."""
         routes, ranked = [], []
         original_index, original_argsort = cli._distinct_index, cli._argsort_index
 
@@ -161,14 +161,15 @@ class TestWriter:
         def indexing(key, distinct, first):
             before = len(ranked)
             index = original_index(key, distinct, first)
-            routes.append((distinct.size, "argsort" if len(ranked) > before else "search"))
+            routes.append((distinct.size, "argsort" if len(ranked) > before else "compare"))
             return index
 
         monkeypatch.setattr(cli, "_distinct_index", indexing)
         monkeypatch.setattr(cli, "_argsort_index", argsorting)
         return routes
 
-    @pytest.mark.parametrize("count, route", [(2, "search"), (16, "search"), (17, "argsort")])
+    @pytest.mark.parametrize("count, route", [(2, "compare"), (3, "argsort"), (16, "argsort"),
+                                              (17, "argsort")])
     def test_index_route_by_distinct_count(self, tmp_path, monkeypatch, count, route):
         rng = np.random.default_rng(count)
         values = np.concatenate(([-0.0, 0.0], rng.standard_normal(count - 2)))
@@ -189,7 +190,7 @@ class TestWriter:
         routes = self.spy_index_routes(monkeypatch)
         header = ["time"] + [f"node{i}" for i in range(180)] + [f"f{j}" for j in range(9)]
         cli.write_csv(tmp_path / "t.csv", header, times, states, flags)
-        assert {route for _, route in routes} == {"search", "argsort"}
+        assert {route for _, route in routes} == {"compare", "argsort"}
         assert max(count for count, _ in routes) > 1000
         text = (tmp_path / "t.csv").read_text()
         expected = reference_csv(header, [(t, *row, *f) for t, row, f
@@ -983,6 +984,35 @@ class TestDeterminismAndErrors:
                      "--out", str(tmp_path)]) == 2
         assert "--p0 has 3 values, the network has 4 nodes" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("value", ["2.0", "-0.5"])
+    def test_nonlinear_refuses_p0_outside_the_unit_interval(self, data_dir, tmp_path, capsys,
+                                                            value):
+        # the nonlinear model reads fractions; the linear one reads any deviation
+        p0 = tmp_path / "p0.txt"
+        p0.write_text(f"0.1\n{value}\n0.1\n0.1\n")
+        out = tmp_path / "out"
+        assert main(["epidemic", str(data_dir / "k22.edges"), "--p0", str(p0), "--nonlinear",
+                     "--out", str(out)]) == 2
+        assert "error: --p0 values must lie in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["epidemic", str(data_dir / "k22.edges"), "--p0", str(p0),
+                     "--out", str(out)]) == 0
+        np.testing.assert_allclose(read_csv(out / "states.csv")[1][0, 1:],
+                                   [0.1, float(value), 0.1, 0.1], rtol=1e-12)
+
+    @pytest.mark.parametrize("command", [["spectra"], ["approx"], ["gramian"], ["minenergy"],
+                                         ["epidemic", "--nonlinear"]])
+    def test_network_without_edges_runs(self, tmp_path, command):
+        network = tmp_path / "empty.mtx"
+        network.write_text("%%MatrixMarket matrix coordinate real symmetric\n3 3 0\n")
+        out = tmp_path / "out"
+        assert main([command[0], str(network), *command[1:], "--out", str(out)]) == 0
+        assert (out / "manifest.json").exists()
+        if command == ["spectra"]:  # the zero kernel has rank 0: no mode rows
+            assert (out / "approx_kernel.csv").read_text() == "mode,eigenvalue,b0,b1,b2\n"
+        if command == ["gramian"]:
+            assert json.loads((out / "gramian.json").read_text())["directions"] == []
 
     def test_x0_length_must_match_the_network(self, data_dir, tmp_path, capsys):
         # a 3-value file once ran on the 4-node network as a 12-block refinement

@@ -134,9 +134,9 @@ class TestRiccati:
     def test_value_at_interpolates_grid(self, rng):
         model = random_model(rng)
         sol = solve_riccati_finite(model, num_steps=500)
-        aux, pis = sol.value_at(float(sol.times[123]))
-        assert aux == pytest.approx(sol.auxiliary[123], rel=1e-14)
-        np.testing.assert_allclose(pis, sol.modes[123], rtol=1e-14)
+        values = sol.values(float(sol.times[123]))
+        assert values[0] == pytest.approx(sol.auxiliary[123], rel=1e-14)
+        np.testing.assert_allclose(values[1:], sol.modes[123], rtol=1e-14)
 
 
 def _direction_coefficients(params, lam):
@@ -169,11 +169,11 @@ class TestClosedForm:
         # one direction per example keeps the stiff reference affordable;
         # lam = 0 leaves only the auxiliary, which is the same family at 0
         off_grid = fraction * horizon
-        aux, pis = sol.value_at(off_grid)
+        values = sol.values(off_grid)
         if sol.eigenvalues.size:
-            direction, mine = sol.eigenvalues[0], np.append(sol.modes[:, 0], pis[0])
+            direction, mine = sol.eigenvalues[0], np.append(sol.modes[:, 0], values[1])
         else:
-            direction, mine = 0.0, np.append(sol.auxiliary, aux)
+            direction, mine = 0.0, np.append(sol.auxiliary, values[0])
         times = np.append(sol.times, off_grid)
         reference = oracles.scalar_riccati_ode(
             *_direction_coefficients(params, direction), q, q_terminal,
@@ -199,8 +199,7 @@ class TestClosedForm:
                                  terminal_weight=0.0)
         sol = solve_riccati_graphon(StepGraphon([[0.7]]), params, num_steps=10)
         assert not sol.auxiliary.any() and not sol.modes.any()
-        aux, pis = sol.value_at(0.3)
-        assert aux == 0.0 and not pis.any()
+        assert not sol.values(0.3).any()
 
     def test_tiny_weight_does_not_underflow(self):
         # h = 0, so c = sqrt(b q) ~ 1e-134 and q (1 - e) would underflow
@@ -618,7 +617,7 @@ class TestGraphonLimitCost:
         kernel = SinusoidalGraphon(0.5, [0.3])
         sol = solve_riccati_graphon(kernel, RegulatorParams(-0.5, 1.0, 1.5), num_steps=1)
         assert sol.eigenvalues[0] == pytest.approx(0.5)
-        limit = sol.value_at(0.0)[1][0] * 0.01
+        limit = sol.values(0.0)[1] * 0.01
         assert limit == pytest.approx(0.0379128, abs=5e-8)
         gaps = {}
         for n in (100, 300):

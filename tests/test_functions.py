@@ -60,10 +60,6 @@ class TestPiecewiseConstant:
         assert f(0.1) == 1.0
         assert f(0.5) == -2.0
         assert f(1.0) == 3.0
-        g = f.refine(2)
-        assert g.num_blocks == 6
-        xs = np.linspace(0.0, 1.0, 50)
-        np.testing.assert_array_equal(f(xs), g(xs))
 
     def test_values_are_immutable(self):
         f = PiecewiseConstantFunction([1.0, 2.0])

@@ -153,6 +153,15 @@ class TestParseMatrixMarket:
             parse_matrix_market(
                 "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 3 1.0\n")
 
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    def test_no_entries_is_a_network_without_edges(self, as_bytes):
+        # a size line of nnz 0 and no entry line: there is no first entry to read a width from
+        text = "%%MatrixMarket matrix coordinate real symmetric\n3 3 0\n"
+        ds = parse_matrix_market(text.encode() if as_bytes else text)
+        assert ds.num_nodes == 3 and ds.num_edges == 0
+        assert entries(ds) == []
+        np.testing.assert_array_equal(ds.adjacency(), np.zeros((3, 3)))
+
     def test_header_count_comes_before_entry_lines(self):
         with pytest.raises(ParseError, match="does not match"):
             parse_matrix_market(MTX_GENERAL + "2 2 3\n1 2 x\n1 3 1.0\n")
@@ -539,7 +548,7 @@ class TestWriteEdgeList:
 class TestSpectralReport:
     def test_bipartite_summary(self, data_dir):
         ds = parse_edge_list((data_dir / "k22.edges").read_text(), name="k22")
-        report = spectral_report(ds, top_fraction=0.1, bins=10)
+        report = spectral_report(ds, top_fraction=0.1)
         np.testing.assert_allclose(report.eigenvalues, [2.0, 0.0, 0.0, -2.0],
                                    atol=1e-12)
         assert report.top_k == 1  # ceil(0.1 * 4)
@@ -547,7 +556,7 @@ class TestSpectralReport:
         # normalized pixel spectrum is {1/2, -1/2, 0, 0}; dropping one of the
         # two half-magnitude directions leaves exactly half the energy
         assert report.truncation_error == pytest.approx(0.5, abs=1e-12)
-        assert report.histogram_edges.shape == (11,)
+        assert report.histogram_edges.shape == (51,)
         assert report.histogram_counts.sum() == 4
         assert report.histogram_edges[-1] == pytest.approx(2.0)
 
