@@ -1,19 +1,15 @@
 """Command-line front end: reproducible spectral / control runs on network files.
 
-A subcommand computes its artifacts, file name to content, and `main` writes
-them once it has finished, then a manifest.json capturing the full configuration,
-seed and package version (no timestamps); a refused or failed run writes nothing.
-A rerun with the same manifest, the same numpy and BLAS build (scipy decides no
-byte: the package does not import it), the same BLAS thread count and the same
-CPU kernels that OpenBLAS and numpy dispatch to reproduces every artifact byte
-for byte; the thread count or the kernel choice alone can move eigensolver,
-matrix-product and ufunc digits.  Files are written to a temporary sibling and
-renamed, never partially.  On Linux, a single-threaded process (as under
-GRAPHON_CTL_THREADS=1) allowed two or more CPUs forks one child to write about
-half of a large run's CSV tables; the bytes are the same whichever process
-writes a file, and the manifest still comes last.  `epidemic --nonlinear` hands
-over its artifacts in two stages: the child writes the linear tables while the
-nonlinear model runs, and renames them into place only once that run succeeded.
+A subcommand computes its artifacts, file name to content, and `write_artifacts`
+commits them with a manifest.json capturing the full configuration, seed and package
+version (no timestamps): no file is renamed into place before every stage was computed
+and every file written, so a refused or failed run writes nothing, save that a rename
+failing during the commit keeps the files renamed before it.  A rerun with the same
+manifest, the same numpy and BLAS build (scipy decides no byte: the package does not
+import it), the same BLAS thread count and the same CPU kernels that OpenBLAS and numpy
+dispatch to reproduces every artifact byte for byte, whether one process or two wrote
+the files; the thread count or the kernel choice alone can move eigensolver,
+matrix-product and ufunc digits.
 """
 
 from __future__ import annotations
@@ -57,26 +53,19 @@ from .spectral import eigenvalue_convergence_experiment
 # -- output plumbing -----------------------------------------------------------
 
 def _atomic_write(path: Path, chunks):
-    """Stream `chunks` into a temporary sibling (making the directory), then rename
-    it over `path`; if a chunk or the rename fails, remove the sibling and leave
-    `path` alone."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / (path.name + ".tmp")
-    try:
-        with open(tmp, "w") as handle:
-            handle.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Stream `chunks` into `path`, a .tmp sibling that `write_artifacts` renames or removes
+    with the rest of its run (not atomic by itself; perfbench's tracer wraps this name)."""
+    with open(path, "w") as handle:
+        handle.writelines(chunks)
 
 
 _CHUNK_CELLS = 2**16
 
 
 def write_csv(path: Path, header: list, *columns):
-    """Stream equal-length columns (1-D, or 2-D blocks) as CSV: integer and bool columns
-    as %d, the rest as %.17g (the bytes of str(int(v)) and f"{float(v):.17g}").
+    """Stream equal-length columns (1-D, or 2-D blocks) into `path` as CSV: integer and
+    bool columns as %d, the rest as %.17g (the bytes of str(int(v)) and f"{float(v):.17g}").
+    Unequal lengths raise before `path` is opened; a failure midway leaves what was written.
 
     The table is formatted about _CHUNK_CELLS cells at a time, never copied whole.  A
     chunk in which at most half the cells are distinct, as in the trajectories and
@@ -173,13 +162,15 @@ def write_json(path: Path, payload: dict):
 
 
 def _write_artifact(path: Path, content):
-    """A JSON payload for a .json name, (header, *columns) for a .csv name, text for any other."""
+    """Stream an artifact into path's .tmp sibling: a JSON payload for a .json name,
+    (header, *columns) for a .csv name, text for any other."""
+    tmp = path.with_name(path.name + ".tmp")
     if path.suffix == ".json":
-        write_json(path, content)
+        write_json(tmp, content)
     elif path.suffix == ".csv":
-        write_csv(path, *content)
+        write_csv(tmp, *content)
     else:
-        _atomic_write(path, [content])
+        _atomic_write(tmp, [content])
 
 
 # Fork, exit and reap cost 2.4-3.5 ms (median 3.4 ms of 40) in a 43 MB interpreter
@@ -213,104 +204,91 @@ def _second_share(artifacts: dict, staged: bool) -> list:
     return [name for name in artifacts if name in shares[1]]
 
 
-def _written_on_two_cores(out: Path, artifacts: dict, share: list, stages) -> bool:
-    """Write `share` in a forked child while this process draws the later `stages` into
-    `artifacts`, then writes every other artifact; True when both processes wrote all
-    of theirs.  A stage's error is raised once the child is reaped.  The child always
-    ends in os._exit: it never returns into the caller's stack and flushes no buffer
-    it inherited."""
-    made = list(itertools.takewhile(lambda d: not d.exists(), [out, *out.parents]))
-    told, tell = os.pipe()
+def _fork_writer(out: Path, artifacts: dict, share: list) -> int:
+    """The pid of a forked child that streams the tables of `share` into their .tmp
+    siblings, exiting 0 once all are written, or 0 when fork failed.  It ends in
+    os._exit: it never returns into the caller's stack nor flushes an inherited buffer."""
     try:
         pid = os.fork()
-    except OSError:  # no process to spare: the one-writer pass writes everything
-        os.close(told)
-        os.close(tell)
-        return False
-    if pid == 0:
-        code = 1
-        try:
-            os.close(tell)
-            code = _write_when_told(out, artifacts, share, told, made)
-        finally:
-            os._exit(code)
-    try:
-        try:
-            for stage in stages:
-                artifacts.update(stage)
-            os.write(tell, b"w")  # the read end is still open here: the byte always fits
-        finally:  # without the byte, the child reads end of file
-            os.close(tell)
-            os.close(told)
-        try:
-            for name, content in artifacts.items():
-                if name not in share:
-                    _write_artifact(out / name, content)
-            written = True
-        except Exception:  # raised again, in artifact order, by the one-writer pass
-            written = False
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    return written and status == 0
-
-
-def _write_when_told(out: Path, artifacts: dict, share: list, told: int, made: list) -> int:
-    """The forked writer: each table of `share` into its .tmp sibling, renamed into
-    place on the parent's byte on `told`.  At end of file (a stage raised, or the parent
-    died) it removes them and the directories the run `made`, and returns 1."""
-    word, renamed = b"", 0
-    try:
-        for name in share:
-            write_csv(out / (name + ".tmp"), *artifacts[name])
-        word = os.read(told, 1)
-        if word:
-            for name in share:
-                os.replace(out / (name + ".tmp"), out / name)
-                renamed += 1
-    finally:
-        for name in share[renamed:]:
-            (out / (name + ".tmp")).unlink(missing_ok=True)
-    if word:
+    except OSError:  # no process to spare: this process writes everything
         return 0
-    for directory in made:  # deepest first
-        with contextlib.suppress(OSError):  # not empty: another process writes there
-            directory.rmdir()
-    return 1
+    if pid == 0:
+        try:
+            for name in share:
+                _write_artifact(out / name, artifacts[name])
+            os._exit(0)
+        finally:  # reached only when a write raised
+            os._exit(1)
+    return pid
 
 
 def write_artifacts(out: Path, artifacts, args: argparse.Namespace):
-    """Write a subcommand's artifacts through `_write_artifact`, then manifest.json.
+    """Commit a subcommand's artifacts, then manifest.json, into `out` as one run.
 
     `artifacts` maps names to contents, or is an iterator of such maps computed in
-    stages.  When `_second_share` names tables of the first stage, a forked child
-    writes those while this process computes any later stage and writes the rest; the
-    child renames its files only once every stage was computed, so a stage that
-    raises leaves no file.  The bytes do not depend on which process wrote a file.  If
-    either process fails to write, this one writes every artifact again in order,
-    which raises the one-writer route's error.  The manifest is written last."""
+    stages.  Each is streamed into its .tmp sibling, the tables `_second_share` names by
+    a forked child while this process computes any later stage and writes the rest; if
+    either of two writers fails, this one writes every artifact again in order, which
+    raises the one-writer route's error.  Only after every stage and write succeeded and
+    the child exited 0 are the files renamed into place, the manifest last.  Any failure
+    removes the .tmp siblings and the directories the run made, but a rename that fails
+    during the commit keeps the files renamed before it."""
     staged = not isinstance(artifacts, dict)
     stages = iter(artifacts if staged else [artifacts])
     artifacts = next(stages)
     share = _second_share(artifacts, staged)
-    if not (share and _written_on_two_cores(out, artifacts, share, stages)):
-        for stage in stages:  # what no child overlapped
-            artifacts.update(stage)
-        for name, content in artifacts.items():
-            _write_artifact(out / name, content)
-    # the output directory is where the manifest lives, not part of the run
-    config = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("handler", "out")}
-    write_json(out / "manifest.json",
-               {"command": args.command, "config": config,
-                "seed": config.get("seed"), "version": __version__})
+    made = list(itertools.takewhile(lambda d: not d.exists(), [out, *out.parents]))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        pid = _fork_writer(out, artifacts, share) if share else 0
+        try:
+            for stage in stages:
+                artifacts.update(stage)
+            # the output directory is where the manifest lives, not part of the run
+            config = {k: v for k, v in sorted(vars(args).items())
+                      if k not in ("handler", "out")}
+            artifacts["manifest.json"] = {"command": args.command, "config": config,
+                                          "seed": config.get("seed"), "version": __version__}
+            try:
+                for name, content in artifacts.items():
+                    if not (pid and name in share):
+                        _write_artifact(out / name, content)
+                written = True
+            except Exception:  # raised again, in artifact order, by the one-writer pass
+                if not pid:
+                    raise
+                written = False
+        finally:
+            status = pid and os.waitpid(pid, 0)[1]
+        if not (written and status == 0):
+            for name, content in artifacts.items():
+                _write_artifact(out / name, content)
+        for name in artifacts:
+            os.replace(out / (name + ".tmp"), out / name)
+    except BaseException:
+        for name in artifacts:
+            with contextlib.suppress(OSError):  # a directory found at that name stays
+                (out / (name + ".tmp")).unlink(missing_ok=True)
+        for directory in made:  # deepest first
+            with contextlib.suppress(OSError):  # not empty: files stay there
+                directory.rmdir()
+        raise
 
 
 # -- input plumbing -------------------------------------------------------------
 
-def finite_float(text: str) -> float:
-    """A number from the command line: a float flag, a --b-poly coefficient or a
-    kernel spec's entry.  float() reads nan and inf as well; they are refused."""
-    value = float(text)
+def _number(kind, token: str, flag: str):
+    """kind(token), for kind float or int; a token that is no number names `flag`."""
+    try:
+        return kind(token)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
+def finite_float(text: str, flag: str = "") -> float:
+    """A number from the command line: a float flag, or an entry of --b-poly or a kernel
+    spec, which `flag` names.  float() reads nan and inf as well; they are refused."""
+    value = _number(float, text, flag)
     if not np.isfinite(value):
         raise ValueError(f"{text!r} is not a finite number")
     return value
@@ -328,7 +306,8 @@ def load_dataset(path_text: str, degree_sort: bool = False) -> netio.NetworkData
 
 def load_vector(path_text: str, n: int, flag: str) -> np.ndarray:
     """The n per-node values of the file that `flag` names, one number per token."""
-    values = [float(line) for line in Path(path_text).read_text().split()]
+    values = [_number(float, token, f"{flag} file {path_text}")
+              for token in Path(path_text).read_text().split()]
     if not values:
         raise ParseError(f"{path_text}: no values")
     if not np.isfinite(values).all():
@@ -341,9 +320,9 @@ def load_vector(path_text: str, n: int, flag: str) -> np.ndarray:
 def parse_kernel_spec(spec: str):
     """Kernel argument: 'constant:c', 'sinusoidal:a0[,b1,...]', or a network file."""
     if spec.startswith("constant:"):
-        return StepGraphon([[finite_float(spec.partition(":")[2])]])
+        return StepGraphon([[finite_float(spec.partition(":")[2], "--kernel")]])
     if spec.startswith("sinusoidal:"):
-        parts = [finite_float(v) for v in spec.partition(":")[2].split(",")]
+        parts = [finite_float(v, "--kernel") for v in spec.partition(":")[2].split(",")]
         return SinusoidalGraphon(parts[0], parts[1:])
     ds = load_dataset(spec)
     if not ds.is_symmetric():  # sample has no --symmetrize to name
@@ -403,7 +382,7 @@ def cmd_approx(args) -> dict:
 
 def _system_from_args(args, vectors: bool = True) -> GraphonSystem:
     """The system of the flags; with vectors=False its modes hold the spectrum alone."""
-    poly = tuple(finite_float(v) for v in args.b_poly.split(",")) if args.b_poly else ()
+    poly = tuple(finite_float(v, "--b-poly") for v in args.b_poly.split(",") if args.b_poly)
     kernel = netio.to_step_graphon(_network(args), args.normalize)
     return GraphonSystem(args.alpha0, args.beta0, kernel, poly, args.horizon,
                          decompose(kernel, vectors))
@@ -520,7 +499,7 @@ def cmd_sample(args) -> dict:
     if args.converge:
         if not args.sizes:
             raise ValueError("--converge needs --sizes")
-        sizes = [int(s) for s in args.sizes.split(",")]
+        sizes = [_number(int, s, "--sizes") for s in args.sizes.split(",")]
         rows = []
         for offset in range(args.num_seeds):
             seed = args.seed + offset

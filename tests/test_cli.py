@@ -199,28 +199,26 @@ class TestWriter:
         assert text == expected
 
     def test_failure_midway_leaves_no_file(self, tmp_path):
-        def lines():
-            yield "a\n"
-            yield "1\n"
-            raise RuntimeError("formatter broke")
-
-        target = tmp_path / "x.csv"
-        with pytest.raises(RuntimeError):
-            cli._atomic_write(target, lines())
-        assert not target.exists()
-        assert not (tmp_path / "x.csv.tmp").exists()
-
+        # the second table fails while it is formatted: the run removes every .tmp
+        # sibling it wrote and the directories it made
         column = np.array([1.0, 2.0, "not a number", 4.0], dtype=object)
+        args = cli.build_parser().parse_args(["approx", "net.edges"])
         with pytest.raises(TypeError):
-            cli.write_csv(target, ["x"], column)
+            cli.write_artifacts(tmp_path / "a" / "b",
+                                {"a.csv": (["a"], [1.0]), "x.csv": (["x"], column)}, args)
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_rename_leaves_no_sibling(self, tmp_path):
-        target = tmp_path / "x.csv"
-        target.mkdir()
-        with pytest.raises(OSError):
-            cli._atomic_write(target, ["a\n"])
-        assert list(tmp_path.iterdir()) == [target]
+        # a directory at an artifact's name fails its rename during the commit: the file
+        # renamed before it stays, and no .tmp sibling or manifest is left
+        (tmp_path / "x.csv").mkdir()
+        args = cli.build_parser().parse_args(["approx", "net.edges"])
+        with pytest.raises(IsADirectoryError):
+            cli.write_artifacts(tmp_path, {"a.csv": (["a"], [1.0]), "x.csv": (["x"], [2.0])},
+                                args)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "x.csv"]
+        assert (tmp_path / "a.csv").read_text() == "a\n1\n"
+        assert (tmp_path / "x.csv").is_dir()
 
     def test_failed_fork_leaves_one_writer(self, tmp_path, monkeypatch):
         def no_fork():
@@ -235,14 +233,44 @@ class TestWriter:
                                                               "manifest.json"]
         assert (tmp_path / "b.csv").read_text() == "y\n2\n"
 
-    def test_failure_keeps_previous_target(self, tmp_path):
-        target = tmp_path / "x.csv"
-        cli.write_csv(target, ["x"], [1.0, 2.0])
-        before = target.read_bytes()
+    def test_failed_run_keeps_previous_files(self, tmp_path):
+        # nothing is renamed before every file was written, so an earlier run's files
+        # keep their bytes when a later table fails
+        args = cli.build_parser().parse_args(["approx", "net.edges"])
+        cli.write_artifacts(tmp_path, {"a.csv": (["a"], [1.0, 2.0]), "x.csv": (["x"], [3.0])},
+                            args)
+        before = tree_bytes(tmp_path)
         with pytest.raises(TypeError):
-            cli.write_csv(target, ["x"], np.array([3.0, "bad"], dtype=object))
-        assert target.read_bytes() == before
-        assert not (tmp_path / "x.csv.tmp").exists()
+            cli.write_artifacts(tmp_path, {"a.csv": (["a"], [5.0]),
+                                           "x.csv": (["x"], np.array([3.0, "bad"], dtype=object))},
+                                args)
+        assert tree_bytes(tmp_path) == before
+
+    def test_nothing_is_renamed_before_the_nonlinear_run_returns(self, data_dir, tmp_path,
+                                                                 monkeypatch):
+        # one writer, as under taskset -c 0: every file is renamed after simulate_nonlinear
+        # returned, in artifact order, manifest.json last
+        events, simulate_nonlinear, replace = [], cli.simulate_nonlinear, os.replace
+
+        def simulated(*args):
+            trajectory = simulate_nonlinear(*args)
+            events.append("simulated")
+            return trajectory
+
+        def replaced(source, target):
+            events.append(Path(target).name)
+            replace(source, target)
+
+        monkeypatch.setattr(cli, "simulate_nonlinear", simulated)
+        monkeypatch.setattr(cli.os, "replace", replaced)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert main(["epidemic", str(data_dir / "k22.edges"), "--nonlinear",
+                     "--out", str(tmp_path)]) == 0
+        assert events == ["simulated", "riccati.csv", "states.csv", "controls.csv",
+                          "eigenstates.csv", "eigencontrols.csv", "auxiliary.csv",
+                          "auxiliary_residual.csv", "nonlinear_states.csv", "cost.json",
+                          "manifest.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(events[1:])
 
 
 class TestArtifactFormat:
@@ -1068,6 +1096,29 @@ class TestDeterminismAndErrors:
             or f"error: '{bad}' is not a finite number" in err
         assert not out.exists()
 
+    FLOAT_ERROR = "could not convert string to float: "
+
+    @pytest.mark.parametrize("argv,message", [
+        (["epidemic", "k22.edges", "--p0", "VECTOR"], "--p0 file VECTOR: " + FLOAT_ERROR),
+        (["minenergy", "k22.edges", "--x0", "VECTOR"], "--x0 file VECTOR: " + FLOAT_ERROR),
+        (["gramian", "k22.edges", "--b-poly", "0.5,x"], "--b-poly: " + FLOAT_ERROR),
+        (["sample", "--kernel", "constant:x"], "--kernel: " + FLOAT_ERROR),
+        (["sample", "--kernel", "sinusoidal:0.5,x"], "--kernel: " + FLOAT_ERROR),
+        (["sample", "--kernel", "constant:0.5", "--converge", "--sizes", "8,x"],
+         "--sizes: invalid literal for int() with base 10: "),
+    ], ids=["p0", "x0", "b-poly", "kernel-constant", "kernel-sinusoidal", "sizes"])
+    def test_a_token_that_is_no_number_names_its_flag(self, data_dir, tmp_path, capsys,
+                                                      argv, message):
+        vector = tmp_path / "vector.txt"
+        vector.write_text("0.1\nx\n0.1\n0.1\n")
+        argv = [str(data_dir / a) if a.endswith(".edges") else a for a in argv]
+        argv = [str(vector) if a == "VECTOR" else a for a in argv]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        expected = "error: " + message.replace("VECTOR", str(vector)) + "'x'\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,flag,line", [("epidemic", "--p0", "nan"),
                                                    ("minenergy", "--x0", "inf"),
                                                    ("approx", "--rank", None)],
@@ -1151,8 +1202,8 @@ print("no scipy")
 class TestTwoWriters:
     """A single-threaded run allowed two CPUs writes its CSV tables in two processes.
     Each case runs in a fresh interpreter under GRAPHON_CTL_THREADS=1, since a BLAS
-    thread pool (or any second thread) keeps one writer; a spy records the share
-    the child was given."""
+    thread pool (or any second thread) keeps one writer; spies record the share the
+    child was given, and each fork, nonlinear run and rename in order."""
 
     SCRIPT = """
 import json, os, sys, threading
@@ -1165,17 +1216,21 @@ if thread:  # a second OS thread, as a BLAS thread pool would start
     release = threading.Event()
     threading.Thread(target=release.wait).start()
 shares, events = [], []
-written_on_two_cores, fork, simulate_nonlinear = (
-    cli._written_on_two_cores, os.fork, cli.simulate_nonlinear)
+fork_writer, fork, replace, simulate_nonlinear = (
+    cli._fork_writer, os.fork, os.replace, cli.simulate_nonlinear)
 
-def spy(out, artifacts, share, *stages):
+def spy(out, artifacts, share):
     shares[-1] = share
-    return written_on_two_cores(out, artifacts, share, *stages)
+    return fork_writer(out, artifacts, share)
 
 def forked():
     pid = fork()
     events[-1].append("fork")
     return pid
+
+def replaced(source, target):
+    events[-1].append("replace")
+    replace(source, target)
 
 def simulated(*args):
     events[-1].append("simulate")
@@ -1183,7 +1238,7 @@ def simulated(*args):
         raise KeyboardInterrupt
     return simulate_nonlinear(*args)
 
-cli._written_on_two_cores, os.fork, cli.simulate_nonlinear = spy, forked, simulated
+cli._fork_writer, os.fork, os.replace, cli.simulate_nonlinear = spy, forked, replaced, simulated
 sys.stdout.write("buffered\\n")  # a child that flushed its copy would print it twice
 results = []
 for argv in runs:
@@ -1271,7 +1326,7 @@ print(json.dumps(results))
         results, err = self.run([["epidemic", network, "--nonlinear",
                                   "--out", str(tmp_path / "threaded")]], thread=True)
         assert results == [{"code": 0, "share": [], "children_left": False,
-                            "events": ["simulate"]}]
+                            "events": ["simulate"] + ["replace"] * 10}]
         assert (tmp_path / "threaded" / "manifest.json").exists()
 
     def test_linear_tables_are_written_while_the_nonlinear_model_runs(self, network,
@@ -1286,11 +1341,32 @@ print(json.dumps(results))
                   "eigencontrols.csv", "auxiliary.csv", "auxiliary_residual.csv"]
         assert staged["code"] == linear["code"] == 0
         assert staged["share"] == tables
-        assert staged["events"] == ["fork", "simulate"]
-        assert linear["events"] == ["fork"]
+        # and every file is renamed into place after the nonlinear run
+        assert staged["events"] == ["fork", "simulate"] + ["replace"] * 10
+        assert linear["events"] == ["fork"] + ["replace"] * 9
         assert 0 < len(linear["share"]) < len(tables)
         assert {name for name in tree_bytes(tmp_path / "staged")} == {
             *tables, "nonlinear_states.csv", "cost.json", "manifest.json"}
+
+    def test_a_failed_write_leaves_the_directory_as_it_was(self, network, tmp_path):
+        # a directory at controls.csv.tmp fails that table's write, in the child that
+        # takes the linear tables or, pinned, in this process; an earlier run's files
+        # keep their bytes either way
+        errors = {}
+        for route, cpus in (("two", None), ("pinned", self.one_cpu())):
+            out = tmp_path / route
+            assert main(["epidemic", network, "--eta", "1", "--out", str(out)]) == 0
+            (out / "controls.csv.tmp").mkdir()
+            before = {p.name: p.is_dir() or p.read_bytes() for p in sorted(out.iterdir())}
+            results, errors[route] = self.run(
+                [["epidemic", network, "--nonlinear", "--out", str(out)]], cpus)
+            assert [r["code"] for r in results] == [2]
+            assert bool(results[0]["share"]) == (route == "two")
+            assert "replace" not in results[0]["events"]
+            assert {p.name: p.is_dir() or p.read_bytes() for p in sorted(out.iterdir())} == before
+        assert errors["two"].replace("/two/", "/pinned/") == errors["pinned"]
+        assert errors["pinned"] == (f"error: [Errno 21] Is a directory: "
+                                    f"'{tmp_path / 'pinned' / 'controls.csv.tmp'}'\n")
 
     @pytest.fixture(scope="class")
     def bipartite(self, tmp_path_factory):
