@@ -382,7 +382,8 @@ def cmd_approx(args) -> dict:
 
 def _system_from_args(args, vectors: bool = True) -> GraphonSystem:
     """The system of the flags; with vectors=False its modes hold the spectrum alone."""
-    poly = tuple(finite_float(v, "--b-poly") for v in args.b_poly.split(",") if args.b_poly)
+    poly = (tuple(finite_float(v, "--b-poly") for v in args.b_poly.split(","))
+            if args.b_poly else ())
     kernel = netio.to_step_graphon(_network(args), args.normalize)
     return GraphonSystem(args.alpha0, args.beta0, kernel, poly, args.horizon,
                          decompose(kernel, vectors))

@@ -1212,9 +1212,9 @@ import graphonctl.cli as cli
 cpus, thread, interrupt, runs = json.loads(sys.argv[1])
 if cpus:
     os.sched_setaffinity(0, cpus)
-if thread:  # a second OS thread, as a BLAS thread pool would start
-    release = threading.Event()
-    threading.Thread(target=release.wait).start()
+if thread:  # a second OS thread, as a BLAS thread pool would start; a daemon, so
+    # an error in this script ends the interpreter instead of waiting on the thread
+    threading.Thread(target=threading.Event().wait, daemon=True).start()
 shares, events = [], []
 fork_writer, fork, replace, simulate_nonlinear = (
     cli._fork_writer, os.fork, os.replace, cli.simulate_nonlinear)
@@ -1254,8 +1254,6 @@ for argv in runs:
         left = False
     results.append({"code": code, "share": shares[-1], "children_left": left,
                     "events": events[-1]})
-if thread:
-    release.set()
 print(json.dumps(results))
 """
 
